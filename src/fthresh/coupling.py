@@ -1,11 +1,15 @@
 """Stepwise coupling of the random copy process with the auxiliary graph.
 
 The run first couples the two clean-cycle collections (the pre-coupling),
-then walks the fixed copy order deciding containment in both structures.
-Exact mode evaluates every conditional probability by enumeration and so
-needs tiny instances; bound mode substitutes the proven operational bounds
-for the conditionals and scales further, at the price of approximate
-marginals.
+then walks the fixed copy order deciding containment in both structures
+with coupled coins, stopping at B1 (degree cutoff), B2 (avoidable
+configuration), B3 (cycle mismatch) or a step failure. One driver runs that
+walk in both modes; a law object supplies what differs between them: the
+pre-coupling, the step probabilities (pi_j, pi'_j) and the completion of
+the final structures. The exact law evaluates every conditional
+probability by enumeration and so needs tiny instances; the bound law
+substitutes the proven operational bounds for the conditionals and scales
+further, at the price of approximate marginals.
 """
 
 from __future__ import annotations
@@ -17,89 +21,17 @@ from typing import Optional
 
 import numpy as np
 
-from .dgraphs import DGraph, cycle_placements
+from .dgraphs import DGraph
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .exactengine import ExactEngine, get_engine
-from .fgraphs import (FEdge, FGraph, all_potential_copies, classify,
-                      find_avoidable, inducing_witness, shadow)
-from .graphs import Graph, canonical_form
+from .exactengine import ExactEngine, Placements, get_engine, placements
+from .fgraphs import FGraph, classify, find_avoidable, inducing_witness
+from .graphs import Graph
 from .patterns import Pattern, ThresholdParams
-from .sampling import (STREAM_COUPLING, edge_order, rng_for, sample_gstar,
-                       sample_hf)
+from .sampling import STREAM_COUPLING, rng_for, sample_gstar, sample_hf
 
 OUTCOMES = ("success", "B1", "B2", "B3", "step_failure")
 
 _MAX_PRECOUPLE_PROPOSALS = 200_000
-
-
-# -- shared combinatorial context -------------------------------------------
-
-@dataclass(frozen=True)
-class _Context:
-    """Copy and cycle placements on [n] as integer edge masks."""
-
-    f: Pattern
-    n: int
-    pairs: tuple
-    edge_index: dict
-    copies: tuple
-    copy_bits: tuple
-    cycle_objs: tuple
-    cycle_bits: tuple
-    cycle_sparse: tuple
-    cycle_copyids: tuple
-    by_edge: dict
-    copy_to_cycles: dict
-
-
-_CTX_CACHE: dict[tuple, _Context] = {}
-
-
-def _build_context(f: Pattern, n: int) -> _Context:
-    key = (canonical_form(f.graph), n)
-    if key in _CTX_CACHE:
-        return _CTX_CACHE[key]
-    pairs = tuple(edge_order(n))
-    edge_index = {e: i for i, e in enumerate(pairs)}
-    copies = tuple(all_potential_copies(f, n))
-    copy_key = {(fe.vertices, fe.edge_set): i for i, fe in enumerate(copies)}
-    copy_bits = tuple(sum(1 << edge_index[e] for e in fe.edge_set)
-                      for fe in copies)
-    cycle_objs = []
-    cycle_bits = []
-    cycle_sparse = []
-    cycle_copyids = []
-    for cyc in cycle_placements(f, range(n), f.s):
-        cycle_objs.append(cyc)
-        cycle_bits.append(sum(1 << edge_index[e]
-                              for e in shadow(cyc).edges))
-        cycle_sparse.append(classify(cyc).sparsity == "sparse")
-        cycle_copyids.append(tuple(sorted(
-            copy_key[(fe.vertices, fe.edge_set)] for fe in cyc.fedges)))
-    by_edge: dict[int, list[int]] = {}
-    copy_to_cycles: dict[int, list[int]] = {}
-    for i, bits in enumerate(cycle_bits):
-        b = bits
-        while b:
-            low = b & -b
-            by_edge.setdefault(low.bit_length() - 1, []).append(i)
-            b ^= low
-        for ci in cycle_copyids[i]:
-            copy_to_cycles.setdefault(ci, []).append(i)
-    ctx = _Context(f=f, n=n, pairs=pairs, edge_index=edge_index,
-                   copies=copies, copy_bits=copy_bits,
-                   cycle_objs=tuple(cycle_objs), cycle_bits=tuple(cycle_bits),
-                   cycle_sparse=tuple(cycle_sparse),
-                   cycle_copyids=tuple(cycle_copyids),
-                   by_edge=by_edge, copy_to_cycles=copy_to_cycles)
-    if len(_CTX_CACHE) > 8:
-        _CTX_CACHE.clear()
-    _CTX_CACHE[key] = ctx
-    return ctx
-
-
-def _context_from_engine(eng: ExactEngine) -> _Context:
-    return _build_context(eng.f, eng.n)
 
 
 # -- relative-error report ---------------------------------------------------
@@ -133,33 +65,32 @@ class QReport:
         return None
 
 
-def _q_report(ctx: _Context, j: int, c1_ids: frozenset[int],
+def _q_report(tab: Placements, j: int, c1_ids: frozenset[int],
               nprime: set[int], r_bits: int, h0: FGraph,
               p: float) -> QReport:
     """Exact evaluation of the union-bound error term for step j."""
-    f = ctx.f
-    mj = ctx.copy_bits[j]
+    f = tab.f
+    mj = tab.copy_bits[j]
     ej_free = mj & ~r_bits
     contributors: dict[int, int] = {}
     bad: list[dict] = []
     q_cb = q_cg = q_eb = q_eg = 0.0
-    h0j = h0 if ctx.copies[j] in h0.fedges else h0.with_fedge(ctx.copies[j])
+    h0j = h0 if tab.copies[j] in h0.fedges else h0.with_fedge(tab.copies[j])
 
     for i in nprime:
-        ei = ctx.copy_bits[i]
+        ei = tab.copy_bits[i]
         if not ei & ej_free:
             continue
         expo = (ei & ~(mj | r_bits)).bit_count()
         contributors[i + 1] = expo
         if expo == 0:
             q_eb += 1.0
-            w = inducing_witness(h0j, f, ctx.copies[i])
+            w = inducing_witness(h0j, f, tab.copies[i])
             kind = classify(w).kind
             bad.append({"index": i + 1,
                         "kind": "avoidable" if kind == "avoidable"
                         else "cycle_contradiction",
-                        "fedges": sorted(list(fe.embedding)
-                                         for fe in w.fedges),
+                        "fedges": _embeddings(w),
                         "fgraph": w})
         else:
             q_eg += p ** expo
@@ -168,30 +99,27 @@ def _q_report(ctx: _Context, j: int, c1_ids: frozenset[int],
     b = ej_free
     while b:
         low = b & -b
-        cand.update(ctx.by_edge.get(low.bit_length() - 1, ()))
+        cand.update(tab.by_edge.get(low.bit_length() - 1, ()))
         b ^= low
+    cycles = tab.cycles
     for i in sorted(cand):
         if i in c1_ids:
             continue
-        sb = ctx.cycle_bits[i]
-        expo = ((sb & ~(mj | r_bits)).bit_count()
-                + (1 if ctx.cycle_sparse[i] else 0))
+        rec = cycles[i]
+        expo = ((rec.shadow_bits & ~(mj | r_bits)).bit_count()
+                + (1 if rec.sparse else 0))
         contributors[-(i + 1)] = expo
         if expo == 0:
             q_cb += 1.0
             av = find_avoidable(h0j, 2 * f.s * f.s)
             if av is not None:
                 bad.append({"index": -(i + 1), "kind": "avoidable",
-                            "fedges": sorted(list(fe.embedding)
-                                             for fe in av.fedges),
-                            "fgraph": av})
+                            "fedges": _embeddings(av), "fgraph": av})
             else:
                 bad.append({"index": -(i + 1),
                             "kind": "cycle_contradiction",
-                            "fedges": sorted(list(fe.embedding)
-                                             for fe in
-                                             ctx.cycle_objs[i].fedges),
-                            "fgraph": ctx.cycle_objs[i]})
+                            "fedges": _embeddings(rec.cycle),
+                            "fgraph": rec.cycle})
         else:
             q_cg += p ** expo
 
@@ -200,22 +128,7 @@ def _q_report(ctx: _Context, j: int, c1_ids: frozenset[int],
                    bad_witnesses=bad)
 
 
-# -- run state and transcript ------------------------------------------------
-
-@dataclass
-class CouplingState:
-    """Mutable bookkeeping of one run, mirroring the proof's notation."""
-
-    order: tuple
-    j: int
-    Y: set
-    Nprime: set
-    C1: frozenset
-    r_bits: int
-    decisions_H: list
-    decisions_G: list
-    failure: Optional[str] = None
-
+# -- transcript --------------------------------------------------------------
 
 @dataclass
 class CouplingTranscript:
@@ -236,7 +149,7 @@ class CouplingTranscript:
         return "\n".join(lines) + "\n"
 
 
-def _serialize_h(h: FGraph) -> list:
+def _embeddings(h: FGraph) -> list:
     return sorted(list(fe.embedding) for fe in h.fedges)
 
 
@@ -287,21 +200,22 @@ def _precouple_exact(f: Pattern, n: int, params: ThresholdParams,
     raise ResourceLimitError("pre-coupling rejection loop did not terminate")
 
 
-def _precouple_shared(f: Pattern, n: int, params: ThresholdParams,
-                      rng: np.random.Generator, ctx: _Context) -> PreCouple:
+def _precouple_shared(f: Pattern, params: ThresholdParams,
+                      rng: np.random.Generator,
+                      tab: Placements) -> PreCouple:
     """One shared uniform per cycle placement; the two inclusion thresholds
     are ordered, so a mismatch means the uniform fell between them.
 
     A clean d-cycle of length k has k * e(F) edges counting its dummy, so
     its inclusion probability is p to that power; the copy-process cycle
     needs its k copies, so pi to the k, which is never larger."""
-    m = len(ctx.cycle_objs)
+    m = len(tab.cycles)
     us = rng.random(m) if m else []
     c1 = set()
     c2 = set()
     s = f.s
     for i in range(m):
-        k = len(ctx.cycle_copyids[i])
+        k = len(tab.cycles[i].copy_ids)
         if us[i] < params.p ** (k * s):
             c1.add(i)
         if us[i] < params.pi ** k:
@@ -310,25 +224,176 @@ def _precouple_shared(f: Pattern, n: int, params: ThresholdParams,
                      h_pre=None, g_pre=None)
 
 
+# -- the two laws ------------------------------------------------------------
+
+def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
+    total = float(weights.sum())
+    if not total > 0:
+        raise InternalInconsistencyError("empty conditional support")
+    cdf = np.cumsum(weights)
+    return min(int(np.searchsorted(cdf, rng.random() * total,
+                                   side="right")), len(weights) - 1)
+
+
+class _ExactLaw:
+    """Every conditional probability by enumeration over the engine's
+    product spaces; the final structures follow the exact conditional laws.
+    The copy subsets and edge masks still consistent with the decisions so
+    far are the state the steps narrow down."""
+
+    g_law = "exact"
+
+    def __init__(self, f: Pattern, n: int, params: ThresholdParams,
+                 seed: int, rng: np.random.Generator):
+        self.eng = eng = get_engine(f, n)
+        self.tab = eng.table
+        self.params = params
+        self.rng = rng
+        self.pre = pre = _precouple_exact(f, n, params, seed, rng, eng)
+        if pre.b3:
+            return
+        masks_h, pc_h = eng.valid_h(pre.c1)
+        self.masks_h = masks_h.copy()
+        x = params.pi / (1.0 - params.pi)
+        self.w_h = x ** pc_h.astype(np.float64)
+        self.valid_g = eng.valid_g_dense(pre.c1).copy()
+        self.w_g = eng.g_weights(params.p)
+
+    def b3_structures(self) -> tuple[FGraph, DGraph]:
+        return self.pre.h_pre, self.pre.g_pre
+
+    def probs(self, j: int, q: QReport, h0: set[int],
+              r_bits: int) -> tuple[float, float]:
+        self._has = (self.masks_h & np.uint32(1 << j)) != 0
+        tot_h = float(self.w_h.sum())
+        if not tot_h > 0:
+            raise InternalInconsistencyError("copy state has no support")
+        pi_prime_j = float(self.w_h[self._has].sum()) / tot_h
+        mj = np.uint32(self.tab.copy_bits[j])
+        self._sup = (self.eng.g_masks & mj) == mj
+        tot_g = float(self.w_g[self.valid_g].sum())
+        if not tot_g > 0:
+            raise InternalInconsistencyError("graph state has no support")
+        pi_j = float(self.w_g[self.valid_g & self._sup].sum()) / tot_g
+        return pi_j, pi_prime_j
+
+    def commit(self, j: int, dec_h: bool, dec_g: Optional[bool]) -> None:
+        keep = self._has if dec_h else ~self._has
+        self.masks_h, self.w_h = self.masks_h[keep], self.w_h[keep]
+        if dec_g is not None:
+            self.valid_g &= self._sup if dec_g else ~self._sup
+
+    def finish(self, outcome: str, decided: list, h0: set[int],
+               r_bits: int) -> tuple[FGraph, DGraph]:
+        if outcome == "success":
+            if len(self.masks_h) != 1:
+                raise InternalInconsistencyError(
+                    f"{len(self.masks_h)} copy states after full decision "
+                    "sequence")
+            final_mask = int(self.masks_h[0])
+        else:
+            final_mask = int(self.masks_h[_weighted_pick(self.w_h,
+                                                         self.rng)])
+        h = FGraph.from_fedges((fe for i, fe in enumerate(self.tab.copies)
+                                if final_mask >> i & 1),
+                               vertices=range(self.tab.n))
+        g = self.eng.sample_g(self.valid_g, self.params.p, self.pre.c1,
+                              self.rng)
+        return h, g
+
+
+class _BoundLaw:
+    """The proven probability bounds in place of the exact conditionals.
+    The final structures only approximate the conditional laws and are
+    labeled as such in the transcript."""
+
+    g_law = "approximate"
+
+    def __init__(self, f: Pattern, n: int, params: ThresholdParams,
+                 seed: int, rng: np.random.Generator):
+        self.f, self.seed = f, seed
+        self.tab = placements(f, n)
+        self.params = params
+        self.rng = rng
+        self.pre = _precouple_shared(f, params, rng, self.tab)
+
+    def b3_structures(self) -> tuple[FGraph, DGraph]:
+        n, pi, p = self.tab.n, self.params.pi, self.params.p
+        return (sample_hf(self.f, n, pi, self.seed),
+                sample_gstar(self.f, n, p, self.seed))
+
+    def _pi_prime(self, j: int, h0: set[int]) -> float:
+        """Copy j is certain once in H0, impossible once it would close a
+        cycle outside C1, and otherwise has its unconditional rate."""
+        if j in h0:
+            return 1.0
+        cycles = self.tab.cycles
+        for i in self.tab.copy_to_cycles.get(j, ()):
+            if i in self.pre.c1:
+                continue
+            if all(ci in h0 for ci in cycles[i].copy_ids if ci != j):
+                return 0.0
+        return self.params.pi
+
+    def probs(self, j: int, q: QReport, h0: set[int],
+              r_bits: int) -> tuple[float, float]:
+        free = self.tab.copy_bits[j] & ~r_bits
+        if j in h0 or free == 0:
+            pi_j = 1.0
+        else:
+            pi_j = min(1.0, max(0.0, (1.0 - q.q_total)
+                                * self.params.p ** free.bit_count()))
+        return pi_j, self._pi_prime(j, h0)
+
+    def commit(self, j: int, dec_h: bool, dec_g: Optional[bool]) -> None:
+        pass
+
+    def finish(self, outcome: str, decided: list, h0: set[int],
+               r_bits: int) -> tuple[FGraph, DGraph]:
+        tab, rng, c1 = self.tab, self.rng, self.pre.c1
+        # complete H with the surrogate inclusion rule
+        c1_copyids = {ci for i in c1 for ci in tab.cycles[i].copy_ids}
+        included = {i for i, d in enumerate(decided) if d} | c1_copyids
+        for j, d in enumerate(decided):
+            if d is not None or j in c1_copyids:
+                continue
+            if rng.random() < self._pi_prime(j, h0):
+                included.add(j)
+                h0.add(j)
+        h = FGraph.from_fedges((tab.copies[i] for i in sorted(included)),
+                               vertices=range(tab.n))
+
+        # approximate G: present edges plus fresh coin flips, dummies by rule
+        p = self.params.p
+        edges = {e for idx, e in enumerate(tab.pairs)
+                 if r_bits >> idx & 1 or rng.random() < p}
+        dummies = {frozenset(rec.cycle.fedges)
+                   for i, rec in enumerate(tab.cycles)
+                   if rec.sparse and (i in c1 or rng.random() < p)}
+        g = DGraph(base=Graph.from_edges(edges, vertices=range(tab.n)),
+                   dummies=frozenset(dummies))
+        return h, g
+
+
+_LAWS = {"exact": _ExactLaw, "bound": _BoundLaw}
+
+
+def _law(f: Pattern, n: int, params: ThresholdParams, seed: int, mode: str):
+    if mode not in _LAWS:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _LAWS[mode](f, n, params, seed, rng_for(seed, STREAM_COUPLING))
+
+
 def precouple_cycles(f: Pattern, n: int, params: ThresholdParams, seed: int,
                      mode: str = "exact") -> tuple[set, set, bool]:
     """Couple the clean-cycle collections of the two models.
 
     Returns (C1, C2, b3) as sets of cycle placements; b3 flags a mismatch.
     """
-    ctx = _build_context(f, n)
-    if mode == "exact":
-        eng = get_engine(f, n)
-        pre = _precouple_exact(f, n, params, seed,
-                               rng_for(seed, STREAM_COUPLING), eng)
-        return (set(eng.cycles_from_ids(pre.c1)),
-                set(eng.cycles_from_ids(pre.c2)), pre.b3)
-    if mode == "bound":
-        pre = _precouple_shared(f, n, params,
-                                rng_for(seed, STREAM_COUPLING), ctx)
-        return ({ctx.cycle_objs[i] for i in pre.c1},
-                {ctx.cycle_objs[i] for i in pre.c2}, pre.b3)
-    raise ValueError(f"unknown mode {mode!r}")
+    law = _law(f, n, params, seed, mode)
+    cycles = law.tab.cycles
+    return ({cycles[i].cycle for i in law.pre.c1},
+            {cycles[i].cycle for i in law.pre.c2}, law.pre.b3)
 
 
 # -- driver ------------------------------------------------------------------
@@ -341,27 +406,6 @@ def _overlapping_pair(cycles: list[FGraph]) -> Optional[tuple[int, int]]:
     return None
 
 
-def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
-    total = float(weights.sum())
-    if not total > 0:
-        raise InternalInconsistencyError("empty conditional support")
-    cdf = np.cumsum(weights)
-    return min(int(np.searchsorted(cdf, rng.random() * total,
-                                   side="right")), len(weights) - 1)
-
-
-def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
-                 mode: str = "exact") -> CouplingTranscript:
-    """One full coupling run; the transcript records every step and the
-    final pair of structures. Outcome is success, B1 (degree cutoff),
-    B2 (avoidable configuration), B3 (cycle mismatch) or step_failure."""
-    if mode == "exact":
-        return _run_exact(f, n, params, seed)
-    if mode == "bound":
-        return _run_bound(f, n, params, seed)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def params_as_jsonable(params: ThresholdParams) -> dict:
     """Plain-float view of the parameters; exact fractions become floats."""
     out = {}
@@ -370,71 +414,54 @@ def params_as_jsonable(params: ThresholdParams) -> dict:
     return out
 
 
-def _header(f: Pattern, n: int, params: ThresholdParams, seed: int,
-            mode: str) -> dict:
-    return {"pattern_edges": sorted(map(list, f.graph.edges)), "n": n,
-            "params": params_as_jsonable(params), "seed": seed, "mode": mode}
-
-
-def _run_exact(f: Pattern, n: int, params: ThresholdParams,
-               seed: int) -> CouplingTranscript:
-    eng = get_engine(f, n)
-    ctx = _context_from_engine(eng)
-    rng = rng_for(seed, STREAM_COUPLING)
-    pre = _precouple_exact(f, n, params, seed, rng, eng)
-    header = _header(f, n, params, seed, "exact")
-
-    if pre.b3:
-        h, g = pre.h_pre, pre.g_pre
-        witness = {"c1_only": len(pre.c1 - pre.c2),
-                   "c2_only": len(pre.c2 - pre.c1)}
-        trailer = {"outcome": "B3", "containment": None, "witness": witness,
-                   "h": _serialize_h(h), "g": _serialize_g(g),
-                   "g_law": "exact"}
-        return CouplingTranscript(header=header, steps=[], trailer=trailer,
-                                  h=h, g=g, outcome="B3", containment=None,
-                                  witness=witness)
-
-    c1 = pre.c1
-    pi, p = params.pi, params.p
-    cyc_objs = [eng.cycles[i].cycle for i in sorted(c1)]
-
-    masks_h, pc_h = eng.valid_h(c1)
-    masks_h = masks_h.copy()
-    x = pi / (1.0 - pi)
-    w_h = x ** pc_h.astype(np.float64)
-    valid_g = eng.valid_g_dense(c1).copy()
-    w_g = eng.g_weights(p)
-
-    state = CouplingState(order=ctx.copies, j=0, Y=set(), Nprime=set(),
-                          C1=c1, r_bits=0, decisions_H=[None] * eng.M,
-                          decisions_G=[None] * eng.M)
-    for i in c1:
-        state.r_bits |= eng.cycles[i].shadow_bits
-    h0_fedges = {fe for cy in cyc_objs for fe in cy.fedges}
-    deg: dict[int, int] = {u: 0 for u in range(n)}
-    for fe in h0_fedges:
-        for u in fe.vertices:
-            deg[u] += 1
-
+def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
+                 mode: str = "exact") -> CouplingTranscript:
+    """One full coupling run; the transcript records every step and the
+    final pair of structures. Outcome is success, B1 (degree cutoff),
+    B2 (avoidable configuration), B3 (cycle mismatch) or step_failure."""
+    law = _law(f, n, params, seed, mode)
+    tab, pre, rng = law.tab, law.pre, law.rng
+    header = {"pattern_edges": sorted(map(list, f.graph.edges)), "n": n,
+              "params": params_as_jsonable(params), "seed": seed,
+              "mode": mode}
     steps: list[dict] = []
     q_reports: list[QReport] = []
     outcome = "success"
     witness: Optional[dict] = None
 
-    pair = _overlapping_pair(cyc_objs)
-    if pair is not None:
-        union = FGraph.from_fedges(set(cyc_objs[pair[0]].fedges)
-                                   | set(cyc_objs[pair[1]].fedges))
-        outcome = "B2"
-        witness = {"kind": "overlapping_cycles",
-                   "fedges": sorted(list(fe.embedding)
-                                    for fe in union.fedges)}
+    if pre.b3:
+        h, g = law.b3_structures()
+        outcome = "B3"
+        witness = {"c1_only": len(pre.c1 - pre.c2),
+                   "c2_only": len(pre.c2 - pre.c1)}
     else:
-        for j in range(eng.M):
-            state.j = j
-            fe = ctx.copies[j]
-            fresh = fe not in h0_fedges
+        c1 = pre.c1
+        cyc_objs = [tab.cycles[i].cycle for i in sorted(c1)]
+        # present edges, H0 as copy ids, its F-degrees, and N' (copies
+        # decided absent from both structures)
+        r_bits = 0
+        h0: set[int] = set()
+        for i in c1:
+            r_bits |= tab.cycles[i].shadow_bits
+            h0.update(tab.cycles[i].copy_ids)
+        deg = {u: 0 for u in range(n)}
+        for ci in h0:
+            for u in tab.copies[ci].vertices:
+                deg[u] += 1
+        nprime: set[int] = set()
+        decided: list[Optional[bool]] = [None] * len(tab.copies)
+
+        pair = _overlapping_pair(cyc_objs)
+        if pair is not None:
+            union = FGraph.from_fedges(set(cyc_objs[pair[0]].fedges)
+                                       | set(cyc_objs[pair[1]].fedges))
+            outcome = "B2"
+            witness = {"kind": "overlapping_cycles",
+                       "fedges": _embeddings(union)}
+        for j, fe in enumerate(tab.copies):
+            if outcome != "success":
+                break
+            fresh = j not in h0
             cand_max = max(deg[u] + (1 if fresh else 0) for u in fe.vertices)
             cand_max = max(cand_max, max(deg.values()))
             if cand_max >= params.Delta:
@@ -445,293 +472,59 @@ def _run_exact(f: Pattern, n: int, params: ThresholdParams,
                            "degree": cand_max, "Delta": params.Delta}
                 break
 
-            bit = np.uint32(1 << j)
-            has = (masks_h & bit) != 0
-            tot_h = float(w_h.sum())
-            if not tot_h > 0:
-                raise InternalInconsistencyError("copy state has no support")
-            pi_prime_j = float(w_h[has].sum()) / tot_h
-            mj = np.uint32(ctx.copy_bits[j])
-            sup = (eng.g_masks & mj) == mj
-            tot_g = float(w_g[valid_g].sum())
-            if not tot_g > 0:
-                raise InternalInconsistencyError("graph state has no support")
-            pi_j = float(w_g[valid_g & sup].sum()) / tot_g
-
-            q = _q_report(ctx, j, c1, state.Nprime, state.r_bits,
-                          FGraph.from_fedges(h0_fedges, vertices=range(n)),
-                          p)
+            q = _q_report(tab, j, c1, nprime, r_bits,
+                          FGraph.from_fedges((tab.copies[i] for i in h0),
+                                             vertices=range(n)), params.p)
             q_reports.append(q)
+            pi_j, pi_prime_j = law.probs(j, q, h0, r_bits)
+            step = {"j": j + 1, "pi_j": pi_j, "pi_prime_j": pi_prime_j,
+                    "coin": None, "decision_H": None, "decision_G": None,
+                    "q": q.as_dict()}
             av = q.avoidable_witness()
             if av is not None:
                 outcome = "B2"
-                witness = {"kind": "avoidable",
-                           "fedges": sorted(list(fe2.embedding)
-                                            for fe2 in av.fedges)}
-                steps.append({"j": j + 1, "pi_j": pi_j,
-                              "pi_prime_j": pi_prime_j, "coin": None,
-                              "decision_H": None, "decision_G": None,
-                              "q": q.as_dict()})
+                witness = {"kind": "avoidable", "fedges": _embeddings(av)}
+                steps.append(step)
                 break
 
             coin: Optional[bool] = None
-            dec_h: Optional[bool] = None
             dec_g: Optional[bool] = None
             if pi_prime_j == 0.0 and pi_j == 0.0:
                 dec_h = dec_g = False
-                state.Nprime.add(j)
-                masks_h, w_h = masks_h[~has], w_h[~has]
-                valid_g &= ~sup
             elif pi_prime_j <= pi_j:
                 coin = bool(rng.random() < pi_prime_j / pi_j)
                 if coin:
-                    inc = bool(rng.random() < pi_j)
-                    dec_h = dec_g = inc
-                    if inc:
-                        state.Y.add(j)
-                        masks_h, w_h = masks_h[has], w_h[has]
-                        valid_g &= sup
-                        state.r_bits |= ctx.copy_bits[j]
-                        if fresh:
-                            h0_fedges.add(fe)
-                            for u in fe.vertices:
-                                deg[u] += 1
-                    else:
-                        state.Nprime.add(j)
-                        masks_h, w_h = masks_h[~has], w_h[~has]
-                        valid_g &= ~sup
+                    dec_h = dec_g = bool(rng.random() < pi_j)
                 else:
                     dec_h = False
-                    masks_h, w_h = masks_h[~has], w_h[~has]
             else:
-                inc = bool(rng.random() < pi_prime_j)
-                dec_h = inc
-                if inc:
-                    masks_h, w_h = masks_h[has], w_h[has]
+                dec_h = bool(rng.random() < pi_prime_j)
+                if dec_h:
                     outcome = "step_failure"
                     witness = {"kind": "step", "j": j + 1,
                                "pi_prime_j": pi_prime_j, "pi_j": pi_j,
                                "q": q.as_dict()}
-                else:
-                    masks_h, w_h = masks_h[~has], w_h[~has]
-            state.decisions_H[j] = dec_h
-            state.decisions_G[j] = dec_g
-            steps.append({"j": j + 1, "pi_j": pi_j,
-                          "pi_prime_j": pi_prime_j, "coin": coin,
-                          "decision_H": dec_h, "decision_G": dec_g,
-                          "q": q.as_dict()})
-            if outcome != "success":
-                state.failure = outcome
-                break
+            law.commit(j, dec_h, dec_g)
+            decided[j] = dec_h
+            if dec_g is False:
+                nprime.add(j)
+            if dec_g:
+                r_bits |= tab.copy_bits[j]
+            if dec_h and fresh:
+                h0.add(j)
+                for u in fe.vertices:
+                    deg[u] += 1
+            step.update(coin=coin, decision_H=dec_h, decision_G=dec_g)
+            steps.append(step)
 
-    # complete both structures from their conditional laws
-    if outcome == "success":
-        if len(masks_h) != 1:
-            raise InternalInconsistencyError(
-                f"{len(masks_h)} copy states after full decision sequence")
-        final_mask = int(masks_h[0])
-    else:
-        final_mask = int(masks_h[_weighted_pick(w_h, rng)])
-    h = FGraph.from_fedges((ctx.copies[i] for i in range(eng.M)
-                            if final_mask >> i & 1), vertices=range(n))
-    g = eng.sample_g(valid_g, p, c1, rng)
+        h, g = law.finish(outcome, decided, h0, r_bits)
 
     containment: Optional[bool] = None
     if outcome == "success":
         containment = all(fe.edge_set <= g.base.edges for fe in h.fedges)
-
     trailer = {"outcome": outcome, "containment": containment,
-               "witness": witness, "h": _serialize_h(h),
-               "g": _serialize_g(g), "g_law": "exact"}
-    return CouplingTranscript(header=header, steps=steps, trailer=trailer,
-                              h=h, g=g, outcome=outcome,
-                              containment=containment, witness=witness,
-                              q_reports=q_reports)
-
-
-def _run_bound(f: Pattern, n: int, params: ThresholdParams,
-               seed: int) -> CouplingTranscript:
-    """Driver with the proven probability bounds in place of the exact
-    conditionals. The final structures only approximate the conditional
-    laws and are labeled as such in the transcript."""
-    ctx = _build_context(f, n)
-    rng = rng_for(seed, STREAM_COUPLING)
-    pre = _precouple_shared(f, n, params, rng, ctx)
-    header = _header(f, n, params, seed, "bound")
-    pi, p = params.pi, params.p
-    m_copies = len(ctx.copies)
-
-    if pre.b3:
-        h = sample_hf(f, n, pi, seed)
-        g = sample_gstar(f, n, p, seed)
-        witness = {"c1_only": len(pre.c1 - pre.c2),
-                   "c2_only": len(pre.c2 - pre.c1)}
-        trailer = {"outcome": "B3", "containment": None, "witness": witness,
-                   "h": _serialize_h(h), "g": _serialize_g(g),
-                   "g_law": "approximate"}
-        return CouplingTranscript(header=header, steps=[], trailer=trailer,
-                                  h=h, g=g, outcome="B3", containment=None,
-                                  witness=witness)
-
-    c1 = pre.c1
-    cyc_objs = [ctx.cycle_objs[i] for i in sorted(c1)]
-    c1_copyids = {ci for i in c1 for ci in ctx.cycle_copyids[i]}
-
-    state = CouplingState(order=ctx.copies, j=0, Y=set(), Nprime=set(),
-                          C1=c1, r_bits=0, decisions_H=[None] * m_copies,
-                          decisions_G=[None] * m_copies)
-    for i in c1:
-        state.r_bits |= ctx.cycle_bits[i]
-    h0_copyids = set(c1_copyids)
-    deg: dict[int, int] = {u: 0 for u in range(n)}
-    for ci in h0_copyids:
-        for u in ctx.copies[ci].vertices:
-            deg[u] += 1
-
-    def pi_prime_surrogate(j: int) -> float:
-        if j in h0_copyids:
-            return 1.0
-        for i in ctx.copy_to_cycles.get(j, ()):
-            if i in c1:
-                continue
-            if all(ci in h0_copyids for ci in ctx.cycle_copyids[i]
-                   if ci != j):
-                return 0.0
-        return pi
-
-    steps: list[dict] = []
-    q_reports: list[QReport] = []
-    outcome = "success"
-    witness: Optional[dict] = None
-
-    pair = _overlapping_pair(cyc_objs)
-    if pair is not None:
-        union = FGraph.from_fedges(set(cyc_objs[pair[0]].fedges)
-                                   | set(cyc_objs[pair[1]].fedges))
-        outcome = "B2"
-        witness = {"kind": "overlapping_cycles",
-                   "fedges": sorted(list(fe.embedding)
-                                    for fe in union.fedges)}
-    else:
-        for j in range(m_copies):
-            state.j = j
-            fe = ctx.copies[j]
-            fresh = j not in h0_copyids
-            cand_max = max(deg[u] + (1 if fresh else 0) for u in fe.vertices)
-            cand_max = max(cand_max, max(deg.values()))
-            if cand_max >= params.Delta:
-                outcome = "B1"
-                top = max(deg, key=lambda u: deg[u]
-                          + (1 if fresh and u in fe.vertices else 0))
-                witness = {"kind": "degree", "vertex": top,
-                           "degree": cand_max, "Delta": params.Delta}
-                break
-
-            pi_prime_j = pi_prime_surrogate(j)
-            q = _q_report(ctx, j, c1, state.Nprime, state.r_bits,
-                          FGraph.from_fedges(
-                              (ctx.copies[i] for i in h0_copyids),
-                              vertices=range(n)), p)
-            q_reports.append(q)
-            free = ctx.copy_bits[j] & ~state.r_bits
-            if j in h0_copyids or free == 0:
-                pi_j = 1.0
-            else:
-                pi_j = min(1.0, max(0.0, (1.0 - q.q_total)
-                                    * p ** free.bit_count()))
-            av = q.avoidable_witness()
-            if av is not None:
-                outcome = "B2"
-                witness = {"kind": "avoidable",
-                           "fedges": sorted(list(fe2.embedding)
-                                            for fe2 in av.fedges)}
-                steps.append({"j": j + 1, "pi_j": pi_j,
-                              "pi_prime_j": pi_prime_j, "coin": None,
-                              "decision_H": None, "decision_G": None,
-                              "q": q.as_dict()})
-                break
-
-            coin: Optional[bool] = None
-            dec_h: Optional[bool] = None
-            dec_g: Optional[bool] = None
-            if pi_prime_j == 0.0 and pi_j == 0.0:
-                dec_h = dec_g = False
-                state.Nprime.add(j)
-            elif pi_prime_j <= pi_j:
-                coin = bool(rng.random() < pi_prime_j / pi_j)
-                if coin:
-                    inc = bool(rng.random() < pi_j)
-                    dec_h = dec_g = inc
-                    if inc:
-                        state.Y.add(j)
-                        state.r_bits |= ctx.copy_bits[j]
-                        if fresh:
-                            h0_copyids.add(j)
-                            for u in fe.vertices:
-                                deg[u] += 1
-                    else:
-                        state.Nprime.add(j)
-                else:
-                    dec_h = False
-            else:
-                inc = bool(rng.random() < pi_prime_j)
-                dec_h = inc
-                if inc:
-                    outcome = "step_failure"
-                    witness = {"kind": "step", "j": j + 1,
-                               "pi_prime_j": pi_prime_j, "pi_j": pi_j,
-                               "q": q.as_dict()}
-                    if fresh:
-                        h0_copyids.add(j)
-                        for u in fe.vertices:
-                            deg[u] += 1
-            state.decisions_H[j] = dec_h
-            state.decisions_G[j] = dec_g
-            steps.append({"j": j + 1, "pi_j": pi_j,
-                          "pi_prime_j": pi_prime_j, "coin": coin,
-                          "decision_H": dec_h, "decision_G": dec_g,
-                          "q": q.as_dict()})
-            if outcome != "success":
-                state.failure = outcome
-                break
-
-    # complete H with the surrogate inclusion rule
-    included = {i for i in range(m_copies) if state.decisions_H[i]}
-    included |= c1_copyids
-    for j in range(m_copies):
-        if state.decisions_H[j] is not None or j in c1_copyids:
-            continue
-        take = rng.random() < pi_prime_surrogate(j)
-        state.decisions_H[j] = take
-        if take:
-            included.add(j)
-            h0_copyids.add(j)
-    h = FGraph.from_fedges((ctx.copies[i] for i in sorted(included)),
-                           vertices=range(n))
-
-    # approximate G: present edges plus fresh coin flips, dummies by rule
-    edges = set()
-    for idx, (u, v) in enumerate(ctx.pairs):
-        if state.r_bits >> idx & 1 or rng.random() < p:
-            edges.add((u, v))
-    base = Graph.from_edges(edges, vertices=range(n))
-    dummies = set()
-    for i, cyc in enumerate(ctx.cycle_objs):
-        if not ctx.cycle_sparse[i]:
-            continue
-        if i in c1:
-            dummies.add(frozenset(cyc.fedges))
-        elif rng.random() < p:
-            dummies.add(frozenset(cyc.fedges))
-    g = DGraph(base=base, dummies=frozenset(dummies))
-
-    containment: Optional[bool] = None
-    if outcome == "success":
-        containment = all(fe.edge_set <= g.base.edges for fe in h.fedges)
-
-    trailer = {"outcome": outcome, "containment": containment,
-               "witness": witness, "h": _serialize_h(h),
-               "g": _serialize_g(g), "g_law": "approximate"}
+               "witness": witness, "h": _embeddings(h),
+               "g": _serialize_g(g), "g_law": law.g_law}
     return CouplingTranscript(header=header, steps=steps, trailer=trailer,
                               h=h, g=g, outcome=outcome,
                               containment=containment, witness=witness,

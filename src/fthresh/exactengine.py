@@ -1,22 +1,25 @@
-"""Exact enumeration backend for tiny instances.
+"""Per-(F, n) placement table and the exact enumeration backend.
 
-Holds the full product spaces behind both random objects: one axis per
-potential copy for the copy process, one axis per potential usual edge for
-the auxiliary graph, with dummy edges marginalized analytically. Everything
-downstream (cycle-set probabilities, maximal pre-coupling, per-step
-conditional probabilities, final conditional sampling) reduces to masked
-sums over these arrays.
+The placement table lists every potential copy and every clean-cycle
+placement of the template on [n] as copy and edge bitmasks; both coupling
+modes and the exact engine read it. The engine holds the full product spaces
+behind both random objects: one axis per potential copy for the copy
+process, one axis per potential usual edge for the auxiliary graph, with
+dummy edges marginalized analytically. Everything downstream (cycle-set
+probabilities, maximal pre-coupling, per-step conditional probabilities,
+final conditional sampling) reduces to masked sums over these arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dgraphs import DGraph, cycle_placements
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .fgraphs import FGraph, classify, shadow
+from .fgraphs import FEdge, FGraph, all_potential_copies, classify, shadow
 from .graphs import Graph
 from .patterns import Pattern
 from .sampling import edge_order
@@ -24,48 +27,90 @@ from .sampling import edge_order
 DEFAULT_OUTCOME_CAP = 2 ** 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleRec:
     cycle: FGraph
+    copy_ids: tuple[int, ...]
     copy_bits: int
     shadow_bits: int
     sparse: bool
 
 
+class Placements:
+    """Copies and clean-cycle placements of one template on [n].
+
+    Copies follow the fixed order the coupling replays and cycles the
+    order of cycle_placements; an index into either is the same object for
+    every reader of the table.
+    """
+
+    def __init__(self, f: Pattern, n: int):
+        self.f = f
+        self.n = n
+        self.pairs = edge_order(n)
+        self.edge_index = {e: i for i, e in enumerate(self.pairs)}
+        self.copies = tuple(all_potential_copies(f, n))
+        # keyed by copy identity as a plain tuple, which hashes faster than
+        # the FEdge itself
+        self.copy_index = {(fe.vertices, fe.edge_set): i
+                           for i, fe in enumerate(self.copies)}
+        self.copy_bits = tuple(self.edge_mask(fe.edge_set)
+                               for fe in self.copies)
+        cycles = []
+        for cyc in cycle_placements(f, range(n), f.s):
+            ids = tuple(sorted(self.copy_id(fe) for fe in cyc.fedges))
+            cycles.append(CycleRec(
+                cycle=cyc, copy_ids=ids, copy_bits=sum(1 << i for i in ids),
+                shadow_bits=self.edge_mask(shadow(cyc).edges),
+                sparse=classify(cyc).sparsity == "sparse"))
+        self.cycles = tuple(cycles)
+        self.by_edge: dict[int, list[int]] = {}
+        self.copy_to_cycles: dict[int, list[int]] = {}
+        for i, rec in enumerate(self.cycles):
+            b = rec.shadow_bits
+            while b:
+                low = b & -b
+                self.by_edge.setdefault(low.bit_length() - 1, []).append(i)
+                b ^= low
+            for ci in rec.copy_ids:
+                self.copy_to_cycles.setdefault(ci, []).append(i)
+
+    def copy_id(self, fe: FEdge) -> int:
+        return self.copy_index[(fe.vertices, fe.edge_set)]
+
+    def edge_mask(self, edges) -> int:
+        return sum(1 << self.edge_index[e] for e in edges)
+
+
+@functools.lru_cache(maxsize=8)
+def placements(f: Pattern, n: int) -> Placements:
+    """The placement table of (f, n), keyed by the labelled template: copy
+    embeddings depend on F's labelling, not only on its isomorphism type."""
+    return Placements(f, n)
+
+
+def _check_outcomes(axes: int) -> None:
+    if 2 ** axes > DEFAULT_OUTCOME_CAP:
+        raise ResourceLimitError(
+            f"exact enumeration needs 2^{axes} outcomes, "
+            f"cap is {DEFAULT_OUTCOME_CAP}")
+
+
 class ExactEngine:
     """Shared per-(pattern, n) arrays; probabilities enter per call."""
 
-    def __init__(self, f: Pattern, n: int,
-                 outcome_cap: int = DEFAULT_OUTCOME_CAP):
-        from .fgraphs import all_potential_copies
+    def __init__(self, f: Pattern, n: int):
         self.f = f
         self.n = n
-        copies = all_potential_copies(f, n)
-        self.copies = copies
-        self.M = len(copies)
-        self.pairs = edge_order(n)
-        self.E = len(self.pairs)
-        if 2 ** self.M > outcome_cap or 2 ** self.E > outcome_cap:
-            raise ResourceLimitError(
-                f"exact enumeration needs 2^{max(self.M, self.E)} outcomes, "
-                f"cap is {outcome_cap}")
-        self.edge_index = {e: i for i, e in enumerate(self.pairs)}
-        self.copy_index = {(fe.vertices, fe.edge_set): i
-                           for i, fe in enumerate(copies)}
-        self.copy_edge_bits = [
-            sum(1 << self.edge_index[e] for e in fe.edge_set) for fe in copies]
-
-        self.cycles: list[CycleRec] = []
-        for cyc in cycle_placements(f, range(n), f.s):
-            cls = classify(cyc)
-            cb = 0
-            for fe in cyc.fedges:
-                cb |= 1 << self.copy_index[(fe.vertices, fe.edge_set)]
-            sb = sum(1 << self.edge_index[e] for e in shadow(cyc).edges)
-            self.cycles.append(CycleRec(cycle=cyc, copy_bits=cb,
-                                        shadow_bits=sb,
-                                        sparse=cls.sparsity == "sparse"))
-        self.cycle_id = {rec.cycle: i for i, rec in enumerate(self.cycles)}
+        self.E = n * (n - 1) // 2
+        _check_outcomes(self.E)  # before building the table for a large n
+        tab = placements(f, n)
+        self.table = tab
+        self.copies = tab.copies
+        self.M = len(tab.copies)
+        _check_outcomes(self.M)
+        self.pairs = tab.pairs
+        self.cycles = tab.cycles
         self.sparse_ids = [i for i, rec in enumerate(self.cycles)
                            if rec.sparse]
 
@@ -108,23 +153,13 @@ class ExactEngine:
 
     # -- translation ---------------------------------------------------------
 
-    def cycle_ids_of(self, cycles) -> frozenset[int]:
-        return frozenset(self.cycle_id[c] for c in cycles)
-
-    def cycles_from_ids(self, ids) -> set[FGraph]:
-        return {self.cycles[i].cycle for i in ids}
-
-    def hmask_of(self, h: FGraph) -> int:
-        return sum(1 << self.copy_index[(fe.vertices, fe.edge_set)]
-                   for fe in h.fedges)
-
     def h_cycle_ids(self, h: FGraph) -> frozenset[int]:
-        m = self.hmask_of(h)
+        m = sum(1 << self.table.copy_id(fe) for fe in h.fedges)
         return frozenset(i for i, rec in enumerate(self.cycles)
                          if m & rec.copy_bits == rec.copy_bits)
 
     def gstar_cycle_ids(self, g: DGraph) -> frozenset[int]:
-        em = sum(1 << self.edge_index[e] for e in g.base.edges)
+        em = self.table.edge_mask(g.base.edges)
         dummy_cycles = {frozenset(key) for key in g.dummies}
         out = set()
         for i, rec in enumerate(self.cycles):
@@ -245,13 +280,6 @@ class ExactEngine:
         return DGraph(base=base, dummies=frozenset(dummies))
 
 
-_ENGINES: dict[tuple, ExactEngine] = {}
-
-
-def get_engine(f: Pattern, n: int,
-               outcome_cap: int = DEFAULT_OUTCOME_CAP) -> ExactEngine:
-    from .graphs import canonical_form
-    key = (canonical_form(f.graph), n, outcome_cap)
-    if key not in _ENGINES:
-        _ENGINES[key] = ExactEngine(f, n, outcome_cap)
-    return _ENGINES[key]
+@functools.lru_cache(maxsize=4)
+def get_engine(f: Pattern, n: int) -> ExactEngine:
+    return ExactEngine(f, n)

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import ResourceLimitError, WitnessNotFoundError
 from .graphs import (DEFAULT_ENUMERATION_CAP, Edge, Graph, _norm_edge,
@@ -72,10 +72,6 @@ class FGraph:
 
     def with_fedge(self, h: FEdge) -> "FGraph":
         return FGraph(self.vertices | h.vertices, self.fedges | {h})
-
-    def sub(self, fedges: Iterable[FEdge]) -> "FGraph":
-        """Sub-F-graph spanned by the given F-edges (no isolated vertices)."""
-        return FGraph.from_fedges(fedges)
 
 
 @dataclass(frozen=True)
@@ -177,14 +173,6 @@ def classify(h: FGraph) -> CycleClass:
     if connected and nul >= 2:
         return CycleClass(kind="avoidable", nullity=nul)
     return CycleClass(kind="other", nullity=nul)
-
-
-def clean_cycle_order(h: FGraph) -> tuple[list[FEdge], list[int]]:
-    """Ordered copies and overlap vertices of a clean cycle of length >= 3."""
-    found = _clean_cycle_order(h)
-    if found is None:
-        raise ValueError("not a clean cycle of length >= 3")
-    return found
 
 
 def copies_in(g: Graph, f: Pattern,
@@ -292,29 +280,6 @@ def count_copies(shape: FGraph, n: int) -> int:
     if n < v:
         raise ValueError(f"n={n} smaller than v(shape)={v}")
     return math.comb(n, v) * math.factorial(v) // fgraph_automorphism_count(shape)
-
-
-def expected_copies(shape: FGraph, n: int, pi: float) -> float:
-    return count_copies(shape, n) * pi ** shape.e()
-
-
-def enumerate_clean_cycles(h: FGraph, f: Pattern, max_len: int,
-                           cap: int = DEFAULT_ENUMERATION_CAP) -> set[FGraph]:
-    """All clean-cycle sub-F-graphs of length <= max_len."""
-    if max_len < 2:
-        raise ValueError("max_len must be >= 2")
-    fes = sorted(h.fedges, key=lambda x: x.sort_key())
-    out: set[FGraph] = set()
-    examined = 0
-    for k in range(2, max_len + 1):
-        for combo in itertools.combinations(fes, k):
-            examined += 1
-            if examined > cap:
-                raise ResourceLimitError(f"clean-cycle enumeration exceeded cap {cap}")
-            sub = FGraph.from_fedges(combo)
-            if classify(sub).kind == "clean_cycle":
-                out.add(sub)
-    return out
 
 
 def f_degrees(h: FGraph) -> dict[int, int]:

@@ -8,17 +8,13 @@ exact orbit counting, which gives identical numbers.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .dgraphs import clean_cycle_types
-from .errors import DomainError, ResourceLimitError
-from .fgraphs import (FEdge, FGraph, classify, count_copies,
-                      fgraph_automorphism_count, shadow)
+from .errors import DomainError
+from .fgraphs import FEdge, FGraph, classify, count_copies, shadow
 from .dgraphs import cycle_placements
 from .graphs import Edge, canonical_form
 from .patterns import Pattern
@@ -55,23 +51,6 @@ class CycleInventory:
     """Restrict to these cycle lengths; None means 2..max_len. The coupling
     propositions treat each length class separately, so class-restricted
     inventories are first-class citizens."""
-
-    def neighborhoods(self) -> list[list[int]]:
-        """B_C per item: indices of placements sharing >= 1 vertex (incl. C)."""
-        if self.items is None:
-            raise ResourceLimitError("aggregate inventory has no item list")
-        by_vertex: dict[int, list[int]] = {}
-        for i, it in enumerate(self.items):
-            for u in it.verts:
-                by_vertex.setdefault(u, []).append(i)
-        out: list[list[int]] = []
-        for it in self.items:
-            nb: set[int] = set()
-            for u in it.verts:
-                nb.update(by_vertex[u])
-            out.append(sorted(nb))
-        return out
-
 
 def _wanted(k: int, max_len: int, lengths: Optional[frozenset[int]]) -> bool:
     return k in lengths if lengths is not None else 2 <= k <= max_len

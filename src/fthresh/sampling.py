@@ -10,12 +10,11 @@ p-grid monotonically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dgraphs import DGraph, sparse_cycle_placements
-from .fgraphs import FEdge, FGraph, all_potential_copies
+from .fgraphs import FGraph, all_potential_copies
 from .graphs import Graph
 from .patterns import Pattern
 
@@ -24,12 +23,6 @@ STREAM_EDGES = 0
 STREAM_COPIES = 1
 STREAM_DUMMIES = 2
 STREAM_COUPLING = 3
-
-
-@dataclass(frozen=True)
-class Seed:
-    value: int
-    stream_id: int = 0
 
 
 def rng_for(seed: int, stream_id: int) -> np.random.Generator:

@@ -170,15 +170,16 @@ def test_criterion_6_merge_law():
 
 # -- 7: coupling fidelity ----------------------------------------------------
 
-def test_criterion_7_coupling_fidelity():
-    n, reps = 6, 10 ** 4
-    sc = select_constants(K3)
-    params = derive_params(K3, n, float(sc.delta), float(sc.eps))
+def coupling_fidelity(params, n: int, reps: int) -> tuple[bool, str]:
+    """Exact couplings at seeds 0..reps-1 against independent reference
+    draws: containment on success, a witness on every failure, and the
+    copy and edge marginals of both within 3 sigma of each other."""
     order = edge_order(n)
     copy_counts: dict = {}
     edge_counts = {e: 0 for e in order}
     ref_copy: dict = {}
     ref_edge = {e: 0 for e in order}
+    mix = {o: 0 for o in OUTCOMES}
     violations = 0
     missing_witness = 0
     bad_outcome = 0
@@ -186,6 +187,8 @@ def test_criterion_7_coupling_fidelity():
         t = run_coupling(K3, n, params, seed)
         if t.outcome not in OUTCOMES:
             bad_outcome += 1
+        else:
+            mix[t.outcome] += 1
         if t.outcome == "success":
             if t.containment is not True:
                 violations += 1
@@ -207,10 +210,25 @@ def test_criterion_7_coupling_fidelity():
     dev_g = max(abs(edge_counts[e] - ref_edge[e]) / reps for e in order)
     ok = (violations == 0 and missing_witness == 0 and bad_outcome == 0
           and dev_h < 3 * sd_h and dev_g < 3 * sd_g)
-    report(7, f"{reps} exact couplings: {violations} containment "
-              f"violations, {missing_witness} missing witnesses, marginal "
-              f"deviations {dev_h:.2e}/{3 * sd_h:.2e} (copies) and "
-              f"{dev_g:.2e}/{3 * sd_g:.2e} (edges)", ok)
+    outcomes = ", ".join(f"{o} {c}" for o, c in mix.items() if c)
+    return ok, (f"{reps} exact couplings at pi = {params.pi:.4g} "
+                f"({outcomes}): {violations} containment violations, "
+                f"{missing_witness} missing witnesses, marginal deviations "
+                f"{dev_h:.2e}/{3 * sd_h:.2e} (copies) and "
+                f"{dev_g:.2e}/{3 * sd_g:.2e} (edges)")
+
+
+def test_criterion_7_coupling_fidelity():
+    """At the selected constants nearly every run ends in B3 before any
+    step, so a second check at pi = 0.01, where most runs succeed, puts
+    the step loop itself under the same tests."""
+    n = 6
+    sc = select_constants(K3)
+    params = derive_params(K3, n, float(sc.delta), float(sc.eps))
+    ok_a, desc_a = coupling_fidelity(params, n, 10 ** 4)
+    params_b = derive_params(K3, n, float(sc.delta), float(sc.eps), pi=0.01)
+    ok_b, desc_b = coupling_fidelity(params_b, n, 2000)
+    report(7, f"{desc_a}; {desc_b}", ok_a and ok_b)
 
 
 # -- 8: Poisson approximation bounds -----------------------------------------

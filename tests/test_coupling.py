@@ -1,5 +1,7 @@
 """Coupling runs: transcripts, outcomes, witnesses, marginals."""
 
+import collections
+import hashlib
 import json
 import math
 
@@ -7,7 +9,8 @@ import pytest
 
 from fthresh.coupling import OUTCOMES, precouple_cycles, run_coupling
 from fthresh.exponents import select_constants
-from fthresh.patterns import derive_params, pattern_preset
+from fthresh.graphs import Graph
+from fthresh.patterns import analyze_pattern, derive_params, pattern_preset
 
 K3 = pattern_preset("k3")
 
@@ -143,3 +146,111 @@ class TestBoundMode:
         a = run_coupling(K3, 10, params, 7, mode="bound")
         b = run_coupling(K3, 10, params, 7, mode="bound")
         assert a.to_jsonl() == b.to_jsonl()
+
+
+def transcript_digest(f, n, params, seeds, mode):
+    """sha256 of the concatenated JSONL transcripts, and the outcome mix."""
+    h = hashlib.sha256()
+    mix = collections.Counter()
+    for seed in seeds:
+        t = run_coupling(f, n, params, seed, mode=mode)
+        h.update(t.to_jsonl().encode())
+        mix[t.outcome] += 1
+    return h.hexdigest(), dict(mix)
+
+
+def precouple_digest(f, n, params, seeds, mode):
+    """sha256 of the sorted (C1, C2, b3) results, cycles as sorted
+    embeddings."""
+    def cycles(cs):
+        return sorted(sorted(list(fe.embedding) for fe in c.fedges)
+                      for c in cs)
+    h = hashlib.sha256()
+    for seed in seeds:
+        c1, c2, b3 = precouple_cycles(f, n, params, seed, mode=mode)
+        h.update(json.dumps([cycles(c1), cycles(c2), b3]).encode())
+    return h.hexdigest()
+
+
+# (mode, n, pi, seeds) -> (transcript sha256, outcome mix)
+GOLDEN_TRANSCRIPTS = {
+    ("exact", 6, 0.01, 200): (
+        "c505557513677094a5545dea547ac71c8949b97535e61cabf84c22e7b44262e2",
+        {"success": 165, "B3": 34, "B1": 1}),
+    ("exact", 6, 0.02, 200): (
+        "f3732fd5b6a41c426a0b6dc923d2cf6539819162eba8d0173f96d196635b163d",
+        {"success": 99, "B3": 90, "B1": 9, "B2": 2}),
+    ("bound", 7, 0.005, 100): (
+        "50b97dabfafcc0eea63dda93d67b3cee6670b43963cb4930113a3d76b8172761",
+        {"success": 61, "B3": 29, "step_failure": 10}),
+    ("bound", 6, 0.02, 200): (
+        "bb8a6c5d24342cced5037ff83a3da4f924b7b0c617c3f47f94a54b27d6092510",
+        {"success": 12, "B3": 181, "step_failure": 6, "B1": 1}),
+}
+
+# (mode, n) -> sha256 of precouple_cycles over seeds 0..29
+GOLDEN_PRECOUPLE = {
+    ("exact", 6):
+        "d7693100c2d9d5b55aef62b231207a5465a140c368052ac7f0a8ba6b28409355",
+    ("bound", 8):
+        "3c27e1de60968e9a7e9526430f5f54ccea581d8427ffcab9e9afcfd37374f665",
+}
+
+
+class TestGolden:
+    """Fixed-seed transcripts are byte-identical to the recorded ones.
+
+    Between them the four sets reach every outcome either mode produces:
+    exact success, B1, B2 and B3; bound success, B1, B3 and step failure.
+    """
+
+    @pytest.mark.parametrize("key", list(GOLDEN_TRANSCRIPTS))
+    def test_transcripts(self, key):
+        mode, n, pi, seeds = key
+        got = transcript_digest(K3, n, small_params(n, pi), range(seeds),
+                                mode)
+        assert got == GOLDEN_TRANSCRIPTS[key]
+
+    @pytest.mark.parametrize("key", list(GOLDEN_PRECOUPLE))
+    def test_precouple(self, key):
+        mode, n = key
+        assert precouple_digest(K3, n, small_params(n), range(30),
+                                mode) == GOLDEN_PRECOUPLE[key]
+
+
+C4_A = analyze_pattern(Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)]))
+C4_B = analyze_pattern(Graph.from_edges([(0, 2), (1, 2), (1, 3), (0, 3)]))
+
+# mode -> transcript sha256 of C4_A and C4_B at n = 5, pi = 0.05, seeds
+# 0..29, each as a fresh process gives it
+RELABEL_DIGESTS = {
+    "exact": (
+        "6745aa026a83a1ef5c68809deadfcf82cd8be06a677a00729020e11612ee690f",
+        "05229084a317cc02b64f180fcdf1deb39c4e03bf00372e1506dff623dea7719c"),
+    "bound": (
+        "2642988e963e37ea5f96abe7f19c1a5f89f40acd6eb961177180bab3e98ea716",
+        "d9bf66faf8f67430fc2ce5063a7c125cc8f081a096cab9b42696e7e76bcd6fba"),
+}
+
+
+class TestRelabel:
+    """Two labellings of one template share a canonical form but not their
+    copy embeddings, so per-(F, n) tables must not be shared between them."""
+
+    @pytest.mark.parametrize("mode", list(RELABEL_DIGESTS))
+    def test_history_independent(self, mode):
+        sc = select_constants(C4_A)
+        want_a, want_b = RELABEL_DIGESTS[mode]
+        got = []
+        for f in (C4_A, C4_B, C4_A, C4_B):
+            params = derive_params(f, 5, float(sc.delta), float(sc.eps),
+                                   pi=0.05)
+            digest, _mix = transcript_digest(f, 5, params, range(30), mode)
+            got.append(digest)
+            # every serialised embedding spells out its own copy
+            pverts = sorted(f.graph.vertices)
+            for fe in run_coupling(f, 5, params, 0, mode=mode).h.fedges:
+                m = dict(zip(pverts, fe.embedding))
+                assert {tuple(sorted((m[u], m[v])))
+                        for u, v in f.graph.edges} == set(fe.edge_set)
+        assert got == [want_a, want_b, want_a, want_b]
