@@ -20,12 +20,13 @@ from .coupling import params_as_jsonable, run_coupling
 from .dgraphs import dcycle_report_csv, verify_clean_dcycles_strictly_balanced
 from .errors import FThreshError
 from .exponents import exponent_audit_csv, select_constants
-from .factors import f_isolated, find_f_factor
+from .factors import enumerate_copies, find_f_factor
 from .graphs import format_edge_list
 from .inventory import build_inventory, chen_stein_bound
 from .patterns import (Pattern, derive_params, p_star, pattern_from_file,
                        pattern_preset)
-from .sampling import STREAM_EDGES, graph_from_uniforms, rng_for
+from .sampling import (STREAM_EDGES, edge_order, graph_from_uniforms,
+                       rng_for)
 
 GRID_POINTS = 9
 GRID_LO = 0.6
@@ -128,13 +129,26 @@ def auto_grid(f: Pattern, n: int, points: int = GRID_POINTS) -> list[float]:
 
 
 def _scan_trial(payload) -> list[tuple]:
+    """(status, isolated-free, copies) per grid point of one trial.
+
+    The copies are enumerated once, in the graph at the top of the grid,
+    each with its birth time: the largest uniform among its edges. The
+    copies present at p are those born below p, the same test that puts
+    an edge in the graph at p.
+    """
     f, n, us, ps, budget = payload
+    if not ps:
+        return []
+    copies = enumerate_copies(graph_from_uniforms(n, us, max(ps)), f)
+    slot = {e: i for i, e in enumerate(edge_order(n))}
+    births = [max(us[slot[e]] for e in fe.edge_set) for fe in copies]
     out = []
     for p in ps:
-        g = graph_from_uniforms(n, us, p)
-        res = find_f_factor(g, f, budget=budget)
-        _deg, isolated = f_isolated(g, f)
-        out.append((res.status, not isolated, res.n_copies))
+        present = [fe for fe, b in zip(copies, births) if b < p]
+        res = find_f_factor(graph_from_uniforms(n, us, p), f, budget=budget,
+                            copies=present)
+        covered = set().union(*(fe.vertices for fe in present))
+        out.append((res.status, len(covered) == n, res.n_copies))
     return out
 
 

@@ -137,35 +137,35 @@ def is_strictly_balanced_dcycle(d: CleanDCycle) -> bool:
 def _pattern_pair_orbits(f: Pattern, ordered: bool) -> list[tuple[int, int]]:
     """Orbit representatives of (ordered or unordered) distinct vertex pairs
     under the template's automorphism group."""
-    from .graphs import automorphisms
     pverts = sorted(f.graph.vertices)
+    pos = {u: i for i, u in enumerate(pverts)}
     if ordered:
         pairs = set(itertools.permutations(pverts, 2))
     else:
         pairs = set(itertools.combinations(pverts, 2))
-    auts = list(automorphisms(f.graph))
     reps = []
     while pairs:
         rep = min(pairs)
         reps.append(rep)
-        for a in auts:
-            img = (a[rep[0]], a[rep[1]])
+        for a in f.automorphisms:
+            img = (a[pos[rep[0]]], a[pos[rep[1]]])
             if not ordered and img[0] > img[1]:
                 img = (img[1], img[0])
             pairs.discard(img)
     return reps
 
 
-def _place_copy(f: Pattern, pinned: dict[int, int], fresh_start: int) -> FEdge:
+def _place_copy(f: Pattern, pinned: dict[int, int],
+                fresh_start: int) -> tuple[FEdge, dict[int, int]]:
     """Embed the template with some vertices pinned and the rest sent to
-    consecutive fresh labels."""
+    consecutive fresh labels; returns the copy and the vertex images."""
     mapping = dict(pinned)
     nxt = fresh_start
     for u in sorted(f.graph.vertices):
         if u not in mapping:
             mapping[u] = nxt
             nxt += 1
-    return FEdge.from_embedding(f, mapping)
+    return FEdge.from_embedding(f, mapping), mapping
 
 
 def clean_cycle_types(f: Pattern, k: int) -> list[tuple[FGraph, str]]:
@@ -196,7 +196,8 @@ def clean_cycle_types(f: Pattern, k: int) -> list[tuple[FGraph, str]]:
         for a1, a2 in _pattern_pair_orbits(f, ordered=False):
             for x, y in _pattern_pair_orbits(f, ordered=False):
                 for px, py in ((x, y), (y, x)):
-                    second = _place_copy(f, {px: pos[a1], py: pos[a2]}, r)
+                    second, _ = _place_copy(f, {px: pos[a1], py: pos[a2]},
+                                            r)
                     if second == first:
                         continue
                     record(FGraph.from_fedges([first, second]),
@@ -212,8 +213,7 @@ def clean_cycle_types(f: Pattern, k: int) -> list[tuple[FGraph, str]]:
         ok = True
         for i in range(1, k - 1):
             x, y = choice[i]
-            fe = _place_copy(f, {x: out_label}, fresh)
-            images = _images_of(f, fe, {x: out_label}, fresh)
+            fe, images = _place_copy(f, {x: out_label}, fresh)
             out_label = images[y]
             copies.append(fe)
             fresh += r - 1
@@ -221,23 +221,11 @@ def clean_cycle_types(f: Pattern, k: int) -> list[tuple[FGraph, str]]:
         if x == y:
             ok = False
         if ok:
-            last = _place_copy(f, {x: out_label, y: in_label}, fresh)
+            last, _ = _place_copy(f, {x: out_label, y: in_label}, fresh)
             copies.append(last)
             record(FGraph.from_fedges(copies),
                    "-".join(f"({p},{q})" for p, q in choice))
     return sorted(found.values(), key=lambda t: t[1])
-
-
-def _images_of(f: Pattern, fe: FEdge, pinned: dict[int, int],
-               fresh_start: int) -> dict[int, int]:
-    """Reconstruct the concrete vertex images used by _place_copy."""
-    mapping = dict(pinned)
-    nxt = fresh_start
-    for u in sorted(f.graph.vertices):
-        if u not in mapping:
-            mapping[u] = nxt
-            nxt += 1
-    return mapping
 
 
 @dataclass(frozen=True)

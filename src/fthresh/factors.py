@@ -59,17 +59,21 @@ def verify_factor(g: Graph, f: Pattern, parts: tuple[FEdge, ...]) -> bool:
 
 
 def find_f_factor(g: Graph, f: Pattern, budget: int = 10 ** 6,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> FactorResult:
+                  cap: int = DEFAULT_ENUMERATION_CAP,
+                  copies: Optional[list[FEdge]] = None) -> FactorResult:
     """Search for vertex-disjoint copies covering every vertex.
 
     Exact cover over the distinct copy vertex sets, branching on the vertex
     with fewest remaining candidates; the copy chosen per set is arbitrary
     since a factor only constrains vertex sets. Stops with status "budget"
     once the expansion budget is spent, so a miss under budget is exhaustive.
+    A caller that already holds the copies of g, as enumerate_copies orders
+    them, passes them as copies and the search skips the enumeration.
     """
     if budget <= 0:
         raise DomainError("budget must be positive")
-    copies = enumerate_copies(g, f, cap=cap)
+    if copies is None:
+        copies = enumerate_copies(g, f, cap=cap)
     if g.v() % f.r != 0:
         return FactorResult(status="divisibility", certificate=None,
                             nodes_expanded=0, budget=budget,

@@ -35,8 +35,7 @@ class FEdge:
         edge_set = frozenset(_norm_edge(mapping[u], mapping[v])
                              for u, v in f.graph.edges)
         verts = frozenset(mapping[u] for u in pverts)
-        best = min(tuple(mapping[a[u]] for u in pverts)
-                   for a in automorphisms(f.graph))
+        best = min(tuple(mapping[x] for x in a) for a in f.automorphisms)
         return FEdge(verts, edge_set, best)
 
     def sort_key(self) -> tuple:
@@ -297,16 +296,17 @@ def max_f_degree(h: FGraph) -> int:
 # -- potential copies on [n], in the canonical order -------------------------
 
 def copies_on_vertex_set(f: Pattern, vset: Iterable[int]) -> list[FEdge]:
-    """The r!/aut distinct copies on one vertex set, canonically ordered."""
+    """The r!/aut distinct copies on one vertex set, canonically ordered.
+
+    Relabels the pattern's copies on 0..r-1 through the sorted vertex set;
+    a monotone relabelling keeps both the minimal embedding and the order.
+    """
     vs = sorted(vset)
-    pverts = sorted(f.graph.vertices)
     assert len(vs) == f.r
-    seen: dict[tuple, FEdge] = {}
-    for perm in itertools.permutations(vs):
-        mapping = dict(zip(pverts, perm))
-        fe = FEdge.from_embedding(f, mapping)
-        seen[tuple(sorted(fe.edge_set))] = fe
-    return [seen[k] for k in sorted(seen)]
+    verts = frozenset(vs)
+    return [FEdge(verts, frozenset((vs[a], vs[b]) for a, b in edges),
+                  tuple(vs[i] for i in emb))
+            for edges, emb in f.canonical_copies]
 
 
 def potential_copies_on(f: Pattern, labels: Iterable[int]) -> list[FEdge]:

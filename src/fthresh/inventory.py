@@ -171,8 +171,9 @@ def _pair_buckets(f: Pattern, anchor: FGraph, max_len: int,
     pool = v_other_max - 1
     ground = range(v_anchor + pool)
     anchor_set = set(range(v_anchor))
+    enum_len = max_len if lengths is None else min(max_len, max(lengths))
     buckets: dict[tuple[int, int, int], int] = {}
-    for cyc in cycle_placements(f, ground, max_len):
+    for cyc in cycle_placements(f, ground, enum_len):
         if not _wanted(cyc.e(), max_len, lengths):
             continue
         overlap = cyc.vertices & anchor_set

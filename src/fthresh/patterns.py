@@ -7,15 +7,20 @@ ThresholdParams.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (DisconnectedInputError, DomainError,
                      InternalInconsistencyError, NotStrictlyOneBalancedError)
-from .graphs import (Graph, automorphism_count, components, one_density,
-                     parse_edge_list, strictly_1_balanced_violation)
+from .graphs import (Edge, Graph, _norm_edge, automorphisms, components,
+                     one_density, parse_edge_list,
+                     strictly_1_balanced_violation)
+
+# one copy of the template on 0..r-1: (sorted edge tuple, minimal embedding)
+CanonicalCopy = tuple[tuple[Edge, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -23,9 +28,18 @@ class Pattern:
     graph: Graph
     r: int
     s: int
-    aut: int
     d1: Fraction
     strictly_1_balanced: bool
+    automorphisms: tuple[tuple[int, ...], ...] = field(compare=False,
+                                                        repr=False)
+    """Aut(F): each automorphism as the images of the sorted vertices."""
+    canonical_copies: tuple[CanonicalCopy, ...] = field(compare=False,
+                                                        repr=False)
+    """The distinct copies on the labels 0..r-1, in edge-tuple order."""
+
+    @property
+    def aut(self) -> int:
+        return len(self.automorphisms)
 
     @property
     def copies_per_vertex_set(self) -> int:
@@ -59,6 +73,20 @@ def _is_two_vertex_connected(g: Graph) -> bool:
     return True
 
 
+def _canonical_copies(g: Graph, auts: tuple[tuple[int, ...], ...]
+                      ) -> tuple[CanonicalCopy, ...]:
+    """Every copy of g on the labels 0..r-1, keyed by its sorted edge tuple,
+    with the least embedding in its automorphism class."""
+    pos = {u: i for i, u in enumerate(sorted(g.vertices))}
+    best: dict[tuple[Edge, ...], tuple[int, ...]] = {}
+    for images in itertools.permutations(range(len(pos))):
+        edges = tuple(sorted(_norm_edge(images[pos[u]], images[pos[v]])
+                             for u, v in g.edges))
+        if edges not in best:
+            best[edges] = min(tuple(images[pos[x]] for x in a) for a in auts)
+    return tuple(sorted(best.items()))
+
+
 def analyze_pattern(g: Graph) -> Pattern:
     """Validate a template and cache its invariants.
 
@@ -79,8 +107,11 @@ def analyze_pattern(g: Graph) -> Pattern:
         raise InternalInconsistencyError(
             "strictly 1-balanced template on >= 3 vertices must be "
             "2-vertex-connected")
-    return Pattern(graph=g, r=g.v(), s=g.e(), aut=automorphism_count(g),
-                   d1=one_density(g), strictly_1_balanced=True)
+    pverts = sorted(g.vertices)
+    auts = tuple(tuple(a[u] for u in pverts) for a in automorphisms(g))
+    return Pattern(graph=g, r=g.v(), s=g.e(), d1=one_density(g),
+                   strictly_1_balanced=True, automorphisms=auts,
+                   canonical_copies=_canonical_copies(g, auts))
 
 
 def p_star(f: Pattern, n: int) -> float:

@@ -1,7 +1,9 @@
 """F-graph structure: cycles, nullity, induced copies, witnesses."""
 
+import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -10,9 +12,9 @@ from fthresh.fgraphs import (FEdge, FGraph, all_potential_copies, classify,
                              f_degrees, fgraph_automorphism_count,
                              fgraph_from_json, fgraph_to_json,
                              induced_f_edges, inducing_witness, max_f_degree,
-                             nullity, shadow)
+                             nullity, potential_copies_on, shadow)
 from fthresh.graphs import Graph
-from fthresh.patterns import pattern_preset
+from fthresh.patterns import analyze_pattern, pattern_preset
 
 K3 = pattern_preset("k3")
 
@@ -98,6 +100,67 @@ class TestCopies:
         sparse = FGraph.from_fedges([triangle(0, 1, 2), triangle(0, 1, 3)])
         # swap the two apexes, swap the shared pair, or both
         assert fgraph_automorphism_count(sparse) == 4
+
+
+PRESETS = ("k2", "k3", "k4", "c4", "c5", "k4me")
+# C4 labelled 0-2-1-3: its sorted vertices do not follow the cycle
+C4_RELABELLED = analyze_pattern(
+    Graph.from_edges([(0, 2), (1, 2), (1, 3), (0, 3)]))
+
+
+def brute_copies_on(f, vset):
+    """Every bijection onto vset, reduced to its minimum over the template's
+    automorphisms, each found by testing all r! permutations."""
+    pverts = sorted(f.graph.vertices)
+    pos = {u: i for i, u in enumerate(pverts)}
+
+    def edges_under(images):
+        return tuple(sorted(tuple(sorted((images[pos[u]], images[pos[v]])))
+                            for u, v in f.graph.edges))
+
+    auts = [a for a in itertools.permutations(pverts)
+            if set(edges_under(a)) == set(f.graph.edges)]
+    best = {}
+    for images in itertools.permutations(sorted(vset)):
+        key = edges_under(images)
+        emb = min(tuple(images[pos[x]] for x in a) for a in auts)
+        best[key] = min(best.get(key, emb), emb)
+    return [(tuple(sorted(vset)), key, best[key]) for key in sorted(best)]
+
+
+def spelled(copies):
+    return [(tuple(sorted(fe.vertices)), tuple(sorted(fe.edge_set)),
+             fe.embedding) for fe in copies]
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize(
+        "f", [pattern_preset(name) for name in PRESETS] + [C4_RELABELLED],
+        ids=list(PRESETS) + ["c4-relabelled"])
+    def test_copies_on_vertex_set_brute_force(self, f):
+        for vset in (range(f.r), (2, 5, 7, 11, 13, 17)[:f.r],
+                     (0, 3, 4, 9, 10, 12)[:f.r]):
+            got = spelled(copies_on_vertex_set(f, vset))
+            assert got == brute_copies_on(f, vset)
+            assert len(got) == f.copies_per_vertex_set
+
+    def test_no_automorphism_search_after_analysis(self, monkeypatch):
+        import fthresh.graphs
+        pats = [pattern_preset(name) for name in PRESETS] + [C4_RELABELLED]
+        original = fthresh.graphs.automorphisms
+
+        def forbidden(_g):
+            raise AssertionError("automorphisms recomputed")
+
+        for name, mod in list(sys.modules.items()):
+            if name == "fthresh" or name.startswith("fthresh."):
+                for attr, val in list(vars(mod).items()):
+                    if val is original:
+                        monkeypatch.setattr(mod, attr, forbidden)
+        for f in pats:
+            assert copies_in(Graph.complete(f.r + 2), f)
+            assert len(potential_copies_on(f, range(f.r + 1))) == \
+                (f.r + 1) * f.copies_per_vertex_set
 
 
 class TestInducedWitness:

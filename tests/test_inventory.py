@@ -71,6 +71,17 @@ class TestChenStein:
         assert pw[0] == pytest.approx(ag[0], rel=1e-9)
         assert pw[1] == pytest.approx(ag[1], rel=1e-9)
 
+    def test_aggregate_enumerates_requested_lengths_only(self):
+        """The C4 buckets of length 2 come from 2-cycles alone; chaining
+        3- and 4-cycles on the 11-label pool would exceed the cap."""
+        c4 = pattern_preset("c4")
+        inv = build_inventory(c4, 6, lengths={2})
+        pw = chen_stein_bound(inv, 0.01, 0.2)
+        ag = chen_stein_bound(inv, 0.01, 0.2, pairwise_limit=0)
+        assert pw == pytest.approx((0.067635, 0.0083960), rel=1e-4)
+        assert ag[0] == pytest.approx(pw[0], rel=1e-9)
+        assert ag[1] == pytest.approx(pw[1], rel=1e-9)
+
     def test_domain(self):
         inv = build_inventory(K3, 4)
         with pytest.raises(DomainError):

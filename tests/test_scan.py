@@ -1,0 +1,114 @@
+"""Threshold scan: golden row hashes and a per-p reference loop."""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from fthresh.cli import auto_grid, run_scan
+from fthresh.factors import f_isolated, find_f_factor
+from fthresh.patterns import pattern_preset
+from fthresh.sampling import STREAM_EDGES, graph_from_uniforms, rng_for
+
+BUDGET = 100_000
+
+
+def reference_scan(f, n, ps, trials, seed, budget=BUDGET):
+    """The scan as one independent search per grid point: rebuild the graph
+    at each p, search it for a factor and look for isolated vertices."""
+    batch = rng_for(seed, STREAM_EDGES).random((trials, n * (n - 1) // 2))
+    results = []
+    for t in range(trials):
+        per_p = []
+        for p in ps:
+            g = graph_from_uniforms(n, batch[t], p)
+            res = find_f_factor(g, f, budget=budget)
+            _deg, isolated = f_isolated(g, f)
+            per_p.append((res.status, not isolated, res.n_copies))
+        results.append(per_p)
+    rows = []
+    for i, p in enumerate(ps):
+        tally = {"found": 0, "none": 0, "budget": 0, "divisibility": 0}
+        for res in results:
+            tally[res[i][0]] += 1
+        no_iso = sum(res[i][1] for res in results)
+        copies = sum(res[i][2] for res in results)
+        rows.append({"p": p, "trials": trials, **tally,
+                     "frac_factor": tally["found"] / trials,
+                     "frac_no_isolated": no_iso / trials,
+                     "frac_budget_exhausted": tally["budget"] / trials,
+                     "mean_copies": copies / trials})
+    return rows
+
+
+def rows_digest(rows) -> str:
+    return hashlib.sha256(
+        json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+# (preset, n, trials, seed) -> sha256 of the run_scan rows on the auto grid
+GOLDEN_SCANS = {
+    ("k3", 30, 20, 5):
+        "c76d71796b0d431560dcdeb0ec3fa381ce4cdc7122b96e2292ca1387c728e1db",
+    ("c4", 20, 10, 6):
+        "6fa35fca2c8401d71477fbfb925fc790159dd1461897945bc010b5984939b3ae",
+    ("k4me", 16, 10, 7):
+        "1ec0f0dab6a99a29b7a9e82c2eb87fe834f2f1835ec044c164c9c06507b89fe6",
+}
+
+
+class TestGolden:
+    """Scan rows are byte-identical to the recorded ones."""
+
+    @pytest.mark.parametrize("key", list(GOLDEN_SCANS))
+    def test_rows(self, key):
+        name, n, trials, seed = key
+        f = pattern_preset(name)
+        rows = run_scan(f, n, auto_grid(f, n), trials, seed, BUDGET)
+        assert rows_digest(rows) == GOLDEN_SCANS[key]
+
+
+def _shuffled_grid(f, n):
+    ps = auto_grid(f, n)
+    random.Random(1).shuffle(ps)
+    return ps
+
+
+class TestReference:
+    """run_scan agrees row for row with the per-p reference loop."""
+
+    @pytest.mark.parametrize("key", list(GOLDEN_SCANS))
+    def test_golden_cases(self, key):
+        name, n, trials, seed = key
+        f = pattern_preset(name)
+        ps = auto_grid(f, n)
+        assert run_scan(f, n, ps, trials, seed, BUDGET) == \
+            reference_scan(f, n, ps, trials, seed)
+
+    def test_unsorted_grid(self):
+        f = pattern_preset("k3")
+        ps = _shuffled_grid(f, 24)
+        assert ps != sorted(ps)
+        assert run_scan(f, 24, ps, 8, 2, BUDGET) == \
+            reference_scan(f, 24, ps, 8, 2)
+
+    def test_single_p(self):
+        f = pattern_preset("k3")
+        ps = [auto_grid(f, 24)[6]]
+        rows = run_scan(f, 24, ps, 8, 3, BUDGET)
+        assert rows == reference_scan(f, 24, ps, 8, 3)
+        assert len(rows) == 1
+
+    def test_empty_grid(self):
+        f = pattern_preset("k3")
+        assert run_scan(f, 24, [], 4, 0, BUDGET) == []
+        assert reference_scan(f, 24, [], 4, 0) == []
+
+    def test_indivisible_n(self):
+        f = pattern_preset("k3")
+        ps = auto_grid(f, 25)
+        rows = run_scan(f, 25, ps, 6, 4, BUDGET)
+        assert rows == reference_scan(f, 25, ps, 6, 4)
+        assert all(r["divisibility"] == 6 for r in rows)
+        assert rows[-1]["mean_copies"] > 0
