@@ -18,7 +18,7 @@ from typing import Optional
 from . import __version__
 from .coupling import params_as_jsonable, run_coupling
 from .dgraphs import dcycle_report_csv, verify_clean_dcycles_strictly_balanced
-from .errors import FThreshError
+from .errors import DomainError, FThreshError
 from .exponents import exponent_audit_csv, select_constants
 from .factors import enumerate_copies, find_f_factor
 from .graphs import format_edge_list
@@ -102,6 +102,8 @@ def cmd_params(args) -> int:
 
 def cmd_verify(args) -> int:
     f = _resolve_pattern(args)
+    if f.s < 2:  # clean d-cycles have length >= 2 and at most e(F)
+        raise DomainError("template needs at least two edges")
     max_len = args.max_len if args.max_len else min(f.s, 4)
     name = args.pattern or "pattern"
     rows = verify_clean_dcycles_strictly_balanced(f, max_len, name)

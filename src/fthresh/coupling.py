@@ -48,13 +48,13 @@ class QReport:
     q_cg: float
     q_eb: float
     q_eg: float
-    contributors: dict[int, int]
+    n_contributors: int
     bad_witnesses: list
 
     def as_dict(self) -> dict:
         return {"total": self.q_total, "cb": self.q_cb, "cg": self.q_cg,
                 "eb": self.q_eb, "eg": self.q_eg,
-                "n_contributors": len(self.contributors),
+                "n_contributors": self.n_contributors,
                 "bad": [{k: v for k, v in w.items() if k != "fgraph"}
                         for w in self.bad_witnesses]}
 
@@ -65,26 +65,50 @@ class QReport:
         return None
 
 
-def _q_report(tab: Placements, j: int, c1_ids: frozenset[int],
-              nprime: set[int], r_bits: int, h0: FGraph,
+def _q_report(tab: Placements, j: int, c1_rows: np.ndarray,
+              nprime: set[int], r_bits: int, h0: set[int],
               p: float) -> QReport:
-    """Exact evaluation of the union-bound error term for step j."""
+    """Exact evaluation of the union-bound error term for step j.
+
+    The copy half loops over N'; the cycle half is one pass over the
+    shadow words of every cycle outside C1 (c1_rows is C1 as a row mask).
+    Only contributors of exponent 0 need witnesses, and only they build H0
+    plus copy j as an F-graph."""
     f = tab.f
     mj = tab.copy_bits[j]
     ej_free = mj & ~r_bits
-    contributors: dict[int, int] = {}
-    bad: list[dict] = []
-    q_cb = q_cg = q_eb = q_eg = 0.0
-    h0j = h0 if tab.copies[j] in h0.fedges else h0.with_fedge(tab.copies[j])
-
+    bad_copies: list[int] = []
+    n_copies = 0
+    q_eg = 0.0
     for i in nprime:
         ei = tab.copy_bits[i]
         if not ei & ej_free:
             continue
+        n_copies += 1
         expo = (ei & ~(mj | r_bits)).bit_count()
-        contributors[i + 1] = expo
         if expo == 0:
-            q_eb += 1.0
+            bad_copies.append(i)
+        else:
+            q_eg += p ** expo
+
+    rows = np.flatnonzero(tab.meets(ej_free) & ~c1_rows)
+    expos = tab.edges_outside(rows, mj | r_bits) + tab.sparse[rows]
+    zero = expos == 0
+    good = expos[~zero]
+    # p ** k as Python computes it, accumulated left to right in cycle
+    # order, so the sum is the one a scalar loop gives
+    powers = np.array([p ** k
+                       for k in range(int(expos.max(initial=0)) + 1)])
+    q_cg = float(np.cumsum(powers[good])[-1]) if len(good) else 0.0
+    bad_cycles = rows[zero].tolist()
+
+    bad: list[dict] = []
+    if bad_copies or bad_cycles:
+        h0j = FGraph.from_fedges((tab.copies[i] for i in h0),
+                                 vertices=range(tab.n))
+        if tab.copies[j] not in h0j.fedges:
+            h0j = h0j.with_fedge(tab.copies[j])
+        for i in bad_copies:
             w = inducing_witness(h0j, f, tab.copies[i])
             kind = classify(w).kind
             bad.append({"index": i + 1,
@@ -92,39 +116,17 @@ def _q_report(tab: Placements, j: int, c1_ids: frozenset[int],
                         else "cycle_contradiction",
                         "fedges": _embeddings(w),
                         "fgraph": w})
-        else:
-            q_eg += p ** expo
+        av = find_avoidable(h0j, 2 * f.s * f.s) if bad_cycles else None
+        for i in bad_cycles:
+            w, kind = (av, "avoidable") if av is not None else \
+                (tab.cycles[i].cycle, "cycle_contradiction")
+            bad.append({"index": -(i + 1), "kind": kind,
+                        "fedges": _embeddings(w), "fgraph": w})
 
-    cand: set[int] = set()
-    b = ej_free
-    while b:
-        low = b & -b
-        cand.update(tab.by_edge.get(low.bit_length() - 1, ()))
-        b ^= low
-    cycles = tab.cycles
-    for i in sorted(cand):
-        if i in c1_ids:
-            continue
-        rec = cycles[i]
-        expo = ((rec.shadow_bits & ~(mj | r_bits)).bit_count()
-                + (1 if rec.sparse else 0))
-        contributors[-(i + 1)] = expo
-        if expo == 0:
-            q_cb += 1.0
-            av = find_avoidable(h0j, 2 * f.s * f.s)
-            if av is not None:
-                bad.append({"index": -(i + 1), "kind": "avoidable",
-                            "fedges": _embeddings(av), "fgraph": av})
-            else:
-                bad.append({"index": -(i + 1),
-                            "kind": "cycle_contradiction",
-                            "fedges": _embeddings(rec.cycle),
-                            "fgraph": rec.cycle})
-        else:
-            q_cg += p ** expo
-
+    q_eb = float(len(bad_copies))
+    q_cb = float(len(bad_cycles))
     return QReport(q_total=q_cb + q_cg + q_eb + q_eg, q_cb=q_cb, q_cg=q_cg,
-                   q_eb=q_eb, q_eg=q_eg, contributors=contributors,
+                   q_eb=q_eb, q_eg=q_eg, n_contributors=n_copies + len(rows),
                    bad_witnesses=bad)
 
 
@@ -209,19 +211,13 @@ def _precouple_shared(f: Pattern, params: ThresholdParams,
     A clean d-cycle of length k has k * e(F) edges counting its dummy, so
     its inclusion probability is p to that power; the copy-process cycle
     needs its k copies, so pi to the k, which is never larger."""
-    m = len(tab.cycles)
-    us = rng.random(m) if m else []
-    c1 = set()
-    c2 = set()
-    s = f.s
-    for i in range(m):
-        k = len(tab.cycles[i].copy_ids)
-        if us[i] < params.p ** (k * s):
-            c1.add(i)
-        if us[i] < params.pi ** k:
-            c2.add(i)
-    return PreCouple(c1=frozenset(c1), c2=frozenset(c2), b3=(c1 != c2),
-                     h_pre=None, g_pre=None)
+    us = rng.random(len(tab.cycles))
+    ks = range(int(tab.lengths.max(initial=0)) + 1)
+    p_k = np.array([params.p ** (k * f.s) for k in ks])[tab.lengths]
+    pi_k = np.array([params.pi ** k for k in ks])[tab.lengths]
+    c1 = frozenset(np.flatnonzero(us < p_k).tolist())
+    c2 = frozenset(np.flatnonzero(us < pi_k).tolist())
+    return PreCouple(c1=c1, c2=c2, b3=(c1 != c2), h_pre=None, g_pre=None)
 
 
 # -- the two laws ------------------------------------------------------------
@@ -316,6 +312,8 @@ class _BoundLaw:
         self.params = params
         self.rng = rng
         self.pre = _precouple_shared(f, params, rng, self.tab)
+        self._c1_rows = np.zeros(len(self.tab.cycles), dtype=bool)
+        self._c1_rows[list(self.pre.c1)] = True
 
     def b3_structures(self) -> tuple[FGraph, DGraph]:
         n, pi, p = self.tab.n, self.params.pi, self.params.p
@@ -327,13 +325,12 @@ class _BoundLaw:
         cycle outside C1, and otherwise has its unconditional rate."""
         if j in h0:
             return 1.0
-        cycles = self.tab.cycles
-        for i in self.tab.copy_to_cycles.get(j, ()):
-            if i in self.pre.c1:
-                continue
-            if all(ci in h0 for ci in cycles[i].copy_ids if ci != j):
-                return 0.0
-        return self.params.pi
+        ids = self.tab.copy_ids
+        # a cycle lists copy j at most once, so the hits are its rows
+        rows = np.flatnonzero(ids.ravel() == j) // max(ids.shape[1], 1)
+        members = ids[rows[~self._c1_rows[rows]]]
+        closed = self.tab.copy_flags(h0)[members] | (members == j)
+        return 0.0 if closed.all(axis=1).any() else self.params.pi
 
     def probs(self, j: int, q: QReport, h0: set[int],
               r_bits: int) -> tuple[float, float]:
@@ -367,9 +364,12 @@ class _BoundLaw:
         p = self.params.p
         edges = {e for idx, e in enumerate(tab.pairs)
                  if r_bits >> idx & 1 or rng.random() < p}
-        dummies = {frozenset(rec.cycle.fedges)
-                   for i, rec in enumerate(tab.cycles)
-                   if rec.sparse and (i in c1 or rng.random() < p)}
+        # one draw per sparse cycle outside C1, in cycle order
+        free = np.flatnonzero(tab.sparse & ~self._c1_rows)
+        drawn = free[rng.random(len(free)) < p]
+        kept = np.flatnonzero(tab.sparse & self._c1_rows)
+        dummies = {frozenset(tab.cycles[i].cycle.fedges)
+                   for i in kept.tolist() + drawn.tolist()}
         g = DGraph(base=Graph.from_edges(edges, vertices=range(tab.n)),
                    dummies=frozenset(dummies))
         return h, g
@@ -436,6 +436,8 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
                    "c2_only": len(pre.c2 - pre.c1)}
     else:
         c1 = pre.c1
+        c1_rows = np.zeros(len(tab.cycles), dtype=bool)
+        c1_rows[list(c1)] = True
         cyc_objs = [tab.cycles[i].cycle for i in sorted(c1)]
         # present edges, H0 as copy ids, its F-degrees, and N' (copies
         # decided absent from both structures)
@@ -472,9 +474,7 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
                            "degree": cand_max, "Delta": params.Delta}
                 break
 
-            q = _q_report(tab, j, c1, nprime, r_bits,
-                          FGraph.from_fedges((tab.copies[i] for i in h0),
-                                             vertices=range(n)), params.p)
+            q = _q_report(tab, j, c1_rows, nprime, r_bits, h0, params.p)
             q_reports.append(q)
             pi_j, pi_prime_j = law.probs(j, q, h0, r_bits)
             step = {"j": j + 1, "pi_j": pi_j, "pi_prime_j": pi_prime_j,

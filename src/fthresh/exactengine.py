@@ -1,8 +1,10 @@
 """Per-(F, n) placement table and the exact enumeration backend.
 
 The placement table lists every potential copy and every clean-cycle
-placement of the template on [n] as copy and edge bitmasks; both coupling
-modes and the exact engine read it. The engine holds the full product spaces
+placement of the template on [n] as copy and edge bitmasks, and holds the
+cycles once more as columnar numpy arrays (shadow words, padded copy ids,
+sparse flags) for the passes that scan every cycle; both coupling modes and
+the exact engine read it. The engine holds the full product spaces
 behind both random objects: one axis per potential copy for the copy
 process, one axis per potential usual edge for the auxiliary graph, with
 dummy edges marginalized analytically. Everything downstream (cycle-set
@@ -19,12 +21,14 @@ import numpy as np
 
 from .dgraphs import DGraph, cycle_placements
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .fgraphs import FEdge, FGraph, all_potential_copies, classify, shadow
+from .fgraphs import (FEdge, FGraph, all_potential_copies, is_sparse_pair,
+                      shadow)
 from .graphs import Graph
 from .patterns import Pattern
 from .sampling import edge_order
 
 DEFAULT_OUTCOME_CAP = 2 ** 24
+_WORD = 2 ** 64 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,6 +46,11 @@ class Placements:
     Copies follow the fixed order the coupling replays and cycles the
     order of cycle_placements; an index into either is the same object for
     every reader of the table.
+
+    Row i of the columnar views is cycle i: ``shadow_words[i]`` is its
+    shadow edge mask split into 64-bit words (edge e in word e // 64, bit
+    e % 64), ``copy_ids[i, :lengths[i]]`` its sorted copy ids, padded with
+    -1, and ``sparse[i]`` its sparsity flag.
     """
 
     def __init__(self, f: Pattern, n: int):
@@ -57,29 +66,61 @@ class Placements:
         self.copy_bits = tuple(self.edge_mask(fe.edge_set)
                                for fe in self.copies)
         cycles = []
+        # every placement is a clean cycle, so it is sparse exactly when it
+        # is a sparse pair
         for cyc in cycle_placements(f, range(n), f.s):
             ids = tuple(sorted(self.copy_id(fe) for fe in cyc.fedges))
             cycles.append(CycleRec(
                 cycle=cyc, copy_ids=ids, copy_bits=sum(1 << i for i in ids),
                 shadow_bits=self.edge_mask(shadow(cyc).edges),
-                sparse=classify(cyc).sparsity == "sparse"))
+                sparse=len(ids) == 2 and is_sparse_pair(*cyc.fedges)))
         self.cycles = tuple(cycles)
-        self.by_edge: dict[int, list[int]] = {}
-        self.copy_to_cycles: dict[int, list[int]] = {}
-        for i, rec in enumerate(self.cycles):
-            b = rec.shadow_bits
-            while b:
-                low = b & -b
-                self.by_edge.setdefault(low.bit_length() - 1, []).append(i)
-                b ^= low
-            for ci in rec.copy_ids:
-                self.copy_to_cycles.setdefault(ci, []).append(i)
+        self.n_words = max(1, -(-len(self.pairs) // 64))
+        # column-major: the scans below read one word of every cycle at once
+        self.shadow_words = np.array(
+            [[rec.shadow_bits >> (64 * w) & _WORD for rec in cycles]
+             for w in range(self.n_words)], dtype=np.uint64).T
+        self.lengths = np.array([len(rec.copy_ids) for rec in cycles],
+                                dtype=np.int32)
+        width = int(self.lengths.max(initial=0))
+        self.copy_ids = np.array(
+            [rec.copy_ids + (-1,) * (width - len(rec.copy_ids))
+             for rec in cycles], dtype=np.int32).reshape(len(cycles), width)
+        self.sparse = np.array([rec.sparse for rec in cycles], dtype=bool)
 
     def copy_id(self, fe: FEdge) -> int:
         return self.copy_index[(fe.vertices, fe.edge_set)]
 
     def edge_mask(self, edges) -> int:
         return sum(1 << self.edge_index[e] for e in edges)
+
+    def words(self, mask: int) -> list[np.uint64]:
+        """An edge mask as the n_words 64-bit words of a shadow_words row."""
+        return [np.uint64(mask >> (64 * w) & _WORD)
+                for w in range(self.n_words)]
+
+    def meets(self, mask: int) -> np.ndarray:
+        """Per cycle, whether its shadow has an edge in the edge mask."""
+        hit = np.zeros(len(self.cycles), dtype=bool)
+        for col, w in zip(self.shadow_words.T, self.words(mask)):
+            if w:
+                hit |= (col & w) != 0
+        return hit
+
+    def edges_outside(self, rows: np.ndarray, mask: int) -> np.ndarray:
+        """Per listed cycle, the number of its shadow edges not in mask."""
+        out = np.zeros(len(rows), dtype=np.intp)
+        for col, w in zip(self.shadow_words.T, self.words(~mask)):
+            out += np.bitwise_count(col[rows] & w)
+        return out
+
+    def copy_flags(self, ids) -> np.ndarray:
+        """Membership of each copy id in ids, with one extra True entry at
+        the end that the -1 padding of copy_ids indexes."""
+        out = np.zeros(len(self.copies) + 1, dtype=bool)
+        out[list(ids)] = True
+        out[-1] = True
+        return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -154,21 +195,18 @@ class ExactEngine:
     # -- translation ---------------------------------------------------------
 
     def h_cycle_ids(self, h: FGraph) -> frozenset[int]:
-        m = sum(1 << self.table.copy_id(fe) for fe in h.fedges)
-        return frozenset(i for i, rec in enumerate(self.cycles)
-                         if m & rec.copy_bits == rec.copy_bits)
+        tab = self.table
+        present = tab.copy_flags(tab.copy_id(fe) for fe in h.fedges)
+        return frozenset(np.flatnonzero(
+            present[tab.copy_ids].all(axis=1)).tolist())
 
     def gstar_cycle_ids(self, g: DGraph) -> frozenset[int]:
-        em = self.table.edge_mask(g.base.edges)
+        tab = self.table
+        complete = np.flatnonzero(
+            ~tab.meets(~tab.edge_mask(g.base.edges))).tolist()
         dummy_cycles = {frozenset(key) for key in g.dummies}
-        out = set()
-        for i, rec in enumerate(self.cycles):
-            if em & rec.shadow_bits != rec.shadow_bits:
-                continue
-            if rec.sparse and rec.cycle.fedges not in dummy_cycles:
-                continue
-            out.add(i)
-        return frozenset(out)
+        return frozenset(i for i in complete if not tab.sparse[i]
+                         or self.cycles[i].cycle.fedges in dummy_cycles)
 
     # -- copy-process side ---------------------------------------------------
 

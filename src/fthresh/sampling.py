@@ -9,6 +9,7 @@ p-grid monotonically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -67,13 +68,21 @@ def sample_hf(f: Pattern, n: int, pi: float, seed: int,
                               vertices=range(n))
 
 
+@functools.lru_cache(maxsize=8)
+def dummy_slots(f: Pattern, n: int) -> tuple[frozenset, ...]:
+    """The sparse 2-cycles on [n] that key the dummy edges, in their fixed
+    order; keyed by the labelled template, whose labelling the copies
+    carry."""
+    return tuple(sparse_cycle_placements(f, range(n)))
+
+
 def sample_gstar(f: Pattern, n: int, p: float, seed: int,
                  edge_stream: int = STREAM_EDGES,
                  dummy_stream: int = STREAM_DUMMIES) -> DGraph:
     """Auxiliary random graph: usual edges and dummy edges, all independent
     with probability p. Dummy slots follow the fixed sparse-cycle order."""
     base = sample_gnp(n, p, seed, edge_stream)
-    slots = sparse_cycle_placements(f, range(n))
+    slots = dummy_slots(f, n)
     us = uniforms(seed, dummy_stream, len(slots))
     dummies = frozenset(slots[i] for i in np.flatnonzero(us < p))
     return DGraph(base=base, dummies=dummies)

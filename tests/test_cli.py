@@ -36,6 +36,12 @@ class TestVerify:
         assert "g1max = -1/3" in out
         assert "delta = 1/12" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--max-len", "3"]])
+    def test_single_edge_template_is_an_error(self, capsys, extra):
+        assert main(["verify", "--pattern", "k2", *extra]) == 1
+        assert "error: template needs at least two edges" in \
+            capsys.readouterr().err
+
     def test_csv_out(self, tmp_path):
         dest = tmp_path / "verify.csv"
         assert main(["verify", "--pattern", "k3", "--max-len", "3",

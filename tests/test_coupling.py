@@ -5,9 +5,11 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from fthresh.coupling import OUTCOMES, precouple_cycles, run_coupling
+from fthresh.coupling import (OUTCOMES, _law, _q_report, precouple_cycles,
+                              run_coupling)
 from fthresh.exponents import select_constants
 from fthresh.graphs import Graph
 from fthresh.patterns import analyze_pattern, derive_params, pattern_preset
@@ -186,6 +188,10 @@ GOLDEN_TRANSCRIPTS = {
     ("bound", 6, 0.02, 200): (
         "bb8a6c5d24342cced5037ff83a3da4f924b7b0c617c3f47f94a54b27d6092510",
         {"success": 12, "B3": 181, "step_failure": 6, "B1": 1}),
+    # 66 potential edges: every cycle shadow spans two 64-bit words
+    ("bound", 12, 0.001, 3): (
+        "b1c17e25cdae719ec8b69b4bf382af4f94e31fc13f629e2f8ccf4563b4534d08",
+        {"success": 2, "B3": 1}),
 }
 
 # (mode, n) -> sha256 of precouple_cycles over seeds 0..29
@@ -200,8 +206,10 @@ GOLDEN_PRECOUPLE = {
 class TestGolden:
     """Fixed-seed transcripts are byte-identical to the recorded ones.
 
-    Between them the four sets reach every outcome either mode produces:
-    exact success, B1, B2 and B3; bound success, B1, B3 and step failure.
+    Between them the sets reach every outcome either mode produces: exact
+    success, B1, B2 and B3; bound success, B1, B3 and step failure. The
+    bound set at n = 12 is the only one whose edge masks need more than one
+    64-bit word.
     """
 
     @pytest.mark.parametrize("key", list(GOLDEN_TRANSCRIPTS))
@@ -216,6 +224,100 @@ class TestGolden:
         mode, n = key
         assert precouple_digest(K3, n, small_params(n), range(30),
                                 mode) == GOLDEN_PRECOUPLE[key]
+
+
+def scalar_q(tab, j, c1, nprime, r_bits, p):
+    """The error term as a loop over Python ints: (q_cb, q_cg, q_eb, q_eg,
+    contributor count, bad contributor indices in report order)."""
+    mj = tab.copy_bits[j]
+    free = mj & ~r_bits
+    q_cb = q_cg = q_eb = q_eg = 0.0
+    count = 0
+    bad_copies, bad_cycles = [], []
+    for i in nprime:
+        if tab.copy_bits[i] & free:
+            count += 1
+            expo = (tab.copy_bits[i] & ~(mj | r_bits)).bit_count()
+            if expo == 0:
+                q_eb += 1.0
+                bad_copies.append(i + 1)
+            else:
+                q_eg += p ** expo
+    for i, rec in enumerate(tab.cycles):
+        if i in c1 or not rec.shadow_bits & free:
+            continue
+        count += 1
+        expo = (rec.shadow_bits & ~(mj | r_bits)).bit_count() + rec.sparse
+        if expo == 0:
+            q_cb += 1.0
+            bad_cycles.append(-(i + 1))
+        else:
+            q_cg += p ** expo
+    return q_cb, q_cg, q_eb, q_eg, count, bad_copies + bad_cycles
+
+
+def scalar_pi_prime(tab, c1, j, h0, pi):
+    if j in h0:
+        return 1.0
+    for i, rec in enumerate(tab.cycles):
+        if j in rec.copy_ids and i not in c1 and all(
+                ci in h0 for ci in rec.copy_ids if ci != j):
+            return 0.0
+    return pi
+
+
+def random_state(tab, rng):
+    """A step state the loop can reach: H0 holds the copies of two cycles
+    plus two more, the present edges are exactly H0's edges, C1 is some of
+    the cycles inside H0, and N' is a third of the copies outside H0."""
+    m = len(tab.copies)
+    h0 = {int(c) for i in rng.choice(len(tab.cycles), 2)
+          for c in tab.cycles[i].copy_ids}
+    h0.update(int(c) for c in rng.choice(m, 2))
+    r_bits = 0
+    for c in h0:
+        r_bits |= tab.copy_bits[c]
+    inside = [i for i, rec in enumerate(tab.cycles)
+              if set(rec.copy_ids) <= h0]
+    c1 = {i for i in inside if rng.random() < 0.5}
+    nprime = {c for c in range(m) if c not in h0 and rng.random() < 0.3}
+    return h0, r_bits, c1, nprime
+
+
+class TestVectorisedSteps:
+    """The array passes over the placement table give exactly what a loop
+    over each cycle's Python-int bitmasks gives, floats to the last bit."""
+
+    @pytest.mark.parametrize("n", [8, 12])  # one and two shadow words
+    def test_q_report_matches_scalar_loop(self, n):
+        law = _law(K3, n, small_params(n, 0.001), 0, "bound")
+        tab = law.tab
+        rng = np.random.default_rng(n)
+        for _ in range(30):
+            h0, r_bits, c1, nprime = random_state(tab, rng)
+            # step j is undecided, so never in N'
+            j = int(rng.choice(sorted(set(range(len(tab.copies))) - nprime)))
+            c1_rows = np.zeros(len(tab.cycles), dtype=bool)
+            c1_rows[list(c1)] = True
+            q = _q_report(tab, j, c1_rows, nprime, r_bits, h0, 0.3)
+            assert (q.q_cb, q.q_cg, q.q_eb, q.q_eg, q.n_contributors,
+                    [w["index"] for w in q.bad_witnesses]) == \
+                scalar_q(tab, j, c1, nprime, r_bits, 0.3)
+            assert q.q_total == q.q_cb + q.q_cg + q.q_eb + q.q_eg
+
+    def test_pi_prime_matches_scalar_loop(self):
+        params = small_params(8, 0.05)
+        laws = [_law(K3, 8, params, seed, "bound") for seed in range(40)]
+        laws = [law for law in laws if law.pre.c1][:3]
+        assert laws, "no run with a non-empty C1"
+        rng = np.random.default_rng(1)
+        for law in laws:
+            tab = law.tab
+            for _ in range(5):
+                h0 = random_state(tab, rng)[0]
+                for j in range(len(tab.copies)):
+                    assert law._pi_prime(j, h0) == scalar_pi_prime(
+                        tab, law.pre.c1, j, h0, params.pi)
 
 
 C4_A = analyze_pattern(Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)]))

@@ -1,16 +1,19 @@
 """Counter-based samplers: determinism, monotone reuse, marginals."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from fthresh import sampling
+from fthresh.dgraphs import sparse_cycle_placements
 from fthresh.fgraphs import FGraph, classify
 from fthresh.patterns import pattern_preset, pi_prime
-from fthresh.sampling import (STREAM_COPIES, STREAM_EDGES, edge_order,
-                              edge_uniforms, graph_from_uniforms,
-                              merge_to_hr, rng_for, sample_gnp, sample_gstar,
-                              sample_hf, uniforms)
+from fthresh.sampling import (STREAM_COPIES, STREAM_DUMMIES, STREAM_EDGES,
+                              dummy_slots, edge_order, edge_uniforms,
+                              graph_from_uniforms, merge_to_hr, rng_for,
+                              sample_gnp, sample_gstar, sample_hf, uniforms)
 
 K3 = pattern_preset("k3")
 
@@ -101,6 +104,36 @@ class TestAuxiliaryGraph:
     def test_base_matches_gnp_stream(self):
         assert sample_gstar(K3, 7, 0.4, 9).base.edges == \
             sample_gnp(7, 0.4, 9).edges
+
+
+class TestDummySlots:
+    KEYS = ((K3, 6), (K3, 7), (pattern_preset("c4"), 6))
+
+    def test_draws_match_a_direct_build(self):
+        for f, n in self.KEYS:
+            slots = sparse_cycle_placements(f, range(n))
+            for seed in range(5):
+                us = uniforms(seed, STREAM_DUMMIES, len(slots))
+                want = frozenset(slots[i] for i in np.flatnonzero(us < 0.3))
+                assert sample_gstar(f, n, 0.3, seed).dummies == want
+
+    def test_built_once_per_key(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(f, labels):
+            labels = tuple(labels)
+            calls[(f, len(labels))] += 1
+            return sparse_cycle_placements(f, labels)
+
+        monkeypatch.setattr(sampling, "sparse_cycle_placements", counting)
+        dummy_slots.cache_clear()
+        try:
+            for seed in range(3):
+                for f, n in self.KEYS:
+                    sample_gstar(f, n, 0.3, seed)
+        finally:
+            dummy_slots.cache_clear()
+        assert calls == {key: 1 for key in self.KEYS}
 
 
 def test_edge_order_is_lexicographic():
