@@ -119,7 +119,7 @@ def _q_report(tab: Placements, j: int, c1_rows: np.ndarray,
         av = find_avoidable(h0j, 2 * f.s * f.s) if bad_cycles else None
         for i in bad_cycles:
             w, kind = (av, "avoidable") if av is not None else \
-                (tab.cycles[i].cycle, "cycle_contradiction")
+                (tab.cycle(i), "cycle_contradiction")
             bad.append({"index": -(i + 1), "kind": kind,
                         "fedges": _embeddings(w), "fgraph": w})
 
@@ -211,7 +211,7 @@ def _precouple_shared(f: Pattern, params: ThresholdParams,
     A clean d-cycle of length k has k * e(F) edges counting its dummy, so
     its inclusion probability is p to that power; the copy-process cycle
     needs its k copies, so pi to the k, which is never larger."""
-    us = rng.random(len(tab.cycles))
+    us = rng.random(tab.n_cycles)
     ks = range(int(tab.lengths.max(initial=0)) + 1)
     p_k = np.array([params.p ** (k * f.s) for k in ks])[tab.lengths]
     pi_k = np.array([params.pi ** k for k in ks])[tab.lengths]
@@ -312,7 +312,7 @@ class _BoundLaw:
         self.params = params
         self.rng = rng
         self.pre = _precouple_shared(f, params, rng, self.tab)
-        self._c1_rows = np.zeros(len(self.tab.cycles), dtype=bool)
+        self._c1_rows = np.zeros(self.tab.n_cycles, dtype=bool)
         self._c1_rows[list(self.pre.c1)] = True
 
     def b3_structures(self) -> tuple[FGraph, DGraph]:
@@ -349,7 +349,7 @@ class _BoundLaw:
                r_bits: int) -> tuple[FGraph, DGraph]:
         tab, rng, c1 = self.tab, self.rng, self.pre.c1
         # complete H with the surrogate inclusion rule
-        c1_copyids = {ci for i in c1 for ci in tab.cycles[i].copy_ids}
+        c1_copyids = {ci for i in c1 for ci in tab.ids(i)}
         included = {i for i, d in enumerate(decided) if d} | c1_copyids
         for j, d in enumerate(decided):
             if d is not None or j in c1_copyids:
@@ -368,8 +368,7 @@ class _BoundLaw:
         free = np.flatnonzero(tab.sparse & ~self._c1_rows)
         drawn = free[rng.random(len(free)) < p]
         kept = np.flatnonzero(tab.sparse & self._c1_rows)
-        dummies = {frozenset(tab.cycles[i].cycle.fedges)
-                   for i in kept.tolist() + drawn.tolist()}
+        dummies = tab.dummy_keys(np.concatenate((kept, drawn)))
         g = DGraph(base=Graph.from_edges(edges, vertices=range(tab.n)),
                    dummies=frozenset(dummies))
         return h, g
@@ -391,9 +390,9 @@ def precouple_cycles(f: Pattern, n: int, params: ThresholdParams, seed: int,
     Returns (C1, C2, b3) as sets of cycle placements; b3 flags a mismatch.
     """
     law = _law(f, n, params, seed, mode)
-    cycles = law.tab.cycles
-    return ({cycles[i].cycle for i in law.pre.c1},
-            {cycles[i].cycle for i in law.pre.c2}, law.pre.b3)
+    tab = law.tab
+    return ({tab.cycle(i) for i in law.pre.c1},
+            {tab.cycle(i) for i in law.pre.c2}, law.pre.b3)
 
 
 # -- driver ------------------------------------------------------------------
@@ -436,18 +435,18 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
                    "c2_only": len(pre.c2 - pre.c1)}
     else:
         c1 = pre.c1
-        c1_rows = np.zeros(len(tab.cycles), dtype=bool)
+        c1_rows = np.zeros(tab.n_cycles, dtype=bool)
         c1_rows[list(c1)] = True
-        cyc_objs = [tab.cycles[i].cycle for i in sorted(c1)]
+        cyc_objs = [tab.cycle(i) for i in sorted(c1)]
         # present edges, H0 as copy ids, its F-degrees, and N' (copies
         # decided absent from both structures)
         r_bits = 0
         h0: set[int] = set()
         for i in c1:
-            r_bits |= tab.cycles[i].shadow_bits
-            h0.update(tab.cycles[i].copy_ids)
+            h0.update(tab.ids(i))
         deg = {u: 0 for u in range(n)}
         for ci in h0:
+            r_bits |= tab.copy_bits[ci]
             for u in tab.copies[ci].vertices:
                 deg[u] += 1
         nprime: set[int] = set()

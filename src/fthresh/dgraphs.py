@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -174,7 +174,8 @@ def clean_cycle_types(f: Pattern, k: int) -> list[tuple[FGraph, str]]:
 
     Per-copy choices range over automorphism-orbit representatives of the
     overlap vertices, which covers every type; duplicates are collapsed by
-    the canonical form of the shadow together with the sparsity flag.
+    the canonical form of the shadow together with the sparsity flag. Each
+    representative lies on the labels 0..v-1.
     """
     if k < 2:
         raise ValueError("cycle length must be >= 2")
@@ -310,12 +311,22 @@ def sparse_cycle_placements(f: Pattern,
     return out
 
 
+def is_sparse_placement(copies: Sequence[FEdge],
+                        ids: Sequence[int]) -> bool:
+    """Sparsity of a cycle_placements row over its copy list: a clean cycle
+    is sparse exactly when it is a pair of copies sharing an edge."""
+    return len(ids) == 2 and is_sparse_pair(copies[ids[0]], copies[ids[1]])
+
+
 def cycle_placements(f: Pattern, labels: Iterable[int], max_len: int,
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[FGraph]:
-    """All clean-cycle placements of length 2..max_len on the given labels.
+                     cap: int = DEFAULT_ENUMERATION_CAP
+                     ) -> Iterator[tuple[int, ...]]:
+    """All clean-cycle placements of length 2..max_len on the given labels,
+    each as the sorted ids of its copies in potential_copies_on(f, labels).
 
     Length-2 cycles come from copy pairs overlapping in two vertices; longer
     ones from chaining single-vertex overlaps, deduplicated by copy set.
+    Every row is a clean cycle of length len(row).
     """
     copies = potential_copies_on(f, labels)
     m = len(copies)
@@ -341,14 +352,14 @@ def cycle_placements(f: Pattern, labels: Iterable[int], max_len: int,
             for j in sorted(partners):
                 spend()
                 if len(vi & copies[j].vertices) == 2:
-                    yield FGraph.from_fedges([copies[i], copies[j]])
+                    yield (i, j)
 
     if max_len < 3:
         return
 
-    emitted: set[frozenset[int]] = set()
+    emitted: set[tuple[int, ...]] = set()
 
-    def extend(chain: list[int]) -> Iterator[FGraph]:
+    def extend(chain: list[int]) -> Iterator[tuple[int, ...]]:
         head = chain[0]
         tail = chain[-1]
         tail_verts = copies[tail].vertices
@@ -383,10 +394,10 @@ def cycle_placements(f: Pattern, labels: Iterable[int], max_len: int,
                         break
                     overlaps.append(next(iter(ov)))
                 if good and len(set(overlaps)) == kk:
-                    key = frozenset(order)
+                    key = tuple(sorted(order))
                     if key not in emitted:
                         emitted.add(key)
-                        yield FGraph.from_fedges(copies[c] for c in order)
+                        yield key
             if len(chain) + 1 < max_len and not head_ov:
                 yield from extend(chain + [j])
 

@@ -1,43 +1,33 @@
 """Per-(F, n) placement table and the exact enumeration backend.
 
-The placement table lists every potential copy and every clean-cycle
-placement of the template on [n] as copy and edge bitmasks, and holds the
-cycles once more as columnar numpy arrays (shadow words, padded copy ids,
-sparse flags) for the passes that scan every cycle; both coupling modes and
-the exact engine read it. The engine holds the full product spaces
-behind both random objects: one axis per potential copy for the copy
-process, one axis per potential usual edge for the auxiliary graph, with
-dummy edges marginalized analytically. Everything downstream (cycle-set
-probabilities, maximal pre-coupling, per-step conditional probabilities,
-final conditional sampling) reduces to masked sums over these arrays.
+The placement table lists every potential copy of the template on [n] with
+its edge bitmask, and every clean-cycle placement as one row of columnar
+numpy arrays (padded copy ids, shadow words, sparse flags), built straight
+from the copy-id rows the enumerator yields, with no F-graph per cycle;
+both coupling modes and the exact engine read it. The engine holds the
+full product spaces behind both random objects: one axis per potential
+copy for the copy process, one axis per potential usual edge for the
+auxiliary graph, with dummy edges marginalized analytically. Everything
+downstream (cycle-set probabilities, maximal pre-coupling, per-step
+conditional probabilities, final conditional sampling) reduces to masked
+sums over these arrays.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dgraphs import DGraph, cycle_placements
+from .dgraphs import DGraph, cycle_placements, is_sparse_placement
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .fgraphs import (FEdge, FGraph, all_potential_copies, is_sparse_pair,
-                      shadow)
+from .fgraphs import FEdge, FGraph, all_potential_copies
 from .graphs import Graph
 from .patterns import Pattern
 from .sampling import edge_order
 
 DEFAULT_OUTCOME_CAP = 2 ** 24
 _WORD = 2 ** 64 - 1
-
-
-@dataclass(frozen=True, slots=True)
-class CycleRec:
-    cycle: FGraph
-    copy_ids: tuple[int, ...]
-    copy_bits: int
-    shadow_bits: int
-    sparse: bool
 
 
 class Placements:
@@ -47,10 +37,12 @@ class Placements:
     order of cycle_placements; an index into either is the same object for
     every reader of the table.
 
-    Row i of the columnar views is cycle i: ``shadow_words[i]`` is its
-    shadow edge mask split into 64-bit words (edge e in word e // 64, bit
-    e % 64), ``copy_ids[i, :lengths[i]]`` its sorted copy ids, padded with
-    -1, and ``sparse[i]`` its sparsity flag.
+    A cycle is stored only as row i of the columnar arrays:
+    ``copy_ids[i, :lengths[i]]`` are its sorted copy ids, padded with -1;
+    ``shadow_words[i]`` is its shadow edge mask, the OR of its copies'
+    edge masks, split into 64-bit words (edge e in word e // 64, bit
+    e % 64); ``sparse[i]`` is its sparsity flag, set exactly for the
+    sparse pairs.
     """
 
     def __init__(self, f: Pattern, n: int):
@@ -65,28 +57,39 @@ class Placements:
                            for i, fe in enumerate(self.copies)}
         self.copy_bits = tuple(self.edge_mask(fe.edge_set)
                                for fe in self.copies)
-        cycles = []
-        # every placement is a clean cycle, so it is sparse exactly when it
-        # is a sparse pair
-        for cyc in cycle_placements(f, range(n), f.s):
-            ids = tuple(sorted(self.copy_id(fe) for fe in cyc.fedges))
-            cycles.append(CycleRec(
-                cycle=cyc, copy_ids=ids, copy_bits=sum(1 << i for i in ids),
-                shadow_bits=self.edge_mask(shadow(cyc).edges),
-                sparse=len(ids) == 2 and is_sparse_pair(*cyc.fedges)))
-        self.cycles = tuple(cycles)
-        self.n_words = max(1, -(-len(self.pairs) // 64))
-        # column-major: the scans below read one word of every cycle at once
-        self.shadow_words = np.array(
-            [[rec.shadow_bits >> (64 * w) & _WORD for rec in cycles]
-             for w in range(self.n_words)], dtype=np.uint64).T
-        self.lengths = np.array([len(rec.copy_ids) for rec in cycles],
-                                dtype=np.int32)
+        # the rows index potential_copies_on(f, range(n)), i.e. self.copies
+        rows = list(cycle_placements(f, range(n), f.s))
+        self.n_cycles = len(rows)
+        self.lengths = np.array([len(ids) for ids in rows], dtype=np.int32)
         width = int(self.lengths.max(initial=0))
         self.copy_ids = np.array(
-            [rec.copy_ids + (-1,) * (width - len(rec.copy_ids))
-             for rec in cycles], dtype=np.int32).reshape(len(cycles), width)
-        self.sparse = np.array([rec.sparse for rec in cycles], dtype=bool)
+            [ids + (-1,) * (width - len(ids)) for ids in rows],
+            dtype=np.int32).reshape(len(rows), width)
+        self.n_words = max(1, -(-len(self.pairs) // 64))
+        # a last all-zero row, which the -1 padding of copy_ids indexes
+        copy_words = np.array([self.words(b) for b in self.copy_bits + (0,)],
+                              dtype=np.uint64)
+        # column-major: the scans below read one word of every cycle at once
+        self.shadow_words = np.asfortranarray(
+            np.bitwise_or.reduce(copy_words[self.copy_ids], axis=1))
+        self.sparse = np.array(
+            [is_sparse_placement(self.copies, ids) for ids in rows],
+            dtype=bool)
+
+    def ids(self, i: int) -> list[int]:
+        """The sorted copy ids of cycle i."""
+        return self.copy_ids[i, :self.lengths[i]].tolist()
+
+    def cycle(self, i: int) -> FGraph:
+        """Cycle i as an F-graph, for the readers that need one."""
+        return FGraph.from_fedges(self.copies[c] for c in self.ids(i))
+
+    def dummy_keys(self, rows) -> list[frozenset[FEdge]]:
+        """The dummy-edge keys of the listed sparse cycles: each one's pair
+        of copies, without an F-graph per cycle."""
+        copies = self.copies
+        return [frozenset((copies[a], copies[b]))
+                for a, b in self.copy_ids[rows, :2].tolist()]
 
     def copy_id(self, fe: FEdge) -> int:
         return self.copy_index[(fe.vertices, fe.edge_set)]
@@ -101,7 +104,7 @@ class Placements:
 
     def meets(self, mask: int) -> np.ndarray:
         """Per cycle, whether its shadow has an edge in the edge mask."""
-        hit = np.zeros(len(self.cycles), dtype=bool)
+        hit = np.zeros(self.n_cycles, dtype=bool)
         for col, w in zip(self.shadow_words.T, self.words(mask)):
             if w:
                 hit |= (col & w) != 0
@@ -151,21 +154,22 @@ class ExactEngine:
         self.M = len(tab.copies)
         _check_outcomes(self.M)
         self.pairs = tab.pairs
-        self.cycles = tab.cycles
-        self.sparse_ids = [i for i, rec in enumerate(self.cycles)
-                           if rec.sparse]
+        # per cycle, its copy set and its shadow as masks over the copy and
+        # edge axes; E, M <= 24, so one 32-bit word holds each
+        self._copy_sets = np.array([sum(1 << c for c in tab.ids(i))
+                                    for i in range(tab.n_cycles)],
+                                   dtype=np.uint32)
+        self._shadows = tab.shadow_words[:, 0].astype(np.uint32)
 
         # copy-subset space
         hm = np.arange(2 ** self.M, dtype=np.uint32)
-        self.h_masks = hm
         self.h_pc = np.bitwise_count(hm).astype(np.uint8)
         rng = np.random.Generator(np.random.Philox(key=(0xC0FFEE, 0)))
         # keys small enough that any subset sum stays below 2**64
-        self._cycle_keys = rng.integers(1, 2 ** 48, size=len(self.cycles),
+        self._cycle_keys = rng.integers(1, 2 ** 48, size=tab.n_cycles,
                                         dtype=np.uint64)
         hh = np.zeros(hm.shape, dtype=np.uint64)
-        for i, rec in enumerate(self.cycles):
-            cm = np.uint32(rec.copy_bits)
+        for i, cm in enumerate(self._copy_sets):
             hh += self._cycle_keys[i] * ((hm & cm) == cm)
         self.h_hash = hh
 
@@ -176,10 +180,9 @@ class ExactEngine:
         dense_count = np.zeros(gm.shape, dtype=np.int32)
         s_all = np.zeros(gm.shape, dtype=np.int32)
         gh = np.zeros(gm.shape, dtype=np.uint64)
-        for i, rec in enumerate(self.cycles):
-            sm = np.uint32(rec.shadow_bits)
+        for i, (sm, sparse) in enumerate(zip(self._shadows, tab.sparse)):
             comp = (gm & sm) == sm
-            if rec.sparse:
+            if sparse:
                 s_all += comp
             else:
                 dense_count += comp
@@ -202,11 +205,12 @@ class ExactEngine:
 
     def gstar_cycle_ids(self, g: DGraph) -> frozenset[int]:
         tab = self.table
-        complete = np.flatnonzero(
-            ~tab.meets(~tab.edge_mask(g.base.edges))).tolist()
-        dummy_cycles = {frozenset(key) for key in g.dummies}
-        return frozenset(i for i in complete if not tab.sparse[i]
-                         or self.cycles[i].cycle.fedges in dummy_cycles)
+        complete = np.flatnonzero(~tab.meets(~tab.edge_mask(g.base.edges)))
+        sparse = complete[tab.sparse[complete]]
+        # a sparse cycle needs its dummy edge as well as its shadow
+        missing = {i for i, key in zip(sparse.tolist(), tab.dummy_keys(sparse))
+                   if key not in g.dummies}
+        return frozenset(complete.tolist()) - missing
 
     # -- copy-process side ---------------------------------------------------
 
@@ -219,8 +223,7 @@ class ExactEngine:
             target += self._cycle_keys[i]
         cand = np.flatnonzero(self.h_hash == target).astype(np.uint32)
         keep = np.ones(cand.shape, dtype=bool)
-        for i, rec in enumerate(self.cycles):
-            cm = np.uint32(rec.copy_bits)
+        for i, cm in enumerate(self._copy_sets):
             keep &= ((cand & cm) == cm) == (i in c1)
         masks = cand[keep]
         out = (masks, self.h_pc[masks])
@@ -234,7 +237,7 @@ class ExactEngine:
         key = (c1, pi)
         if key not in self._mu_cache:
             if pi >= 1.0 or pi <= 0.0:
-                full = frozenset(range(len(self.cycles)))
+                full = frozenset(range(self.table.n_cycles))
                 self._mu_cache[key] = float(
                     (c1 == full) if pi >= 1.0 else (not c1))
             else:
@@ -260,18 +263,19 @@ class ExactEngine:
     def valid_g_dense(self, c1: frozenset[int]) -> np.ndarray:
         """Edge masks whose complete dense cycles are exactly c1's dense part
         and whose complete sparse shadows cover c1's sparse part."""
-        dense = [i for i in c1 if not self.cycles[i].sparse]
+        sparse = self.table.sparse
+        dense = [i for i in c1 if not sparse[i]]
         target = np.uint64(0)
         for i in dense:
             target += self._cycle_keys[i]
         ok = self.g_dense_hash == target
         for i in dense:
-            sm = np.uint32(self.cycles[i].shadow_bits)
+            sm = self._shadows[i]
             ok &= (self.g_masks & sm) == sm
         ok &= self.g_dense_count == len(dense)
         for i in c1:
-            if self.cycles[i].sparse:
-                sm = np.uint32(self.cycles[i].shadow_bits)
+            if sparse[i]:
+                sm = self._shadows[i]
                 ok &= (self.g_masks & sm) == sm
         return ok
 
@@ -281,10 +285,10 @@ class ExactEngine:
         if key in self._nu_cache:
             return self._nu_cache[key]
         if p <= 0.0 or p >= 1.0:
-            full = frozenset(range(len(self.cycles)))
+            full = frozenset(range(self.table.n_cycles))
             val = float((c1 == full) if p >= 1.0 else (not c1))
         else:
-            n_sparse = sum(1 for i in c1 if self.cycles[i].sparse)
+            n_sparse = sum(1 for i in c1 if self.table.sparse[i])
             ok = self.valid_g_dense(c1)
             # sparse cycles off c1 with complete shadow: dummy forced absent;
             # the g_weights factor (1-p)^{s_all} overcounts the c1 ones
@@ -306,15 +310,17 @@ class ExactEngine:
         mask = min(mask, 2 ** self.E - 1)
         edges = [self.pairs[i] for i in range(self.E) if mask >> i & 1]
         base = Graph.from_edges(edges, vertices=range(self.n))
+        tab = self.table
+        rows = np.flatnonzero(tab.sparse).tolist()
         dummies = set()
-        for i in self.sparse_ids:
-            rec = self.cycles[i]
+        for i, key in zip(rows, tab.dummy_keys(rows)):
+            sm = int(self._shadows[i])
             if i in c1:
-                dummies.add(frozenset(rec.cycle.fedges))
-            elif mask & rec.shadow_bits == rec.shadow_bits:
+                dummies.add(key)
+            elif mask & sm == sm:
                 pass  # complete shadow off c1: dummy must be absent
             elif rng.random() < p:
-                dummies.add(frozenset(rec.cycle.fedges))
+                dummies.add(key)
         return DGraph(base=base, dummies=frozenset(dummies))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -25,14 +25,10 @@ from .patterns import Pattern
 @dataclass(frozen=True)
 class ExponentReport:
     subject: object
-    context: str
     eps: Fraction
     f1: Fraction
     f2: Fraction
     f: Fraction
-    g1: Optional[Fraction] = None
-    g2: Optional[Fraction] = None
-    g: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
@@ -77,30 +73,8 @@ def f_exponents(f: Pattern, s: Graph, eps: Fraction) -> ExponentReport:
     f1 = Fraction(s.e()) / f.d1 - vmc
     f2 = vmc + 1 - Fraction(s.e(), f.s)
     eps = Fraction(eps)
-    return ExponentReport(subject=s, context="pattern", eps=eps,
+    return ExponentReport(subject=s, eps=eps,
                           f1=f1, f2=f2, f=f1 + eps * f2)
-
-
-def g_exponents(f: Pattern, c: CleanDCycle, s: Union[Graph, DGraph],
-                eps: Fraction) -> ExponentReport:
-    """Good-cycle exponents of a proper sub-d-graph of a clean d-cycle."""
-    if isinstance(s, Graph):
-        s = DGraph(base=s, dummies=frozenset())
-    e_g = c.dgraph.e()
-    if s.e() >= e_g:
-        raise DomainError(f"sub-d-graph must be proper: e(S)={s.e()} >= {e_g}")
-    vmc = _rank_of(s)
-    f1 = Fraction(s.e()) / f.d1 - vmc
-    f2 = vmc + 1 - Fraction(s.e(), f.s)
-    g1 = f1 - 1
-    g2 = vmc + Fraction(e_g - s.e(), f.s)
-    check = Fraction(s.e()) / f.d1 - vmc - 1
-    if g1 != check:
-        raise InternalInconsistencyError("g1 != f1 - 1")
-    eps = Fraction(eps)
-    return ExponentReport(subject=s, context="dcycle", eps=eps,
-                          f1=f1, f2=f2, f=f1 + eps * f2,
-                          g1=g1, g2=g2, g=g1 + eps * g2)
 
 
 # -- admissible-S enumeration ------------------------------------------------

@@ -1,35 +1,37 @@
 """Potential clean-cycle placements and Chen-Stein total-variation bounds.
 
-The inventory lists every potential clean cycle of length up to e(F) on [n].
-For small instances the list is explicit; past a size threshold only the
-aggregate description is kept and all sums run over isomorphism types with
-exact orbit counting, which gives identical numbers.
+The inventory counts every potential clean cycle of length up to e(F) on
+[n] from per-type orbit counts. Up to DEFAULT_PAIRWISE_LIMIT (600)
+placements it also lists them as copy-id rows of cycle_placements, and the
+bound runs pair by pair over the list; above it all sums run over
+isomorphism types with exact orbit counting, which gives identical numbers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from .dgraphs import clean_cycle_types
+from .dgraphs import clean_cycle_types, cycle_placements, is_sparse_placement
 from .errors import DomainError
-from .fgraphs import FEdge, FGraph, classify, count_copies, shadow
-from .dgraphs import cycle_placements
-from .graphs import Edge, canonical_form
+from .fgraphs import FGraph, count_copies, potential_copies_on, shadow
+from .graphs import Edge
 from .patterns import Pattern
 
-DEFAULT_EXPLICIT_LIMIT = 200_000
 DEFAULT_PAIRWISE_LIMIT = 600
 
 
 @dataclass(frozen=True)
 class InventoryItem:
-    cycle: FGraph
+    copy_ids: tuple[int, ...]
+    """Sorted ids of the cycle's copies in potential_copies_on(f, range(n))."""
     k: int
     sparse: bool
     verts: frozenset[int]
-    shadow_edges: frozenset[Edge]
+    shadow_mask: int
+    """The shadow's edges as a bitmask, edge (u, v) at bit u * n + v."""
 
     def exponent_h(self) -> int:
         """F-edges of the cycle; E[X_C] = pi ** this."""
@@ -56,6 +58,29 @@ def _wanted(k: int, max_len: int, lengths: Optional[frozenset[int]]) -> bool:
     return k in lengths if lengths is not None else 2 <= k <= max_len
 
 
+def _edge_mask(edges: Iterable[Edge], n_labels: int) -> int:
+    return sum(1 << (u * n_labels + v) for u, v in edges)
+
+
+def _placements(f: Pattern, n_labels: int, max_len: int,
+                lengths: Optional[frozenset[int]], cap: int = 10 ** 7
+                ) -> Iterator[tuple[tuple[int, ...], int, int, bool]]:
+    """The wanted placements on the labels 0..n_labels-1 as (copy ids,
+    vertex mask, shadow mask, sparse), vertex u at bit u and edge (u, v) at
+    bit u * n_labels + v of the masks."""
+    copies = potential_copies_on(f, range(n_labels))
+    vmasks = [sum(1 << u for u in fe.vertices) for fe in copies]
+    emasks = [_edge_mask(fe.edge_set, n_labels) for fe in copies]
+    enum_len = max_len if lengths is None else min(max_len, max(lengths))
+    for ids in cycle_placements(f, range(n_labels), enum_len, cap=cap):
+        if _wanted(len(ids), max_len, lengths):
+            verts = edges = 0
+            for c in ids:
+                verts |= vmasks[c]
+                edges |= emasks[c]
+            yield ids, verts, edges, is_sparse_placement(copies, ids)
+
+
 def inventory_size(f: Pattern, n: int, max_len: int,
                    lengths: Optional[frozenset[int]] = None) -> int:
     """Exact number of placements, from per-type orbit counts."""
@@ -71,28 +96,27 @@ def inventory_size(f: Pattern, n: int, max_len: int,
 
 def build_inventory(f: Pattern, n: int, max_len: Optional[int] = None,
                     lengths: Optional[frozenset[int]] = None,
-                    explicit_limit: int = DEFAULT_EXPLICIT_LIMIT,
                     cap: int = 10 ** 7) -> CycleInventory:
-    """Deduplicated placement list, or its aggregate form when too large."""
+    """Exact placement count, with the placements listed when there are at
+    most DEFAULT_PAIRWISE_LIMIT of them; only such lists are ever summed
+    pair by pair."""
     if max_len is None:
         max_len = f.s
     if lengths is not None:
         lengths = frozenset(lengths)
     total = inventory_size(f, n, max_len, lengths)
-    if total > explicit_limit:
+    if total > DEFAULT_PAIRWISE_LIMIT:
         return CycleInventory(f=f, n=n, max_len=max_len, items=None,
                               total_count=total, lengths=lengths)
-    enum_len = max_len if lengths is None else min(max_len, max(lengths))
-    items = []
-    for cyc in cycle_placements(f, range(n), enum_len, cap=cap):
-        cls = classify(cyc)
-        if not _wanted(cls.length, max_len, lengths):
-            continue
-        items.append(InventoryItem(
-            cycle=cyc, k=cls.length, sparse=(cls.sparsity == "sparse"),
-            verts=cyc.vertices, shadow_edges=shadow(cyc).edges))
-    items.sort(key=lambda it: tuple(sorted(
-        fe.sort_key() for fe in it.cycle.fedges)))
+    items = [InventoryItem(copy_ids=ids, k=len(ids), sparse=sparse,
+                           verts=frozenset(u for u in range(n)
+                                           if verts >> u & 1),
+                           shadow_mask=edges)
+             for ids, verts, edges, sparse in _placements(
+                 f, n, max_len, lengths, cap)]
+    # copy ids follow FEdge.sort_key, so this orders the cycles by their
+    # sorted copies
+    items.sort(key=lambda it: it.copy_ids)
     if len(items) != total:
         raise DomainError(
             f"placement enumeration found {len(items)}, expected {total}")
@@ -112,18 +136,18 @@ def _pairwise_terms(inv: CycleInventory, pi: float,
     items = inv.items
     s = inv.f.s
     th1 = tg1 = th2 = tg2 = 0.0
-    for i, a in enumerate(items):
-        copies_a = set(a.cycle.fedges)
+    for a in items:
+        copies_a = set(a.copy_ids)
         dummies_a = 1 if a.sparse else 0
         for b in items:
             if not (a.verts & b.verts):
                 continue
             th1 += pi ** a.exponent_h() * pi ** b.exponent_h()
             tg1 += p ** a.exponent_g(s) * p ** b.exponent_g(s)
-            if b.cycle == a.cycle:
+            if b is a:
                 continue
-            union_copies = len(copies_a | set(b.cycle.fedges))
-            union_edges = len(a.shadow_edges | b.shadow_edges)
+            union_copies = len(copies_a.union(b.copy_ids))
+            union_edges = (a.shadow_mask | b.shadow_mask).bit_count()
             union_dummies = dummies_a + (1 if b.sparse else 0)
             th2 += pi ** union_copies
             tg2 += p ** (union_edges + union_dummies)
@@ -141,56 +165,45 @@ def _type_reps(f: Pattern, max_len: int,
     return reps
 
 
-def _relabel_cycle(cycle: FGraph, mapping: dict[int, int],
-                   f: Pattern) -> FGraph:
-    pverts = sorted(f.graph.vertices)
-    fes = []
-    for fe in cycle.fedges:
-        images = [mapping[x] for x in fe.embedding]
-        fes.append(FEdge.from_embedding(f, dict(zip(pverts, images))))
-    return FGraph.from_fedges(fes)
-
-
 def _pair_buckets(f: Pattern, anchor: FGraph, max_len: int,
                   lengths: Optional[frozenset[int]] = None
                   ) -> dict[tuple[int, int, int], int]:
     """Joint-moment buckets against one fixed placement of the anchor type.
 
-    Enumerates every cycle placement meeting the anchor on the anchor's
-    vertices plus a pool of interchangeable fresh labels, and buckets by
-    (fresh vertices used, union F-edge count, union d-edge count). Scaled by
+    The anchor, a clean_cycle_types representative, lies on the labels
+    0..v-1. Enumerates every cycle placement meeting it on those labels
+    plus a pool of interchangeable fresh labels, and buckets by (fresh
+    vertices used, union F-edge count, union d-edge count). Scaled by
     binomials this reproduces the exact sum over [n].
     """
     v_anchor = anchor.v()
-    relab = {u: i for i, u in enumerate(sorted(anchor.vertices))}
-    c0 = _relabel_cycle(anchor, relab, f)
-    c0_copies = set(c0.fedges)
-    c0_edges = shadow(c0).edges
-    c0_dummy = 1 if classify(c0).sparsity == "sparse" else 0
     v_other_max = max(cy.v() for cy in _type_reps(f, max_len, lengths))
-    pool = v_other_max - 1
-    ground = range(v_anchor + pool)
-    anchor_set = set(range(v_anchor))
-    enum_len = max_len if lengths is None else min(max_len, max(lengths))
+    n_labels = v_anchor + v_other_max - 1
+    copies = potential_copies_on(f, range(n_labels))
+    c0_ids = tuple(sorted(copies.index(fe) for fe in anchor.fedges))
+    c0_edges = _edge_mask(shadow(anchor).edges, n_labels)
+    c0_dummy = int(is_sparse_placement(copies, c0_ids))
+    anchor_mask = (1 << v_anchor) - 1
     buckets: dict[tuple[int, int, int], int] = {}
-    for cyc in cycle_placements(f, ground, enum_len):
-        if not _wanted(cyc.e(), max_len, lengths):
+    for ids, verts, edges, sparse in _placements(f, n_labels, max_len,
+                                                 lengths):
+        if not verts & anchor_mask or ids == c0_ids:
             continue
-        overlap = cyc.vertices & anchor_set
-        if not overlap:
-            continue
-        if cyc == c0:
-            continue
-        j = cyc.v() - len(overlap)
-        union_copies = len(c0_copies | set(cyc.fedges))
-        union_edges = len(c0_edges | shadow(cyc).edges)
-        dummies = c0_dummy + (1 if classify(cyc).sparsity == "sparse" else 0)
-        key = (j, union_copies, union_edges + dummies)
+        key = ((verts & ~anchor_mask).bit_count(),
+               len(set(c0_ids).union(ids)),
+               (c0_edges | edges).bit_count() + c0_dummy + sparse)
         buckets[key] = buckets.get(key, 0) + 1
     return buckets
 
 
-_BUCKET_CACHE: dict[tuple, list] = {}
+@functools.lru_cache(maxsize=8)
+def _all_buckets(f: Pattern, max_len: int,
+                 lengths: Optional[frozenset[int]]) -> tuple[dict, ...]:
+    """The buckets of every type representative, in _type_reps order. Keyed
+    by the labelled template: which type sits at which index depends on
+    F's labelling, not only on its isomorphism type."""
+    return tuple(_pair_buckets(f, rep, max_len, lengths)
+                 for rep in _type_reps(f, max_len, lengths))
 
 
 def _aggregate_terms(f: Pattern, n: int, max_len: int, pi: float, p: float,
@@ -199,11 +212,7 @@ def _aggregate_terms(f: Pattern, n: int, max_len: int, pi: float, p: float,
     """(bound_H, bound_G) from per-type orbit counts; exact for any n."""
     reps = _type_reps(f, max_len, lengths)
     s = f.s
-    key = ("buckets", canonical_form(f.graph), max_len, lengths)
-    if key not in _BUCKET_CACHE:
-        _BUCKET_CACHE[key] = [_pair_buckets(f, rep, max_len, lengths)
-                              for rep in reps]
-    all_buckets = _BUCKET_CACHE[key]
+    all_buckets = _all_buckets(f, max_len, lengths)
 
     th1 = tg1 = th2 = tg2 = 0.0
     counts = [_safe_count(rep, n) for rep in reps]

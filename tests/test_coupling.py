@@ -11,6 +11,7 @@ import pytest
 from fthresh.coupling import (OUTCOMES, _law, _q_report, precouple_cycles,
                               run_coupling)
 from fthresh.exponents import select_constants
+from fthresh.fgraphs import shadow
 from fthresh.graphs import Graph
 from fthresh.patterns import analyze_pattern, derive_params, pattern_preset
 
@@ -226,7 +227,14 @@ class TestGolden:
                                 mode) == GOLDEN_PRECOUPLE[key]
 
 
-def scalar_q(tab, j, c1, nprime, r_bits, p):
+def scalar_cycles(tab):
+    """Per cycle, (copy ids, shadow edge mask, sparse flag), the shadow
+    read off the cycle's F-graph rather than the table's own bits."""
+    return [(tab.ids(i), tab.edge_mask(shadow(tab.cycle(i)).edges),
+             bool(tab.sparse[i])) for i in range(tab.n_cycles)]
+
+
+def scalar_q(tab, cycles, j, c1, nprime, r_bits, p):
     """The error term as a loop over Python ints: (q_cb, q_cg, q_eb, q_eg,
     contributor count, bad contributor indices in report order)."""
     mj = tab.copy_bits[j]
@@ -243,11 +251,11 @@ def scalar_q(tab, j, c1, nprime, r_bits, p):
                 bad_copies.append(i + 1)
             else:
                 q_eg += p ** expo
-    for i, rec in enumerate(tab.cycles):
-        if i in c1 or not rec.shadow_bits & free:
+    for i, (_ids, shadow_bits, sparse) in enumerate(cycles):
+        if i in c1 or not shadow_bits & free:
             continue
         count += 1
-        expo = (rec.shadow_bits & ~(mj | r_bits)).bit_count() + rec.sparse
+        expo = (shadow_bits & ~(mj | r_bits)).bit_count() + sparse
         if expo == 0:
             q_cb += 1.0
             bad_cycles.append(-(i + 1))
@@ -256,29 +264,27 @@ def scalar_q(tab, j, c1, nprime, r_bits, p):
     return q_cb, q_cg, q_eb, q_eg, count, bad_copies + bad_cycles
 
 
-def scalar_pi_prime(tab, c1, j, h0, pi):
+def scalar_pi_prime(cycles, c1, j, h0, pi):
     if j in h0:
         return 1.0
-    for i, rec in enumerate(tab.cycles):
-        if j in rec.copy_ids and i not in c1 and all(
-                ci in h0 for ci in rec.copy_ids if ci != j):
+    for i, (ids, _shadow_bits, _sparse) in enumerate(cycles):
+        if j in ids and i not in c1 and all(
+                ci in h0 for ci in ids if ci != j):
             return 0.0
     return pi
 
 
-def random_state(tab, rng):
+def random_state(tab, cycles, rng):
     """A step state the loop can reach: H0 holds the copies of two cycles
     plus two more, the present edges are exactly H0's edges, C1 is some of
     the cycles inside H0, and N' is a third of the copies outside H0."""
     m = len(tab.copies)
-    h0 = {int(c) for i in rng.choice(len(tab.cycles), 2)
-          for c in tab.cycles[i].copy_ids}
+    h0 = {c for i in rng.choice(len(cycles), 2) for c in cycles[i][0]}
     h0.update(int(c) for c in rng.choice(m, 2))
     r_bits = 0
     for c in h0:
         r_bits |= tab.copy_bits[c]
-    inside = [i for i, rec in enumerate(tab.cycles)
-              if set(rec.copy_ids) <= h0]
+    inside = [i for i, (ids, _, _) in enumerate(cycles) if set(ids) <= h0]
     c1 = {i for i in inside if rng.random() < 0.5}
     nprime = {c for c in range(m) if c not in h0 and rng.random() < 0.3}
     return h0, r_bits, c1, nprime
@@ -292,17 +298,18 @@ class TestVectorisedSteps:
     def test_q_report_matches_scalar_loop(self, n):
         law = _law(K3, n, small_params(n, 0.001), 0, "bound")
         tab = law.tab
+        cycles = scalar_cycles(tab)
         rng = np.random.default_rng(n)
         for _ in range(30):
-            h0, r_bits, c1, nprime = random_state(tab, rng)
+            h0, r_bits, c1, nprime = random_state(tab, cycles, rng)
             # step j is undecided, so never in N'
             j = int(rng.choice(sorted(set(range(len(tab.copies))) - nprime)))
-            c1_rows = np.zeros(len(tab.cycles), dtype=bool)
+            c1_rows = np.zeros(tab.n_cycles, dtype=bool)
             c1_rows[list(c1)] = True
             q = _q_report(tab, j, c1_rows, nprime, r_bits, h0, 0.3)
             assert (q.q_cb, q.q_cg, q.q_eb, q.q_eg, q.n_contributors,
                     [w["index"] for w in q.bad_witnesses]) == \
-                scalar_q(tab, j, c1, nprime, r_bits, 0.3)
+                scalar_q(tab, cycles, j, c1, nprime, r_bits, 0.3)
             assert q.q_total == q.q_cb + q.q_cg + q.q_eb + q.q_eg
 
     def test_pi_prime_matches_scalar_loop(self):
@@ -310,14 +317,14 @@ class TestVectorisedSteps:
         laws = [_law(K3, 8, params, seed, "bound") for seed in range(40)]
         laws = [law for law in laws if law.pre.c1][:3]
         assert laws, "no run with a non-empty C1"
+        cycles = scalar_cycles(laws[0].tab)
         rng = np.random.default_rng(1)
         for law in laws:
-            tab = law.tab
             for _ in range(5):
-                h0 = random_state(tab, rng)[0]
-                for j in range(len(tab.copies)):
+                h0 = random_state(law.tab, cycles, rng)[0]
+                for j in range(len(law.tab.copies)):
                     assert law._pi_prime(j, h0) == scalar_pi_prime(
-                        tab, law.pre.c1, j, h0, params.pi)
+                        cycles, law.pre.c1, j, h0, params.pi)
 
 
 C4_A = analyze_pattern(Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)]))

@@ -70,6 +70,7 @@ class TestCycleTypes:
                 cls = classify(cyc)
                 assert cls.kind == "clean_cycle"
                 assert cls.length == k
+                assert cyc.vertices == frozenset(range(cyc.v()))
 
     def test_verify_all_presets(self):
         for name in ("k3", "c4", "k4"):
@@ -98,7 +99,9 @@ class TestPlacements:
 
     def test_matches_brute_force(self):
         n = 7
-        got = {cyc.fedges for cyc in cycle_placements(K3, range(n), 3)}
+        copies = all_potential_copies(K3, n)
+        got = {frozenset(copies[c] for c in ids)
+               for ids in cycle_placements(K3, range(n), 3)}
         want = self.brute_placements(n, 3)
         assert got == want
 

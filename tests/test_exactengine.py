@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from fthresh.dgraphs import DGraph
+from fthresh.dgraphs import DGraph, cycle_placements
 from fthresh.errors import ResourceLimitError
-from fthresh.exactengine import ExactEngine, get_engine
-from fthresh.fgraphs import FGraph
+from fthresh.exactengine import ExactEngine, Placements, get_engine
+from fthresh.fgraphs import FGraph, classify, potential_copies_on, shadow
 from fthresh.graphs import Graph
 from fthresh.patterns import pattern_preset
 from fthresh.sampling import rng_for
@@ -16,15 +16,22 @@ from fthresh.sampling import rng_for
 K3 = pattern_preset("k3")
 
 
+def cycle_graphs(eng: ExactEngine) -> list[FGraph]:
+    tab = eng.table
+    return [tab.cycle(i) for i in range(tab.n_cycles)]
+
+
 def brute_h_law(eng: ExactEngine, pi: float) -> dict[frozenset, float]:
     """Cycle-set law of the copy process by direct summation."""
+    copy_sets = [sum(1 << eng.copies.index(fe) for fe in cyc.fedges)
+                 for cyc in cycle_graphs(eng)]
     law: dict[frozenset, float] = {}
     for mask in range(2 ** eng.M):
         w = 1.0
         for i in range(eng.M):
             w *= pi if mask >> i & 1 else 1.0 - pi
-        ids = frozenset(i for i, rec in enumerate(eng.cycles)
-                        if mask & rec.copy_bits == rec.copy_bits)
+        ids = frozenset(i for i, cm in enumerate(copy_sets)
+                        if mask & cm == cm)
         law[ids] = law.get(ids, 0.0) + w
     return law
 
@@ -32,7 +39,10 @@ def brute_h_law(eng: ExactEngine, pi: float) -> dict[frozenset, float]:
 def brute_g_law(eng: ExactEngine, p: float) -> dict[frozenset, float]:
     """D-cycle-set law of the auxiliary graph: edges and one dummy slot per
     potential sparse cycle, all independent Bernoulli(p)."""
-    slots = eng.sparse_ids
+    cycles = [(eng.table.edge_mask(shadow(cyc).edges),
+               classify(cyc).sparsity == "sparse")
+              for cyc in cycle_graphs(eng)]
+    slots = [i for i, (_sm, sparse) in enumerate(cycles) if sparse]
     law: dict[frozenset, float] = {}
     for emask in range(2 ** eng.E):
         we = p ** bin(emask).count("1") * (1 - p) ** (eng.E - bin(emask).count("1"))
@@ -40,10 +50,10 @@ def brute_g_law(eng: ExactEngine, p: float) -> dict[frozenset, float]:
             nd = bin(dbits).count("1")
             w = we * p ** nd * (1 - p) ** (len(slots) - nd)
             ids = set()
-            for i, rec in enumerate(eng.cycles):
-                if emask & rec.shadow_bits != rec.shadow_bits:
+            for i, (sm, sparse) in enumerate(cycles):
+                if emask & sm != sm:
                     continue
-                if rec.sparse:
+                if sparse:
                     pos = slots.index(i)
                     if not dbits >> pos & 1:
                         continue
@@ -62,8 +72,9 @@ class TestSetup:
     def test_dimensions(self, eng):
         assert eng.M == 4
         assert eng.E == 6
-        assert len(eng.cycles) == 6
-        assert all(rec.sparse for rec in eng.cycles)
+        assert eng.table.n_cycles == 6
+        assert all(classify(cyc).sparsity == "sparse"
+                   for cyc in cycle_graphs(eng))
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
@@ -90,7 +101,7 @@ class TestMu:
         assert eng.mu(five, 0.3) == 0.0
 
     def test_extremes(self, eng):
-        full = frozenset(range(len(eng.cycles)))
+        full = frozenset(range(eng.table.n_cycles))
         assert eng.mu(full, 1.0) == 1.0
         assert eng.mu(frozenset(), 0.0) == 1.0
 
@@ -135,24 +146,61 @@ class TestSampleG:
             g = eng.sample_g(valid, p, c1, rng)
             dummy_sets = {frozenset(k) for k in g.dummies}
             for i in c1:
-                assert frozenset(eng.cycles[i].cycle.fedges) in dummy_sets
+                assert eng.table.cycle(i).fedges in dummy_sets
 
 
 class TestTranslation:
     def test_h_cycle_ids(self, eng):
         h = FGraph.from_fedges(list(eng.copies[:2]), vertices=range(4))
         ids = eng.h_cycle_ids(h)
-        want = frozenset(i for i, rec in enumerate(eng.cycles)
-                         if all(fe in h.fedges for fe in rec.cycle.fedges))
+        want = frozenset(i for i, cyc in enumerate(cycle_graphs(eng))
+                         if cyc.fedges <= h.fedges)
         assert ids == want
 
     def test_gstar_cycle_ids_requires_dummy(self, eng):
-        rec = eng.cycles[0]
+        cyc = eng.table.cycle(0)
         base = Graph.from_edges(
-            sorted({e for fe in rec.cycle.fedges for e in fe.edge_set}),
+            sorted({e for fe in cyc.fedges for e in fe.edge_set}),
             vertices=range(4))
         without = DGraph(base=base, dummies=frozenset())
-        with_d = DGraph(base=base,
-                        dummies=frozenset({frozenset(rec.cycle.fedges)}))
+        with_d = DGraph(base=base, dummies=frozenset({cyc.fedges}))
         assert 0 not in eng.gstar_cycle_ids(without)
         assert 0 in eng.gstar_cycle_ids(with_d)
+
+
+class TestPlacementRows:
+    """Every cycle_placements row is a clean cycle by construction, which is
+    what lets the table skip classify and shadow per placement."""
+
+    @pytest.mark.parametrize("name,n", [("k3", 8), ("c4", 7), ("c5", 7),
+                                        ("k4me", 7), ("k4", 7)])
+    def test_rows_are_clean_cycles(self, name, n):
+        f = pattern_preset(name)
+        tab = Placements(f, n)
+        copies = potential_copies_on(f, range(n))
+        assert tuple(copies) == tab.copies
+        rows = list(cycle_placements(f, range(n), f.s))
+        assert len(rows) == tab.n_cycles
+        for i, ids in enumerate(rows):
+            cyc = FGraph.from_fedges(copies[c] for c in ids)
+            cls = classify(cyc)
+            assert cls.kind == "clean_cycle"
+            assert cls.length == len(ids)
+            assert (cls.sparsity == "sparse") == tab.sparse[i]
+            assert tab.ids(i) == list(ids)
+            assert tab.cycle(i) == cyc
+            assert tab.shadow_words[i].tolist() == tab.words(
+                tab.edge_mask(shadow(cyc).edges))
+
+    def test_build_makes_no_fgraph(self, monkeypatch):
+        made = []
+        post_init = FGraph.__post_init__
+
+        def counting(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(FGraph, "__post_init__", counting)
+        tab = Placements(K3, 8)
+        assert tab.n_cycles == 3780
+        assert made == []

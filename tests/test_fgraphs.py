@@ -92,8 +92,11 @@ class TestCopies:
         sparse = FGraph.from_fedges([triangle(0, 1, 2), triangle(0, 1, 3)])
         n = 6
         from fthresh.dgraphs import cycle_placements
-        explicit = sum(1 for cyc in cycle_placements(K3, range(n), 2)
-                       if classify(cyc).sparsity == "sparse")
+        copies = potential_copies_on(K3, range(n))
+        explicit = sum(
+            1 for ids in cycle_placements(K3, range(n), 2)
+            if classify(FGraph.from_fedges(copies[c] for c in ids)).sparsity
+            == "sparse")
         assert count_copies(sparse, n) == explicit == 90
 
     def test_fgraph_automorphisms(self):

@@ -5,20 +5,26 @@ import math
 import pytest
 
 from fthresh.errors import DomainError
-from fthresh.inventory import (build_inventory, chen_stein_bound,
-                               inventory_size)
-from fthresh.patterns import pattern_preset
+from fthresh.fgraphs import FGraph, classify, potential_copies_on, shadow
+from fthresh.graphs import Graph
+from fthresh.inventory import (DEFAULT_PAIRWISE_LIMIT, build_inventory,
+                               chen_stein_bound, inventory_size)
+from fthresh.patterns import analyze_pattern, pattern_preset
 
 K3 = pattern_preset("k3")
 
 
 class TestInventory:
     def test_counts_match_size(self):
-        for n in (5, 6, 7):
+        for n in (5, 6):
             inv = build_inventory(K3, n)
             assert inv.items is not None
             assert len(inv.items) == inv.total_count
             assert inv.total_count == inventory_size(K3, n, K3.s)
+        # past the pairwise limit only the count is kept
+        inv = build_inventory(K3, 7)
+        assert inv.items is None
+        assert inv.total_count == inventory_size(K3, 7, K3.s) == 1050
 
     def test_lengths_filter(self):
         inv = build_inventory(K3, 6, lengths={2})
@@ -26,22 +32,32 @@ class TestInventory:
         assert inv.total_count == 90
 
     def test_lengths_filter_avoids_full_enumeration(self):
-        # restricting to length 2 must not enumerate longer cycles
-        inv = build_inventory(K3, 16, lengths={2}, cap=10 ** 6)
-        assert inv.total_count == inventory_size(K3, 16, K3.s,
-                                                 frozenset({2}))
+        # restricting to length 2 must not enumerate longer cycles: the
+        # 2-cycle pass spends 1,260 of the cap, chaining 3-cycles 28,548
+        inv = build_inventory(K3, 8, lengths={2}, cap=2_000)
+        assert len(inv.items) == inv.total_count == inventory_size(
+            K3, 8, K3.s, frozenset({2}))
 
     def test_aggregate_fallback(self):
-        inv = build_inventory(K3, 8, explicit_limit=10)
+        inv = build_inventory(K3, 8)
+        assert inv.total_count > DEFAULT_PAIRWISE_LIMIT
         assert inv.items is None
         assert inv.total_count == inventory_size(K3, 8, K3.s)
 
     def test_item_shape(self):
         inv = build_inventory(K3, 5)
+        copies = potential_copies_on(K3, range(5))
         for it in inv.items:
+            cycle = FGraph.from_fedges(copies[c] for c in it.copy_ids)
+            cls = classify(cycle)
+            assert cls.kind == "clean_cycle"
+            assert it.k == cls.length == len(it.copy_ids)
+            assert it.sparse == (cls.sparsity == "sparse")
             assert it.exponent_h() == it.k
             assert it.exponent_g(K3.s) == it.k * K3.s
-            assert it.verts == it.cycle.vertices
+            assert it.verts == cycle.vertices
+            assert it.shadow_mask == sum(1 << (u * 5 + v)
+                                         for u, v in shadow(cycle).edges)
 
 
 class TestChenStein:
@@ -81,6 +97,16 @@ class TestChenStein:
         assert pw == pytest.approx((0.067635, 0.0083960), rel=1e-4)
         assert ag[0] == pytest.approx(pw[0], rel=1e-9)
         assert ag[1] == pytest.approx(pw[1], rel=1e-9)
+
+    def test_aggregate_buckets_follow_the_labelling(self):
+        """Which cycle type sits at which index depends on F's labelling,
+        so two labellings of C4 in one process must not share buckets."""
+        for edges in ([(0, 1), (1, 2), (2, 3), (0, 3)],
+                      [(0, 2), (1, 2), (1, 3), (0, 3)]):
+            f = analyze_pattern(Graph.from_edges(edges))
+            inv = build_inventory(f, 6, lengths={2})
+            ag = chen_stein_bound(inv, 0.01, 0.2, pairwise_limit=0)
+            assert ag == pytest.approx((0.067635, 0.0083960), rel=1e-4)
 
     def test_domain(self):
         inv = build_inventory(K3, 4)
