@@ -11,17 +11,19 @@ second-moment arguments downstream to apply.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import (CounterexampleError, InternalInconsistencyError,
                      NotACleanCycleError, ResourceLimitError)
 from .graphs import DEFAULT_ENUMERATION_CAP, Graph, canonical_form
-from .fgraphs import (FEdge, FGraph, classify, is_sparse_pair,
-                      potential_copies_on, shadow)
+from .fgraphs import (FEdge, FGraph, _clean_cycle_order, classify,
+                      copies_on_vertex_set, count_copies,
+                      fgraph_automorphisms, potential_copies_on, shadow)
 from .patterns import Pattern
 
 DummyKey = frozenset  # frozenset[FEdge]: the two copies of a sparse 2-cycle
@@ -48,11 +50,6 @@ class DGraph:
 
     def dummy_span(self, key: DummyKey) -> frozenset[int]:
         return frozenset().union(*(fe.vertices for fe in key))
-
-
-def project(g: DGraph) -> Graph:
-    """Forget the dummy edges."""
-    return g.base
 
 
 @dataclass(frozen=True)
@@ -285,121 +282,134 @@ def dcycle_report_csv(rows: Iterable[DCycleRow]) -> str:
 
 # -- concrete cycle placements on a label set --------------------------------
 
-def sparse_cycle_placements(f: Pattern,
-                            labels: Iterable[int]) -> list[frozenset[FEdge]]:
-    """Every sparse clean 2-cycle on the given labels, as unordered copy
-    pairs, in a deterministic order. These key the dummy edges."""
-    copies = potential_copies_on(f, labels)
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for i, fe in enumerate(copies):
-        for pair in itertools.combinations(sorted(fe.vertices), 2):
-            by_pair.setdefault(pair, []).append(i)
-    out: list[frozenset[FEdge]] = []
-    seen: set[frozenset[int]] = set()
-    for pair in sorted(by_pair):
-        group = by_pair[pair]
-        for ai, bi in itertools.combinations(group, 2):
-            h1, h2 = copies[ai], copies[bi]
-            if h1.vertices & h2.vertices != frozenset(pair):
-                continue
-            if not is_sparse_pair(h1, h2):
-                continue
-            key = frozenset((ai, bi))
-            if key not in seen:
-                seen.add(key)
-                out.append(frozenset((h1, h2)))
-    return out
+class CycleRows(NamedTuple):
+    """Row i is the cycle with sorted copy ids copy_ids[i, :lengths[i]]
+    (int32, padded with -1) and sparsity flag sparse[i]."""
+
+    copy_ids: np.ndarray
+    lengths: np.ndarray
+    sparse: np.ndarray
 
 
-def is_sparse_placement(copies: Sequence[FEdge],
-                        ids: Sequence[int]) -> bool:
-    """Sparsity of a cycle_placements row over its copy list: a clean cycle
-    is sparse exactly when it is a pair of copies sharing an edge."""
-    return len(ids) == 2 and is_sparse_pair(copies[ids[0]], copies[ids[1]])
+def _relabellings(cycle: FGraph) -> np.ndarray:
+    """Per distinct relabelling of a cycle on 0..v-1, the least permutation
+    of its coset of Aut: each vertex b is labelled before the rest of its
+    orbit under the automorphisms fixing 0..b-1. Labels go out in turn to
+    vertices whose predecessors are labelled, so no v! pass is made."""
+    v = cycle.v()
+    group = fgraph_automorphisms(cycle)
+    before = [0] * v  # per vertex, the vertices labelled before it, as a mask
+    for b in range(v):
+        for a in group:
+            if a[b] != b:
+                before[a[b]] |= 1 << b
+        group = [a for a in group if a[b] == b]
+    order = np.zeros((1, 0), dtype=np.int64)  # order[:, t]: vertex labelled t
+    for _ in range(v):
+        done = (1 << order).sum(axis=1)  # the labelled vertices, as a mask
+        free = [((done >> x) & 1 == 0) & ((done & before[x]) == before[x])
+                for x in range(v)]
+        order = np.concatenate([
+            np.column_stack((order[ok], np.full(ok.sum(), x)))
+            for x, ok in enumerate(free)])
+    return np.argsort(order, axis=1)
+
+
+def _type_rows(f: Pattern, cycle: FGraph, n_labels: int) -> np.ndarray:
+    """Every placement of one cycle type on the labels 0..n_labels-1 as
+    its copy ids, in cycle order: the representative under each distinct
+    relabelling, carried monotonically onto each v-subset of the labels.
+    A monotone map keeps each copy's shape index within its vertex set, so
+    a copy's id is the lexicographic rank of its vertex set times the
+    copies per vertex set, plus that index."""
+    r, v = f.r, cycle.v()
+    fes = (list(cycle.fedges) if cycle.e() == 2
+           else _clean_cycle_order(cycle)[0])
+    sigma = _relabellings(cycle)
+    shape_of = {fe: i for i, fe in
+                enumerate(copies_on_vertex_set(f, range(r)))}
+    pverts = sorted(f.graph.vertices)
+    subsets = np.array(list(itertools.combinations(range(n_labels), v)),
+                       dtype=np.int32).reshape(-1, v)
+    # the rank of a sorted r-set c of [N] is C(N, r) - 1 minus the sum of
+    # the terms C(N - 1 - c_i, r - i)
+    term = np.array([[math.comb(n_labels - 1 - c, r - i) for i in range(r)]
+                     for c in range(n_labels)], dtype=np.int32)
+    out = np.empty((len(subsets), len(sigma), len(fes)), dtype=np.int32)
+    for c, fe in enumerate(fes):
+        images = sigma[:, list(fe.embedding)]
+        # a copy's shape index follows from the relative order of its
+        # template vertices' images, here keyed as a base-r number
+        ranks = images.argsort(axis=1).argsort(axis=1)
+        _keys, first, which = np.unique(ranks @ r ** np.arange(r),
+                                        return_index=True, return_inverse=True)
+        shapes = np.array(
+            [shape_of[FEdge.from_embedding(f, dict(zip(pverts, p)))]
+             for p in ranks[first].tolist()], dtype=np.int32)[which]
+        local = np.sort(images, axis=1)
+        rank = math.comb(n_labels, r) - 1 - sum(
+            term[subsets[:, local[:, i]], i] for i in range(r))
+        out[:, :, c] = rank * f.copies_per_vertex_set + shapes
+    return out.reshape(-1, len(fes))
 
 
 def cycle_placements(f: Pattern, labels: Iterable[int], max_len: int,
-                     cap: int = DEFAULT_ENUMERATION_CAP
-                     ) -> Iterator[tuple[int, ...]]:
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> CycleRows:
     """All clean-cycle placements of length 2..max_len on the given labels,
-    each as the sorted ids of its copies in potential_copies_on(f, labels).
+    each row the sorted ids of its copies in potential_copies_on(f,
+    labels), built by relabelling the clean_cycle_types representatives.
 
-    Length-2 cycles come from copy pairs overlapping in two vertices; longer
-    ones from chaining single-vertex overlaps, deduplicated by copy set.
-    Every row is a clean cycle of length len(row).
-    """
+    Every 2-cycle comes first, by its copy ids; then every longer cycle by
+    its copy sequence read from its least copy id towards the smaller
+    neighbour, lexicographically with a prefix before its extensions. More
+    than cap placements, counted from the type orbits, raise
+    ResourceLimitError before any is built."""
+    n_labels = len(set(labels))
+    # a clean k-cycle has k * (r - 1) vertices, so larger types are skipped
+    types = [(k, cycle) for k in range(2, max_len + 1)
+             if k * (f.r - 1) <= n_labels
+             for cycle, _sig in clean_cycle_types(f, k)]
+    total = sum(count_copies(cycle, n_labels) for _k, cycle in types)
+    if total > cap:
+        raise ResourceLimitError(f"{total} cycle placements exceed cap {cap}")
+    if not types:
+        return CycleRows(np.empty((0, 0), dtype=np.int32),
+                         np.empty(0, dtype=np.int32), np.empty(0, dtype=bool))
+    width = max(k for k, _cycle in types)
+    seqs, lengths, sparse = [], [], []
+    for k, cycle in types:
+        rows = _type_rows(f, cycle, n_labels)
+        # read each cycle from its least id towards the smaller neighbour
+        at = np.arange(len(rows))[:, None]
+        start = rows.argmin(axis=1)[:, None]
+        step = np.where(rows[at, (start + 1) % k] < rows[at, (start - 1) % k],
+                        1, -1)
+        seqs.append(np.full((len(rows), width), -1, dtype=np.int32))
+        seqs[-1][:, :k] = rows[at, (start + step * np.arange(k)) % k]
+        lengths.append(np.full(len(rows), k, dtype=np.int32))
+        sparse.append(np.full(len(rows), classify(cycle).sparsity == "sparse"))
+    seq = np.concatenate(seqs)
+    lengths = np.concatenate(lengths)
+    order = np.lexsort((*seq.T[::-1], lengths > 2))
+    top = np.iinfo(np.int32).max
+    ids = np.where(seq[order] < 0, top, seq[order])
+    ids.sort(axis=1)
+    ids[ids == top] = -1
+    return CycleRows(ids, lengths[order], np.concatenate(sparse)[order])
+
+
+def sparse_cycle_placements(f: Pattern,
+                            labels: Iterable[int]) -> list[frozenset[FEdge]]:
+    """Every sparse clean 2-cycle on the given labels, as unordered copy
+    pairs ordered by their shared vertex pair and then by copy ids. These
+    key the dummy edges."""
+    labels = sorted(labels)
     copies = potential_copies_on(f, labels)
-    m = len(copies)
-    by_vertex: dict[int, list[int]] = {}
-    for i, fe in enumerate(copies):
-        for u in fe.vertices:
-            by_vertex.setdefault(u, []).append(i)
-    budget = cap
-
-    def spend(amount: int = 1) -> None:
-        nonlocal budget
-        budget -= amount
-        if budget < 0:
-            raise ResourceLimitError(
-                f"cycle placement enumeration exceeded cap {cap}")
-
-    if max_len >= 2:
-        for i in range(m):
-            vi = copies[i].vertices
-            partners = set()
-            for u in vi:
-                partners.update(j for j in by_vertex[u] if j > i)
-            for j in sorted(partners):
-                spend()
-                if len(vi & copies[j].vertices) == 2:
-                    yield (i, j)
-
-    if max_len < 3:
-        return
-
-    emitted: set[tuple[int, ...]] = set()
-
-    def extend(chain: list[int]) -> Iterator[tuple[int, ...]]:
-        head = chain[0]
-        tail = chain[-1]
-        tail_verts = copies[tail].vertices
-        cand = set()
-        for u in tail_verts:
-            cand.update(j for j in by_vertex[u] if j > head)
-        for j in sorted(cand):
-            if j in chain:
-                continue
-            spend()
-            vj = copies[j].vertices
-            if len(vj & tail_verts) != 1:
-                continue
-            if any(vj & copies[c].vertices for c in chain[1:-1]):
-                continue
-            if len(chain) == 1:
-                # head and tail coincide; only extension is possible
-                if len(chain) + 1 < max_len:
-                    yield from extend(chain + [j])
-                continue
-            head_ov = vj & copies[head].vertices
-            if len(head_ov) == 1:
-                overlaps = []
-                order = chain + [j]
-                good = True
-                kk = len(order)
-                for t in range(kk):
-                    ov = (copies[order[t]].vertices
-                          & copies[order[(t + 1) % kk]].vertices)
-                    if len(ov) != 1:
-                        good = False
-                        break
-                    overlaps.append(next(iter(ov)))
-                if good and len(set(overlaps)) == kk:
-                    key = tuple(sorted(order))
-                    if key not in emitted:
-                        emitted.add(key)
-                        yield key
-            if len(chain) + 1 < max_len and not head_ov:
-                yield from extend(chain + [j])
-
-    for i in range(m):
-        yield from extend([i])
+    rows = cycle_placements(f, labels, 2)
+    pairs = rows.copy_ids[rows.sparse, :2].reshape(-1, 2)
+    verts = np.array([sorted(fe.vertices) for fe in copies]).reshape(-1, f.r)
+    first, second = verts[pairs[:, 0]], verts[pairs[:, 1]]
+    shared = first[(first[:, :, None] == second[:, None, :]).any(axis=2)]
+    shared = shared.reshape(-1, 2)
+    pairs = pairs[np.lexsort((*pairs.T[::-1], *shared.T[::-1]))]
+    return [frozenset((copies[a], copies[b])) for a, b in pairs.tolist()]

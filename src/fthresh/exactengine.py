@@ -2,15 +2,15 @@
 
 The placement table lists every potential copy of the template on [n] with
 its edge bitmask, and every clean-cycle placement as one row of columnar
-numpy arrays (padded copy ids, shadow words, sparse flags), built straight
-from the copy-id rows the enumerator yields, with no F-graph per cycle;
-both coupling modes and the exact engine read it. The engine holds the
-full product spaces behind both random objects: one axis per potential
-copy for the copy process, one axis per potential usual edge for the
-auxiliary graph, with dummy edges marginalized analytically. Everything
-downstream (cycle-set probabilities, maximal pre-coupling, per-step
-conditional probabilities, final conditional sampling) reduces to masked
-sums over these arrays.
+numpy arrays (padded copy ids, shadow words, sparse flags), taken straight
+from the enumerator's arrays with no F-graph per cycle; both coupling
+modes and the exact engine read it. The engine holds the full product
+spaces behind both random objects: one axis per potential copy for the
+copy process, one axis per potential usual edge for the auxiliary graph,
+with dummy edges marginalized analytically. Everything downstream
+(cycle-set probabilities, maximal pre-coupling, per-step conditional
+probabilities, final conditional sampling) reduces to masked sums over
+these arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .dgraphs import DGraph, cycle_placements, is_sparse_placement
+from .dgraphs import DGraph, cycle_placements
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .fgraphs import FEdge, FGraph, all_potential_copies
 from .graphs import Graph
@@ -58,13 +58,9 @@ class Placements:
         self.copy_bits = tuple(self.edge_mask(fe.edge_set)
                                for fe in self.copies)
         # the rows index potential_copies_on(f, range(n)), i.e. self.copies
-        rows = list(cycle_placements(f, range(n), f.s))
-        self.n_cycles = len(rows)
-        self.lengths = np.array([len(ids) for ids in rows], dtype=np.int32)
-        width = int(self.lengths.max(initial=0))
-        self.copy_ids = np.array(
-            [ids + (-1,) * (width - len(ids)) for ids in rows],
-            dtype=np.int32).reshape(len(rows), width)
+        self.copy_ids, self.lengths, self.sparse = cycle_placements(
+            f, range(n), f.s)
+        self.n_cycles = len(self.lengths)
         self.n_words = max(1, -(-len(self.pairs) // 64))
         # a last all-zero row, which the -1 padding of copy_ids indexes
         copy_words = np.array([self.words(b) for b in self.copy_bits + (0,)],
@@ -72,9 +68,6 @@ class Placements:
         # column-major: the scans below read one word of every cycle at once
         self.shadow_words = np.asfortranarray(
             np.bitwise_or.reduce(copy_words[self.copy_ids], axis=1))
-        self.sparse = np.array(
-            [is_sparse_placement(self.copies, ids) for ids in rows],
-            dtype=bool)
 
     def ids(self, i: int) -> list[int]:
         """The sorted copy ids of cycle i."""

@@ -24,11 +24,8 @@ from .patterns import Pattern
 
 @dataclass(frozen=True)
 class ExponentReport:
-    subject: object
-    eps: Fraction
     f1: Fraction
     f2: Fraction
-    f: Fraction
 
 
 @dataclass(frozen=True)
@@ -64,17 +61,15 @@ def _rank_of(d: DGraph) -> int:
     return d.base.v() - c
 
 
-def f_exponents(f: Pattern, s: Graph, eps: Fraction) -> ExponentReport:
-    """Good-edge exponents of an intersection graph.
+def f_exponents(f: Pattern, s: Graph) -> ExponentReport:
+    """Good-edge exponents f1 and f2 of an intersection graph; f(S) is
+    f1 + eps * f2.
 
     f1 is additive over disjoint components and zero on isolated vertices.
     """
     vmc = s.v() - components(s)[0]
-    f1 = Fraction(s.e()) / f.d1 - vmc
-    f2 = vmc + 1 - Fraction(s.e(), f.s)
-    eps = Fraction(eps)
-    return ExponentReport(subject=s, eps=eps,
-                          f1=f1, f2=f2, f=f1 + eps * f2)
+    return ExponentReport(f1=Fraction(s.e()) / f.d1 - vmc,
+                          f2=vmc + 1 - Fraction(s.e(), f.s))
 
 
 # -- admissible-S enumeration ------------------------------------------------
@@ -94,7 +89,7 @@ def certified_max_f1(f: Pattern) -> Fraction:
     subs = admissible_f_subgraphs(f)
     if not subs:
         raise DomainError("template needs at least two edges")
-    return max(f_exponents(f, s, Fraction(0)).f1 for s in subs)
+    return max(f_exponents(f, s).f1 for s in subs)
 
 
 def _induced_edge_counts(g: Graph, verts: list[int]) -> np.ndarray:
@@ -260,7 +255,7 @@ def select_constants(f: Pattern, max_len: Optional[int] = None) -> SelectedConst
                           "constant selection is impossible")
     delta = -top / 4
     eps = delta / (2 * f.s)
-    mf2 = max((f_exponents(f, s, Fraction(0)).f2
+    mf2 = max((f_exponents(f, s).f2
                for s in admissible_f_subgraphs(f)), default=Fraction(0))
     mg2 = Fraction(0)
     for k in range(2, max_len + 1):
@@ -288,7 +283,7 @@ def exponent_audit_csv(f: Pattern, max_len: Optional[int] = None) -> str:
         max_len = min(f.s, 4)
     lines = ["kind,context,detail,e,v,value1,value2"]
     for s in admissible_f_subgraphs(f):
-        rep = f_exponents(f, s, Fraction(0))
+        rep = f_exponents(f, s)
         detail = ";".join(f"{u}-{v}" for u, v in sorted(s.edges))
         lines.append(f"f,pattern,{detail},{s.e()},{s.v()},{rep.f1},{rep.f2}")
     _best, rows = certified_max_g1(f, max_len)

@@ -260,17 +260,13 @@ def find_avoidable(h: FGraph, max_fedges: int,
     return None
 
 
-def fgraph_automorphism_count(shape: FGraph) -> int:
+def fgraph_automorphisms(shape: FGraph) -> list[dict[int, int]]:
     """Vertex permutations preserving the F-edge set (shadow auts filtered)."""
     copies = {(fe.vertices, fe.edge_set) for fe in shape.fedges}
-    count = 0
-    for a in automorphisms(shadow(shape)):
-        mapped = {(frozenset(a[u] for u in vs),
-                   frozenset(_norm_edge(a[u], a[v]) for u, v in es))
-                  for vs, es in copies}
-        if mapped == copies:
-            count += 1
-    return count
+    return [a for a in automorphisms(shadow(shape))
+            if {(frozenset(a[u] for u in vs),
+                 frozenset(_norm_edge(a[u], a[v]) for u, v in es))
+                for vs, es in copies} == copies]
 
 
 def count_copies(shape: FGraph, n: int) -> int:
@@ -278,7 +274,8 @@ def count_copies(shape: FGraph, n: int) -> int:
     v = shape.v()
     if n < v:
         raise ValueError(f"n={n} smaller than v(shape)={v}")
-    return math.comb(n, v) * math.factorial(v) // fgraph_automorphism_count(shape)
+    return (math.comb(n, v) * math.factorial(v)
+            // len(fgraph_automorphisms(shape)))
 
 
 def f_degrees(h: FGraph) -> dict[int, int]:

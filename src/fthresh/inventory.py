@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
-from .dgraphs import clean_cycle_types, cycle_placements, is_sparse_placement
+import numpy as np
+
+from .dgraphs import clean_cycle_types, cycle_placements
 from .errors import DomainError
-from .fgraphs import FGraph, count_copies, potential_copies_on, shadow
-from .graphs import Edge
+from .fgraphs import FGraph, count_copies, potential_copies_on
 from .patterns import Pattern
 
 DEFAULT_PAIRWISE_LIMIT = 600
@@ -58,40 +59,35 @@ def _wanted(k: int, max_len: int, lengths: Optional[frozenset[int]]) -> bool:
     return k in lengths if lengths is not None else 2 <= k <= max_len
 
 
-def _edge_mask(edges: Iterable[Edge], n_labels: int) -> int:
-    return sum(1 << (u * n_labels + v) for u, v in edges)
+def _words(mask: int, n_words: int) -> np.ndarray:
+    return np.array([mask >> 64 * w & 2 ** 64 - 1 for w in range(n_words)],
+                    dtype=np.uint64)
 
 
-def _placements(f: Pattern, n_labels: int, max_len: int,
-                lengths: Optional[frozenset[int]], cap: int = 10 ** 7
-                ) -> Iterator[tuple[tuple[int, ...], int, int, bool]]:
-    """The wanted placements on the labels 0..n_labels-1 as (copy ids,
-    vertex mask, shadow mask, sparse), vertex u at bit u and edge (u, v) at
-    bit u * n_labels + v of the masks."""
-    copies = potential_copies_on(f, range(n_labels))
-    vmasks = [sum(1 << u for u in fe.vertices) for fe in copies]
-    emasks = [_edge_mask(fe.edge_set, n_labels) for fe in copies]
+def _rows(f: Pattern, n_labels: int, max_len: int,
+          lengths: Optional[frozenset[int]], cap: int = 10 ** 7) -> tuple:
+    """The wanted placements on the labels 0..n_labels-1: copy ids,
+    lengths, sparse flags, and each placement's vertices and shadow edges
+    as one bit set in uint64 words, vertex u at bit u and edge (u, v) at
+    bit n_labels * (u + 1) + v."""
     enum_len = max_len if lengths is None else min(max_len, max(lengths))
-    for ids in cycle_placements(f, range(n_labels), enum_len, cap=cap):
-        if _wanted(len(ids), max_len, lengths):
-            verts = edges = 0
-            for c in ids:
-                verts |= vmasks[c]
-                edges |= emasks[c]
-            yield ids, verts, edges, is_sparse_placement(copies, ids)
+    rows = cycle_placements(f, range(n_labels), enum_len, cap=cap)
+    keep = np.isin(rows.lengths, list(lengths or range(2, max_len + 1)))
+    # per copy, then an all-zero mask that the -1 padding of copy ids reads
+    masks = [sum(1 << u for u in fe.vertices)
+             | sum(1 << n_labels * (u + 1) + v for u, v in fe.edge_set)
+             for fe in potential_copies_on(f, range(n_labels))] + [0]
+    n_words = -(-n_labels * (n_labels + 1) // 64)
+    words = np.array([_words(m, n_words) for m in masks])
+    ids = rows.copy_ids[keep]
+    return (ids, rows.lengths[keep], rows.sparse[keep],
+            np.bitwise_or.reduce(words[ids], axis=1))
 
 
 def inventory_size(f: Pattern, n: int, max_len: int,
                    lengths: Optional[frozenset[int]] = None) -> int:
     """Exact number of placements, from per-type orbit counts."""
-    total = 0
-    for k in range(2, max_len + 1):
-        if not _wanted(k, max_len, lengths):
-            continue
-        for cycle, _sig in clean_cycle_types(f, k):
-            if cycle.v() <= n:
-                total += count_copies(cycle, n)
-    return total
+    return sum(_safe_count(rep, n) for rep in _type_reps(f, max_len, lengths))
 
 
 def build_inventory(f: Pattern, n: int, max_len: Optional[int] = None,
@@ -108,12 +104,13 @@ def build_inventory(f: Pattern, n: int, max_len: Optional[int] = None,
     if total > DEFAULT_PAIRWISE_LIMIT:
         return CycleInventory(f=f, n=n, max_len=max_len, items=None,
                               total_count=total, lengths=lengths)
-    items = [InventoryItem(copy_ids=ids, k=len(ids), sparse=sparse,
-                           verts=frozenset(u for u in range(n)
-                                           if verts >> u & 1),
-                           shadow_mask=edges)
-             for ids, verts, edges, sparse in _placements(
-                 f, n, max_len, lengths, cap)]
+    items = []
+    for ids, k, sparse, words in zip(*_rows(f, n, max_len, lengths, cap)):
+        bits = int.from_bytes(words.astype("<u8").tobytes(), "little")
+        items.append(InventoryItem(
+            copy_ids=tuple(ids[:k].tolist()), k=int(k), sparse=bool(sparse),
+            verts=frozenset(u for u in range(n) if bits >> u & 1),
+            shadow_mask=bits >> n))
     # copy ids follow FEdge.sort_key, so this orders the cycles by their
     # sorted copies
     items.sort(key=lambda it: it.copy_ids)
@@ -156,13 +153,9 @@ def _pairwise_terms(inv: CycleInventory, pi: float,
 
 def _type_reps(f: Pattern, max_len: int,
                lengths: Optional[frozenset[int]] = None) -> list[FGraph]:
-    reps = []
-    for k in range(2, max_len + 1):
-        if not _wanted(k, max_len, lengths):
-            continue
-        for cycle, _sig in clean_cycle_types(f, k):
-            reps.append(cycle)
-    return reps
+    return [cycle for k in range(2, max_len + 1)
+            if _wanted(k, max_len, lengths)
+            for cycle, _sig in clean_cycle_types(f, k)]
 
 
 def _pair_buckets(f: Pattern, anchor: FGraph, max_len: int,
@@ -180,20 +173,29 @@ def _pair_buckets(f: Pattern, anchor: FGraph, max_len: int,
     v_other_max = max(cy.v() for cy in _type_reps(f, max_len, lengths))
     n_labels = v_anchor + v_other_max - 1
     copies = potential_copies_on(f, range(n_labels))
-    c0_ids = tuple(sorted(copies.index(fe) for fe in anchor.fedges))
-    c0_edges = _edge_mask(shadow(anchor).edges, n_labels)
-    c0_dummy = int(is_sparse_placement(copies, c0_ids))
-    anchor_mask = (1 << v_anchor) - 1
-    buckets: dict[tuple[int, int, int], int] = {}
-    for ids, verts, edges, sparse in _placements(f, n_labels, max_len,
-                                                 lengths):
-        if not verts & anchor_mask or ids == c0_ids:
-            continue
-        key = ((verts & ~anchor_mask).bit_count(),
-               len(set(c0_ids).union(ids)),
-               (c0_edges | edges).bit_count() + c0_dummy + sparse)
-        buckets[key] = buckets.get(key, 0) + 1
-    return buckets
+    c0 = sorted(copies.index(fe) for fe in anchor.fedges)
+    ids, ks, sparse, words = _rows(f, n_labels, max_len, lengths)
+    at = np.flatnonzero((ks == len(c0))
+                        & (ids[:, :len(c0)] == c0).all(axis=1))[0]
+    n_words = words.shape[1]
+    vertex, inside = (1 << n_labels) - 1, (1 << v_anchor) - 1
+    anchor_bits = _words(inside, n_words)
+    fresh = _words(vertex - inside, n_words)
+    edges = _words((1 << n_labels * (n_labels + 1)) - 1 - vertex, n_words)
+    keep = (words & anchor_bits).any(axis=1)
+    keep[at] = False
+    keys = np.column_stack((
+        np.bitwise_count(words & fresh).sum(axis=1, dtype=np.int64),
+        len(c0) + ks - np.isin(ids, c0).sum(axis=1),
+        np.bitwise_count((words | words[at]) & edges).sum(axis=1,
+                                                          dtype=np.int64)
+        + sparse[at] + sparse))[keep]
+    # in order of first occurrence, so the sums over buckets add up in the
+    # order of the placements
+    uniq, first, counts = np.unique(keys, axis=0, return_index=True,
+                                    return_counts=True)
+    order = np.argsort(first)
+    return dict(zip(map(tuple, uniq[order].tolist()), counts[order].tolist()))
 
 
 @functools.lru_cache(maxsize=8)

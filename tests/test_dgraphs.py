@@ -3,15 +3,20 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from placement_oracles import (by_pair_sparse_placements,
+                               chain_cycle_placements)
 
 from fthresh.dgraphs import (DGraph, clean_cycle_types, cycle_placements,
                              dcycle_density, dcycle_of,
                              dcycle_report_csv, is_strictly_balanced_dcycle,
-                             max_proper_subgraph_density, project,
+                             max_proper_subgraph_density,
                              sparse_cycle_placements,
                              verify_clean_dcycles_strictly_balanced)
-from fthresh.fgraphs import FEdge, FGraph, all_potential_copies, classify
+from fthresh.errors import ResourceLimitError
+from fthresh.fgraphs import (FEdge, FGraph, all_potential_copies, classify,
+                             count_copies, potential_copies_on)
 from fthresh.graphs import Graph
 from fthresh.patterns import pattern_preset
 
@@ -49,7 +54,7 @@ class TestDCycles:
     def test_projection_drops_dummies(self):
         cyc = FGraph.from_fedges([triangle(0, 1, 2), triangle(0, 1, 3)])
         d = dcycle_of(cyc, K3)
-        assert project(d.dgraph).e() == 2 * K3.s - 1
+        assert d.dgraph.base.e() == 2 * K3.s - 1
 
 
 class TestCycleTypes:
@@ -86,6 +91,19 @@ class TestCycleTypes:
         assert len(text.splitlines()) == len(rows) + 1
 
 
+def rows_of(placements):
+    """The cycle_placements rows as tuples of copy ids."""
+    return [tuple(ids[:k]) for ids, k in zip(placements.copy_ids.tolist(),
+                                             placements.lengths.tolist())]
+
+
+# the templates and label counts the reference enumerators are held to
+ORACLE_KEYS = ([("k3", n) for n in range(4, 11)]
+               + [("c4", n) for n in (6, 7, 8)]
+               + [(name, n) for name in ("c5", "k4me", "k4") for n in (7, 8)]
+               + [("k4", 9)])
+
+
 class TestPlacements:
     def brute_placements(self, n, max_len):
         copies = all_potential_copies(K3, n)
@@ -101,9 +119,64 @@ class TestPlacements:
         n = 7
         copies = all_potential_copies(K3, n)
         got = {frozenset(copies[c] for c in ids)
-               for ids in cycle_placements(K3, range(n), 3)}
+               for ids in rows_of(cycle_placements(K3, range(n), 3))}
         want = self.brute_placements(n, 3)
         assert got == want
+
+    @pytest.mark.parametrize("name,n", ORACLE_KEYS)
+    def test_rows_match_the_chain_recursion(self, name, n):
+        """Relabelled type representatives give the rows the chain search
+        over the copies finds, in the same order; the enumerator trusts
+        clean_cycle_types to be complete, and this checks it."""
+        f = pattern_preset(name)
+        rows = cycle_placements(f, range(n), f.s)
+        assert rows_of(rows) == chain_cycle_placements(f, range(n), f.s)
+        assert rows.copy_ids.dtype == np.int32
+        assert rows.copy_ids.flags.c_contiguous
+
+    @pytest.mark.parametrize("name,n", [key for key in ORACLE_KEYS
+                                        if key[1] <= 8])
+    def test_sparse_placements_match_the_pair_loop(self, name, n):
+        f = pattern_preset(name)
+        assert sparse_cycle_placements(f, range(n)) == \
+            by_pair_sparse_placements(f, range(n))
+
+    def test_labels_are_interchangeable(self):
+        """Copy ids index potential_copies_on(f, labels), whatever the
+        labels are."""
+        labels = (3, 5, 8, 9, 11, 20, 21)
+        copies = potential_copies_on(K3, labels)
+        got = {frozenset(copies[c] for c in ids)
+               for ids in rows_of(cycle_placements(K3, labels, 3))}
+        assert len(got) == 1050
+        assert all(classify(FGraph.from_fedges(cyc)).kind == "clean_cycle"
+                   for cyc in got)
+        assert sparse_cycle_placements(K3, labels) == \
+            by_pair_sparse_placements(K3, labels)
+
+    def test_cap_counts_placements(self):
+        """K3 has 420 2-cycles and 3,360 3-cycles on 8 labels; the cap is
+        checked against that exact count before any row is built."""
+        with pytest.raises(ResourceLimitError):
+            cycle_placements(K3, range(8), 3, cap=3_779)
+        assert len(cycle_placements(K3, range(8), 3, cap=3_780).lengths) \
+            == 3_780
+
+    def test_nine_vertex_types(self):
+        """The four length-3 types of C4 have nine vertices and nontrivial
+        automorphism groups; each relabelling is built once, as a coset
+        representative. (K4 on 9 labels is held to the chain recursion
+        above; for C4 there it takes 7 s.)"""
+        c4 = pattern_preset("c4")
+        rows = cycle_placements(c4, range(9), 3)
+        ids = rows.copy_ids[rows.lengths == 3]
+        want = sum(count_copies(cyc, 9)
+                   for cyc, _sig in clean_cycle_types(c4, 3))
+        assert len({tuple(r) for r in ids.tolist()}) == len(ids) == want
+        copies = potential_copies_on(c4, range(9))
+        for r in ids[::len(ids) // 50].tolist():
+            cls = classify(FGraph.from_fedges(copies[c] for c in r))
+            assert cls.kind == "clean_cycle" and cls.length == 3
 
     def test_sparse_placements_count(self):
         # one sparse pair per (edge, apex pair): 15 * C(4, 2) at n = 6

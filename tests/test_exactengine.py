@@ -179,9 +179,11 @@ class TestPlacementRows:
         tab = Placements(f, n)
         copies = potential_copies_on(f, range(n))
         assert tuple(copies) == tab.copies
-        rows = list(cycle_placements(f, range(n), f.s))
-        assert len(rows) == tab.n_cycles
-        for i, ids in enumerate(rows):
+        rows = cycle_placements(f, range(n), f.s)
+        assert len(rows.lengths) == tab.n_cycles
+        for i, (ids, k) in enumerate(zip(rows.copy_ids.tolist(),
+                                         rows.lengths.tolist())):
+            ids = ids[:k]
             cyc = FGraph.from_fedges(copies[c] for c in ids)
             cls = classify(cyc)
             assert cls.kind == "clean_cycle"
@@ -193,6 +195,9 @@ class TestPlacementRows:
                 tab.edge_mask(shadow(cyc).edges))
 
     def test_build_makes_no_fgraph(self, monkeypatch):
+        """The type representatives are F-graphs, one per type; the
+        placements are not: 3,780 at n = 8 and 26,460 at n = 10 cost the
+        same F-graph builds."""
         made = []
         post_init = FGraph.__post_init__
 
@@ -201,6 +206,9 @@ class TestPlacementRows:
             post_init(self)
 
         monkeypatch.setattr(FGraph, "__post_init__", counting)
-        tab = Placements(K3, 8)
-        assert tab.n_cycles == 3780
-        assert made == []
+        builds = []
+        for n, cycles in ((8, 3780), (10, 26460)):
+            made.clear()
+            assert Placements(K3, n).n_cycles == cycles
+            builds.append(len(made))
+        assert builds[0] == builds[1]

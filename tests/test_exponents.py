@@ -24,8 +24,9 @@ class TestFExponents:
     def test_k3_single_edge(self):
         f = pattern_preset("k3")
         s = Graph.from_edges([(0, 1)])
-        rep = f_exponents(f, s, Fraction(0))
+        rep = f_exponents(f, s)
         assert rep.f1 == Fraction(-1, 3)
+        assert rep.f2 == Fraction(5, 3)
 
     def test_k3_max_is_exact(self):
         f = pattern_preset("k3")

@@ -33,7 +33,7 @@ class TestInventory:
 
     def test_lengths_filter_avoids_full_enumeration(self):
         # restricting to length 2 must not enumerate longer cycles: the
-        # 2-cycle pass spends 1,260 of the cap, chaining 3-cycles 28,548
+        # cap counts placements, 420 2-cycles against 3,780 of all lengths
         inv = build_inventory(K3, 8, lengths={2}, cap=2_000)
         assert len(inv.items) == inv.total_count == inventory_size(
             K3, 8, K3.s, frozenset({2}))

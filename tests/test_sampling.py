@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from placement_oracles import by_pair_sparse_placements
 
 from fthresh import sampling
 from fthresh.dgraphs import sparse_cycle_placements
@@ -111,7 +112,7 @@ class TestDummySlots:
 
     def test_draws_match_a_direct_build(self):
         for f, n in self.KEYS:
-            slots = sparse_cycle_placements(f, range(n))
+            slots = by_pair_sparse_placements(f, range(n))
             for seed in range(5):
                 us = uniforms(seed, STREAM_DUMMIES, len(slots))
                 want = frozenset(slots[i] for i in np.flatnonzero(us < 0.3))
