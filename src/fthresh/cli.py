@@ -17,9 +17,10 @@ from typing import Optional
 
 from . import __version__
 from .coupling import params_as_jsonable, run_coupling
-from .dgraphs import dcycle_report_csv, verify_clean_dcycles_strictly_balanced
-from .errors import DomainError, FThreshError
-from .exponents import exponent_audit_csv, select_constants
+from .errors import FThreshError
+from .exponents import (certify, constants_of, dcycle_report_csv,
+                        exponent_audit_csv, select_constants,
+                        verify_clean_dcycles_strictly_balanced)
 from .factors import enumerate_copies, find_f_factor
 from .graphs import format_edge_list
 from .inventory import build_inventory, chen_stein_bound
@@ -102,12 +103,11 @@ def cmd_params(args) -> int:
 
 def cmd_verify(args) -> int:
     f = _resolve_pattern(args)
-    if f.s < 2:  # clean d-cycles have length >= 2 and at most e(F)
-        raise DomainError("template needs at least two edges")
     max_len = args.max_len if args.max_len else min(f.s, 4)
     name = args.pattern or "pattern"
-    rows = verify_clean_dcycles_strictly_balanced(f, max_len, name)
-    sc = select_constants(f, max_len=max_len)
+    cert = certify(f, max_len)
+    rows = verify_clean_dcycles_strictly_balanced(cert)
+    sc = constants_of(cert)
     print(f"clean d-cycle types up to length {max_len}: {len(rows)}, "
           f"all strictly balanced")
     print(f"f1max = {sc.certified_max_f1}")
@@ -116,8 +116,8 @@ def cmd_verify(args) -> int:
     print(f"eps = {sc.eps}")
     if args.out:
         config = {"command": "verify", "pattern": name, "max_len": max_len}
-        text = (_csv_header(config) + "\n" + dcycle_report_csv(rows)
-                + exponent_audit_csv(f, max_len))
+        text = (_csv_header(config) + "\n" + dcycle_report_csv(rows, name)
+                + exponent_audit_csv(cert))
         _write_out(text, args.out)
     return 0
 
@@ -337,7 +337,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FThreshError as exc:
+    # OSError: a --pattern-file that cannot be read or an --out that
+    # cannot be written, such as a directory
+    except (FThreshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,25 +1,24 @@
-"""Auxiliary graphs with dummy edges, clean cycles of them, and the
-strict-balance verification sweep.
+"""Auxiliary graphs with dummy edges, the isomorphism types of clean
+cycles, and their placements on a label set.
 
 A dummy edge stands for one sparse clean 2-cycle of template copies; it is
 incident to every vertex of that cycle, so any subgraph containing it keeps
 the full vertex set. Clean cycles of usual and dummy edges all carry exactly
-k * e(F) edges, and every one of them must be strictly balanced for the
-second-moment arguments downstream to apply.
+k * e(F) edges; exponents certifies that each type is strictly balanced.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import (CounterexampleError, InternalInconsistencyError,
-                     NotACleanCycleError, ResourceLimitError)
+from .errors import (InternalInconsistencyError, NotACleanCycleError,
+                     ResourceLimitError)
 from .graphs import DEFAULT_ENUMERATION_CAP, Graph, canonical_form
 from .fgraphs import (FEdge, FGraph, _clean_cycle_order, classify,
                       copies_on_vertex_set, count_copies,
@@ -47,9 +46,6 @@ class DGraph:
 
     def e(self) -> int:
         return self.base.e() + len(self.dummies)
-
-    def dummy_span(self, key: DummyKey) -> frozenset[int]:
-        return frozenset().union(*(fe.vertices for fe in key))
 
 
 @dataclass(frozen=True)
@@ -90,45 +86,6 @@ def dcycle_of(cycle: FGraph, f: Pattern) -> CleanDCycle:
                        sparsity=cls.sparsity)
 
 
-# -- densities with dummy edges ----------------------------------------------
-
-def dcycle_density(d: CleanDCycle) -> Fraction:
-    return Fraction(d.dgraph.e(), d.dgraph.v())
-
-
-def max_proper_subgraph_density(d: CleanDCycle) -> Fraction:
-    """Largest edge density over proper subgraphs with at least one vertex.
-
-    A dummy edge is incident to every vertex of its cycle, which here is the
-    whole vertex set, so subgraphs on proper vertex subsets carry usual edges
-    only; those are scanned exhaustively as induced subgraphs (dropping edges
-    at fixed vertices only lowers density). Full-vertex-set proper subgraphs
-    are dominated by the one missing a single edge.
-    """
-    g = d.dgraph.base
-    verts = sorted(g.vertices)
-    nv = len(verts)
-    idx = {u: i for i, u in enumerate(verts)}
-    best = Fraction(d.dgraph.e() - 1, nv)
-    if nv >= 2:
-        masks = np.arange(1, 2 ** nv - 1, dtype=np.uint32)
-        counts = np.zeros(masks.shape, dtype=np.int64)
-        for u, v in g.edges:
-            bits = np.uint32((1 << idx[u]) | (1 << idx[v]))
-            counts += (masks & bits) == bits
-        sizes = np.bitwise_count(masks).astype(np.int64)
-        # density a/b beats c/d iff a*d > c*b; track the argmax exactly
-        score = counts * best.denominator - sizes * best.numerator
-        top = int(np.argmax(score))
-        if score[top] > 0:
-            best = Fraction(int(counts[top]), int(sizes[top]))
-    return best
-
-
-def is_strictly_balanced_dcycle(d: CleanDCycle) -> bool:
-    return max_proper_subgraph_density(d) < dcycle_density(d)
-
-
 # -- isomorphism types of clean cycles ---------------------------------------
 
 def _pattern_pair_orbits(f: Pattern, ordered: bool) -> list[tuple[int, int]]:
@@ -165,14 +122,17 @@ def _place_copy(f: Pattern, pinned: dict[int, int],
     return FEdge.from_embedding(f, mapping), mapping
 
 
-def clean_cycle_types(f: Pattern, k: int) -> list[tuple[FGraph, str]]:
+@functools.cache
+def clean_cycle_types(f: Pattern, k: int) -> tuple[tuple[FGraph, str], ...]:
     """All isomorphism types of clean cycles of length k, with a signature
     recording which overlap-pair orbits built each representative.
 
     Per-copy choices range over automorphism-orbit representatives of the
     overlap vertices, which covers every type; duplicates are collapsed by
     the canonical form of the shadow together with the sparsity flag. Each
-    representative lies on the labels 0..v-1.
+    representative lies on the labels 0..v-1 and carries F's labelling, so
+    the types are built once per labelled template and k, and every reader
+    shares them.
     """
     if k < 2:
         raise ValueError("cycle length must be >= 2")
@@ -200,7 +160,7 @@ def clean_cycle_types(f: Pattern, k: int) -> list[tuple[FGraph, str]]:
                         continue
                     record(FGraph.from_fedges([first, second]),
                            f"({a1},{a2})~({px},{py})")
-        return sorted(found.values(), key=lambda t: t[1])
+        return tuple(sorted(found.values(), key=lambda t: t[1]))
 
     ordered_reps = _pattern_pair_orbits(f, ordered=True)
     for choice in itertools.product(ordered_reps, repeat=k):
@@ -223,61 +183,7 @@ def clean_cycle_types(f: Pattern, k: int) -> list[tuple[FGraph, str]]:
             copies.append(last)
             record(FGraph.from_fedges(copies),
                    "-".join(f"({p},{q})" for p, q in choice))
-    return sorted(found.values(), key=lambda t: t[1])
-
-
-@dataclass(frozen=True)
-class DCycleRow:
-    pattern: str
-    k: int
-    sparsity: str
-    overlap_signature: str
-    density: Fraction
-    max_proper_density: Fraction
-    strict_ok: bool
-
-
-def verify_clean_dcycles_strictly_balanced(
-        f: Pattern, max_len: int,
-        pattern_name: str = "pattern") -> list[DCycleRow]:
-    """Check every clean-cycle type of length 2..max_len for strict balance.
-
-    Raises CounterexampleError with the offending cycle if any type fails;
-    the returned rows back the CSV report either way.
-    """
-    if max_len < 2:
-        raise ValueError("max_len must be >= 2")
-    rows: list[DCycleRow] = []
-    bad: Optional[CleanDCycle] = None
-    for k in range(2, max_len + 1):
-        for cycle, sig in clean_cycle_types(f, k):
-            d = dcycle_of(cycle, f)
-            dens = dcycle_density(d)
-            proper = max_proper_subgraph_density(d)
-            ok = proper < dens
-            rows.append(DCycleRow(pattern=pattern_name, k=k,
-                                  sparsity=d.sparsity, overlap_signature=sig,
-                                  density=dens, max_proper_density=proper,
-                                  strict_ok=ok))
-            if not ok and bad is None:
-                bad = d
-    if bad is not None:
-        raise CounterexampleError(
-            f"clean {bad.k}-cycle ({bad.sparsity}) is not strictly balanced",
-            witness=bad)
-    return rows
-
-
-def dcycle_report_csv(rows: Iterable[DCycleRow]) -> str:
-    lines = ["pattern,k,sparsity,overlap_signature,density_num,density_den,"
-             "max_proper_density,strict_ok"]
-    for r in rows:
-        lines.append(
-            f"{r.pattern},{r.k},{r.sparsity},{r.overlap_signature},"
-            f"{r.density.numerator},{r.density.denominator},"
-            f"{r.max_proper_density.numerator}/{r.max_proper_density.denominator},"
-            f"{str(r.strict_ok).lower()}")
-    return "\n".join(lines) + "\n"
+    return tuple(sorted(found.values(), key=lambda t: t[1]))
 
 
 # -- concrete cycle placements on a label set --------------------------------

@@ -1,23 +1,26 @@
-"""Exponent calculus for the coupling error analysis.
+"""Exponent calculus and the certificate of a template.
 
 For an intersection graph S inside the template, the good-edge exponent is
 f(S) = f1(S) + eps * f2(S); inside a clean cycle in dummy-edge form, the
-good-cycle exponent is g(S) = g1(S) + eps * g2(S) with g1 = f1 - 1. The
-selection rule certifies max f1 and max g1 over their admissible domains in
-exact rationals and derives delta and eps from them.
+good-cycle exponent is g(S) = g1(S) + eps * g2(S) with g1 = f1 - 1. One
+pass over the admissible S and the clean d-cycle types certifies the two
+facts the threshold rests on: every clean d-cycle is strictly balanced,
+and max f1 and max g1 are negative. The selection rule derives delta and
+eps from these maxima, all in exact rationals.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .dgraphs import CleanDCycle, DGraph, clean_cycle_types, dcycle_of
-from .errors import DomainError, InternalInconsistencyError
+from .dgraphs import CleanDCycle, clean_cycle_types, dcycle_of
+from .errors import (CounterexampleError, DomainError,
+                     InternalInconsistencyError)
 from .graphs import Graph, components
 from .patterns import Pattern
 
@@ -36,29 +39,30 @@ class SelectedConstants:
     certified_max_g1: Fraction
 
 
-def _rank_of(d: DGraph) -> int:
-    """v(S) - c(S); a dummy edge merges every vertex of its cycle."""
-    parent = {u: u for u in d.base.vertices}
+@dataclass(frozen=True)
+class TypeRow:
+    """The certificate of one clean d-cycle type: its strict balance and
+    the maximum of g1 over its proper sub-d-graphs."""
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    k: int
+    sparsity: str
+    signature: str
+    v: int
+    density: Fraction
+    max_proper_density: Fraction
+    strict_ok: bool
+    max_g1: Fraction
+    attained_by: str
+    dcycle: CleanDCycle = field(compare=False, repr=False)
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
 
-    for u, v in d.base.edges:
-        union(u, v)
-    for key in d.dummies:
-        span = sorted(d.dummy_span(key))
-        for u in span[1:]:
-            union(span[0], u)
-    c = len({find(u) for u in d.base.vertices})
-    return d.base.v() - c
+@dataclass(frozen=True)
+class Certificate:
+    f: Pattern
+    subgraphs: tuple[tuple[Graph, ExponentReport], ...]
+    """Every admissible S with its exponents."""
+    types: tuple[TypeRow, ...]
+    """One row per clean d-cycle type, by length and then signature."""
 
 
 def f_exponents(f: Pattern, s: Graph) -> ExponentReport:
@@ -85,23 +89,50 @@ def admissible_f_subgraphs(f: Pattern) -> list[Graph]:
     return out
 
 
-def certified_max_f1(f: Pattern) -> Fraction:
-    subs = admissible_f_subgraphs(f)
-    if not subs:
+def _subgraph_rows(f: Pattern) -> tuple[tuple[Graph, ExponentReport], ...]:
+    rows = tuple((s, f_exponents(f, s)) for s in admissible_f_subgraphs(f))
+    if not rows:
         raise DomainError("template needs at least two edges")
-    return max(f_exponents(f, s).f1 for s in subs)
+    return rows
 
 
-def _induced_edge_counts(g: Graph, verts: list[int]) -> np.ndarray:
-    """Edge count of the induced subgraph for every vertex-subset mask."""
-    nv = len(verts)
-    idx = {u: i for i, u in enumerate(verts)}
-    masks = np.arange(1 << nv, dtype=np.uint32)
+def certified_max_f1(f: Pattern) -> Fraction:
+    return max(rep.f1 for _s, rep in _subgraph_rows(f))
+
+
+# -- clean d-cycles ----------------------------------------------------------
+
+def _induced_edge_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Edge count and size of the induced subgraph on every vertex subset of
+    g, indexed by its bit mask over the sorted vertices."""
+    idx = {u: i for i, u in enumerate(sorted(g.vertices))}
+    masks = np.arange(1 << len(idx), dtype=np.uint32)
     counts = np.zeros(masks.shape, dtype=np.int64)
     for u, v in g.edges:
         bits = np.uint32((1 << idx[u]) | (1 << idx[v]))
         counts += (masks & bits) == bits
-    return counts
+    return counts, np.bitwise_count(masks).astype(np.int64)
+
+
+def dcycle_density(d: CleanDCycle) -> Fraction:
+    return Fraction(d.dgraph.e(), d.dgraph.v())
+
+
+def max_proper_subgraph_density(d: CleanDCycle) -> Fraction:
+    """Largest edge density over proper subgraphs with at least one vertex.
+
+    A dummy edge is incident to every vertex of its cycle, which here is the
+    whole vertex set, so subgraphs on proper vertex subsets carry usual edges
+    only; those are scanned exhaustively as induced subgraphs (dropping edges
+    at fixed vertices only lowers density), taking the most edges per size.
+    Full-vertex-set proper subgraphs are dominated by the one missing a
+    single edge.
+    """
+    counts, sizes = _induced_edge_counts(d.dgraph.base)
+    nv = d.dgraph.v()
+    return max([Fraction(d.dgraph.e() - 1, nv)]
+               + [Fraction(int(counts[sizes == size].max()), size)
+                  for size in range(1, nv)])
 
 
 def max_g1_of_dcycle(f: Pattern, d: CleanDCycle) -> tuple[Fraction, str]:
@@ -120,8 +151,7 @@ def max_g1_of_dcycle(f: Pattern, d: CleanDCycle) -> tuple[Fraction, str]:
     verts = sorted(g.vertices)
     nv = len(verts)
     full_mask = (1 << nv) - 1
-    counts = _induced_edge_counts(g, verts)
-    sizes = np.bitwise_count(np.arange(1 << nv, dtype=np.uint32)).astype(np.int64)
+    counts, sizes = _induced_edge_counts(g)
     d1n, d1d = f.d1.numerator, f.d1.denominator
     # h(W) = e_ind/d1 - (|W|-1) > 0, screened in integers
     positive = np.flatnonzero(counts * d1d > d1n * (sizes - 1))
@@ -191,53 +221,60 @@ def max_g1_of_dcycle(f: Pattern, d: CleanDCycle) -> tuple[Fraction, str]:
     return best_g1, how
 
 
-@dataclass(frozen=True)
-class G1Row:
-    k: int
-    sparsity: str
-    signature: str
-    max_g1: Fraction
-    attained_by: str
+# -- the certificate ---------------------------------------------------------
 
-
-def certified_max_g1(f: Pattern, max_len: int) -> tuple[Fraction, list[G1Row]]:
-    """Exact maximum of g1 over proper sub-d-graphs of every clean d-cycle
-    type of length 2..max_len. The empty sub-d-graph contributes -1."""
-    best = Fraction(-1)
-    rows: list[G1Row] = []
+def certify(f: Pattern, max_len: int) -> Certificate:
+    """Every admissible S with f1 and f2, and one row per clean d-cycle
+    type of length 2..max_len, in one pass over the types. A type that is
+    not strictly balanced is recorded, not raised."""
+    subgraphs = _subgraph_rows(f)
+    if max_len < 2:
+        raise DomainError("max_len must be >= 2")
+    rows = []
     for k in range(2, max_len + 1):
         for cycle, sig in clean_cycle_types(f, k):
             d = dcycle_of(cycle, f)
-            val, how = max_g1_of_dcycle(f, d)
-            rows.append(G1Row(k=k, sparsity=d.sparsity, signature=sig,
-                              max_g1=val, attained_by=how))
-            if val > best:
-                best = val
-    return best, rows
+            density = dcycle_density(d)
+            proper = max_proper_subgraph_density(d)
+            g1, how = max_g1_of_dcycle(f, d)
+            rows.append(TypeRow(
+                k=k, sparsity=d.sparsity, signature=sig, v=d.dgraph.v(),
+                density=density, max_proper_density=proper,
+                strict_ok=proper < density, max_g1=g1, attained_by=how,
+                dcycle=d))
+    return Certificate(f=f, subgraphs=subgraphs, types=tuple(rows))
 
 
-def brute_max_g1(f: Pattern, d: CleanDCycle) -> Fraction:
-    """Oracle: exhaust every proper edge subset, dummy included. Exponential
-    in e(G); only for cross-checking small cycles."""
-    base_edges = sorted(d.dgraph.base.edges)
-    dummies = sorted(d.dgraph.dummies, key=lambda k: sorted(
-        fe.sort_key() for fe in k))
-    items = [("e", e) for e in base_edges] + [("d", k) for k in dummies]
-    best = Fraction(-1)
-    for size in range(len(items)):
-        for combo in itertools.combinations(items, size):
-            es = frozenset(e for t, e in combo if t == "e")
-            ds = frozenset(k for t, k in combo if t == "d")
-            sub = DGraph(base=Graph(d.dgraph.base.vertices, es), dummies=ds)
-            g1 = Fraction(sub.e()) / f.d1 - _rank_of(sub) - 1
-            if g1 > best:
-                best = g1
-    return best
+def verify_clean_dcycles_strictly_balanced(
+        cert: Certificate) -> tuple[TypeRow, ...]:
+    """The type rows, once every type is certified strictly balanced.
+
+    Raises CounterexampleError with the first offending cycle otherwise.
+    """
+    for r in cert.types:
+        if not r.strict_ok:
+            raise CounterexampleError(
+                f"clean {r.k}-cycle ({r.sparsity}) is not strictly balanced",
+                witness=r.dcycle)
+    return cert.types
+
+
+def _max_g1(rows: Iterable[TypeRow]) -> Fraction:
+    """The empty sub-d-graph contributes -1."""
+    return max([Fraction(-1), *(r.max_g1 for r in rows)])
+
+
+def certified_max_g1(f: Pattern,
+                     max_len: int) -> tuple[Fraction, tuple[TypeRow, ...]]:
+    """Exact maximum of g1 over proper sub-d-graphs of every clean d-cycle
+    type of length 2..max_len, with the per-type rows."""
+    rows = certify(f, max_len).types
+    return _max_g1(rows), rows
 
 
 # -- constant selection ------------------------------------------------------
 
-def select_constants(f: Pattern, max_len: Optional[int] = None) -> SelectedConstants:
+def constants_of(cert: Certificate) -> SelectedConstants:
     """Pick delta and eps from the certified maxima.
 
     delta = -max(max f1, max g1)/4 leaves slack for the eps-dependent parts;
@@ -245,23 +282,18 @@ def select_constants(f: Pattern, max_len: Optional[int] = None) -> SelectedConst
     below -delta, using the uniform bounds max f1 + eps * max f2 and
     max g1 + eps * max g2.
     """
-    if max_len is None:
-        max_len = min(f.s, 4)
-    mf1 = certified_max_f1(f)
-    mg1, _rows = certified_max_g1(f, max_len)
+    f = cert.f
+    mf1 = max(rep.f1 for _s, rep in cert.subgraphs)
+    mg1 = _max_g1(cert.types)
     top = max(mf1, mg1)
     if top >= 0:
         raise DomainError(f"max exponent {top} is not negative; "
                           "constant selection is impossible")
     delta = -top / 4
     eps = delta / (2 * f.s)
-    mf2 = max((f_exponents(f, s).f2
-               for s in admissible_f_subgraphs(f)), default=Fraction(0))
-    mg2 = Fraction(0)
-    for k in range(2, max_len + 1):
-        for cycle, _sig in clean_cycle_types(f, k):
-            d = dcycle_of(cycle, f)
-            mg2 = max(mg2, d.dgraph.v() - 1 + Fraction(k))
+    mf2 = max(rep.f2 for _s, rep in cert.subgraphs)
+    mg2 = max((Fraction(r.v - 1 + r.k) for r in cert.types),
+              default=Fraction(0))
     if mf2 > 0:
         eps = min(eps, (-delta - mf1) / mf2 / 2)
     if mg2 > 0:
@@ -276,18 +308,37 @@ def select_constants(f: Pattern, max_len: Optional[int] = None) -> SelectedConst
     return out
 
 
-def exponent_audit_csv(f: Pattern, max_len: Optional[int] = None) -> str:
-    """CSV rows of every admissible (S, f1, f2) and the per-cycle-type g1
-    maxima, for audit."""
+def select_constants(f: Pattern,
+                     max_len: Optional[int] = None) -> SelectedConstants:
+    """The constants of the certificate over clean d-cycles of length
+    2..max_len, min(e(F), 4) by default."""
     if max_len is None:
         max_len = min(f.s, 4)
+    return constants_of(certify(f, max_len))
+
+
+# -- audit CSVs --------------------------------------------------------------
+
+def dcycle_report_csv(rows: Iterable[TypeRow], pattern_name: str) -> str:
+    lines = ["pattern,k,sparsity,overlap_signature,density_num,density_den,"
+             "max_proper_density,strict_ok"]
+    for r in rows:
+        lines.append(
+            f"{pattern_name},{r.k},{r.sparsity},{r.signature},"
+            f"{r.density.numerator},{r.density.denominator},"
+            f"{r.max_proper_density.numerator}/{r.max_proper_density.denominator},"
+            f"{str(r.strict_ok).lower()}")
+    return "\n".join(lines) + "\n"
+
+
+def exponent_audit_csv(cert: Certificate) -> str:
+    """CSV rows of every admissible (S, f1, f2) and the per-cycle-type g1
+    maxima, for audit."""
     lines = ["kind,context,detail,e,v,value1,value2"]
-    for s in admissible_f_subgraphs(f):
-        rep = f_exponents(f, s)
+    for s, rep in cert.subgraphs:
         detail = ";".join(f"{u}-{v}" for u, v in sorted(s.edges))
         lines.append(f"f,pattern,{detail},{s.e()},{s.v()},{rep.f1},{rep.f2}")
-    _best, rows = certified_max_g1(f, max_len)
-    for r in rows:
+    for r in cert.types:
         lines.append(f"g,dcycle,k={r.k} {r.sparsity} {r.signature} "
                      f"[{r.attained_by}],,,{r.max_g1},")
     return "\n".join(lines) + "\n"

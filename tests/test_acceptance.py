@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from fthresh.cli import auto_grid, run_scan, crossing_estimate
 from fthresh.coupling import OUTCOMES, run_coupling
-from fthresh.dgraphs import verify_clean_dcycles_strictly_balanced
-from fthresh.exponents import (certified_max_f1, certified_max_g1,
-                               select_constants)
+from fthresh.exponents import (certified_max_f1, certified_max_g1, certify,
+                               select_constants,
+                               verify_clean_dcycles_strictly_balanced)
 from fthresh.factors import find_f_factor, verify_factor
 from fthresh.fgraphs import (FGraph, all_potential_copies, classify,
                              induced_f_edges, inducing_witness)
@@ -106,7 +106,8 @@ def test_criterion_3_dcycle_balance():
     bad = 0
     for name in PRESETS:
         f = pattern_preset(name)
-        rows = verify_clean_dcycles_strictly_balanced(f, min(f.s, 4), name)
+        rows = verify_clean_dcycles_strictly_balanced(
+            certify(f, min(f.s, 4)))
         total += len(rows)
         bad += sum(not r.strict_ok for r in rows)
     report(3, f"all {total} clean d-cycle types of five templates are "

@@ -1,5 +1,6 @@
 """Command line interface smoke and determinism tests."""
 
+import hashlib
 import json
 
 import pytest
@@ -28,6 +29,26 @@ class TestAnalyze:
         assert "error:" in capsys.readouterr().err
 
 
+# preset -> sha256 of the verify --out CSV and of stdout, at the default
+# max_len; any change to a certified value or to the format moves them
+VERIFY_GOLDEN = {
+    "k3": ("9687bdd3c28dd1f74a6ed9d0517077d91f517fd35f052690b860945a160effcd",
+           "168d1c6a012ecafa3b69b41cbf173c95d7151721a972953e8fdd6435e0f0fbcf"),
+    "k4": ("bd8eda0c3f4ed22b8fec37cc623ac889448b3e4f121a2bf8c90319423e488b17",
+           "fac021d874a103666b8f8aa2c21d45f1906740db9b3bcd922f97156f6343ce32"),
+    "c4": ("33f8c5378ef67e959b7ee245847ada3ef89ebab2ba878915babf57dc2e34c63f",
+           "0be58b2b6f34d1b94f7cd4726c37f1c8da936c730dc6f83db1b3d3104f1972cb"),
+    "c5": ("656de9b46da521953b47a9fac701a08ec5d02315785726c2421d0f76a67e31ef",
+           "ee7c48eaec604e7b1d3e5dbc0c825d8359d3cfe7447cb15cd7fbc6842f8bc8cc"),
+    "k4me": ("2ed70d07a5b7045f5aae4cd605460437a3f4a0d13f584f2cc3c5dce20d24e2d0",
+             "4d6362b3ef693636f9766954f0af0736e5a0e3f22e3afd4be3789c7aa22c5f55"),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestVerify:
     def test_k3(self, capsys):
         assert main(["verify", "--pattern", "k3", "--max-len", "3"]) == 0
@@ -42,6 +63,10 @@ class TestVerify:
         assert "error: template needs at least two edges" in \
             capsys.readouterr().err
 
+    def test_max_len_below_two_is_an_error(self, capsys):
+        assert main(["verify", "--pattern", "k3", "--max-len", "1"]) == 1
+        assert "error: max_len must be >= 2" in capsys.readouterr().err
+
     def test_csv_out(self, tmp_path):
         dest = tmp_path / "verify.csv"
         assert main(["verify", "--pattern", "k3", "--max-len", "3",
@@ -50,6 +75,19 @@ class TestVerify:
         assert text.startswith("# fthresh ")
         assert "pattern,k," in text
         assert "kind,context," in text
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_GOLDEN))
+    def test_golden(self, tmp_path, capsys, name):
+        dest = tmp_path / "verify.csv"
+        assert main(["verify", "--pattern", name, "--out", str(dest)]) == 0
+        assert (sha256(dest.read_bytes()),
+                sha256(capsys.readouterr().out.encode())) == \
+            VERIFY_GOLDEN[name]
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        assert main(["verify", "--pattern", "k3", "--out",
+                     str(tmp_path)]) == 1
+        assert "error: " in capsys.readouterr().err
 
 
 class TestParams:
@@ -112,6 +150,11 @@ class TestCouple:
                      "--pi", "0.01", "--trials", "5", "--mode",
                      "bound"]) == 0
         assert "containment violations: 0" in capsys.readouterr().out
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        assert main(["couple", "--pattern", "k3", "--n", "6", "--trials",
+                     "1", "--out", str(tmp_path)]) == 1
+        assert "error: " in capsys.readouterr().err
 
 
 class TestChenStein:

@@ -1,5 +1,6 @@
 """Dummy-extended graphs, clean d-cycle types, and placement enumeration."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -8,17 +9,20 @@ import pytest
 from placement_oracles import (by_pair_sparse_placements,
                                chain_cycle_placements)
 
+from fthresh.cli import main
 from fthresh.dgraphs import (DGraph, clean_cycle_types, cycle_placements,
-                             dcycle_density, dcycle_of,
-                             dcycle_report_csv, is_strictly_balanced_dcycle,
-                             max_proper_subgraph_density,
-                             sparse_cycle_placements,
-                             verify_clean_dcycles_strictly_balanced)
-from fthresh.errors import ResourceLimitError
+                             dcycle_of, sparse_cycle_placements)
+from fthresh.errors import CounterexampleError, ResourceLimitError
+from fthresh.exactengine import Placements
+from fthresh.exponents import (certify, constants_of, dcycle_density,
+                               dcycle_report_csv,
+                               max_proper_subgraph_density, select_constants,
+                               verify_clean_dcycles_strictly_balanced)
 from fthresh.fgraphs import (FEdge, FGraph, all_potential_copies, classify,
                              count_copies, potential_copies_on)
 from fthresh.graphs import Graph
-from fthresh.patterns import pattern_preset
+from fthresh.inventory import build_inventory, chen_stein_bound
+from fthresh.patterns import analyze_pattern, pattern_preset
 
 K3 = pattern_preset("k3")
 
@@ -34,7 +38,7 @@ class TestDCycles:
         assert d.sparsity == "sparse"
         assert dcycle_density(d) == Fraction(3, 2)
         assert max_proper_subgraph_density(d) == Fraction(5, 4)
-        assert is_strictly_balanced_dcycle(d)
+        assert max_proper_subgraph_density(d) < dcycle_density(d)
 
     def test_dense_three_cycle_density(self):
         cyc = FGraph.from_fedges([triangle(0, 1, 2), triangle(2, 3, 4),
@@ -43,7 +47,7 @@ class TestDCycles:
         assert d.sparsity == "dense"
         assert dcycle_density(d) == Fraction(3, 2)
         assert max_proper_subgraph_density(d) == Fraction(7, 5)
-        assert is_strictly_balanced_dcycle(d)
+        assert max_proper_subgraph_density(d) < dcycle_density(d)
 
     def test_dcycle_edge_count(self):
         cyc = FGraph.from_fedges([triangle(0, 1, 2), triangle(0, 1, 3)])
@@ -77,16 +81,61 @@ class TestCycleTypes:
                 assert cls.length == k
                 assert cyc.vertices == frozenset(range(cyc.v()))
 
+    def test_built_once_per_template_and_length(self, tmp_path):
+        """Every reader shares the types: a verify run, the constants, a
+        Chen-Stein bound and a placement table build each (pattern, k)
+        once; a memo miss is a build."""
+        clean_cycle_types.cache_clear()
+
+        def built():
+            return clean_cycle_types.cache_info().misses
+
+        assert main(["verify", "--pattern", "k4me", "--out",
+                     str(tmp_path / "verify.csv")]) == 0
+        assert built() == 3  # k = 2, 3, 4
+        select_constants(pattern_preset("k4me"))
+        assert built() == 3
+        chen_stein_bound(build_inventory(K3, 14), 0.01, 0.2)
+        assert built() == 5  # and K3 at k = 2, 3
+        Placements(K3, 8)
+        assert built() == 5
+
+    def test_types_follow_the_labelling(self):
+        """The types are keyed by the labelled template: each copy of a
+        representative is the image of F's own edges under its embedding,
+        for C4 labelled 0-1-2-3 and 0-2-1-3 alike."""
+        relabelled = analyze_pattern(
+            Graph.from_edges([(0, 2), (2, 1), (1, 3), (3, 0)]))
+        for f in (pattern_preset("c4"), relabelled):
+            pverts = sorted(f.graph.vertices)
+            for k in (2, 3, 4):
+                for cyc, _sig in clean_cycle_types(f, k):
+                    for fe in cyc.fedges:
+                        image = FEdge.from_embedding(
+                            f, dict(zip(pverts, fe.embedding)))
+                        assert image.edge_set == fe.edge_set
+
     def test_verify_all_presets(self):
         for name in ("k3", "c4", "k4"):
             f = pattern_preset(name)
             rows = verify_clean_dcycles_strictly_balanced(
-                f, min(f.s, 4), name)
+                certify(f, min(f.s, 4)))
             assert all(r.strict_ok for r in rows)
 
+    def test_failed_type_raises_in_verify_only(self):
+        """verify stops at the first type that is not strictly balanced;
+        the constants read the same rows and do not raise."""
+        cert = certify(K3, 3)
+        bad = dataclasses.replace(cert.types[0], strict_ok=False)
+        cert = dataclasses.replace(cert, types=(bad, *cert.types[1:]))
+        with pytest.raises(CounterexampleError) as exc:
+            verify_clean_dcycles_strictly_balanced(cert)
+        assert exc.value.witness is bad.dcycle
+        assert constants_of(cert) == select_constants(K3, 3)
+
     def test_report_csv(self):
-        rows = verify_clean_dcycles_strictly_balanced(K3, 3, "k3")
-        text = dcycle_report_csv(rows)
+        rows = verify_clean_dcycles_strictly_balanced(certify(K3, 3))
+        text = dcycle_report_csv(rows, "k3")
         assert text.splitlines()[0].startswith("pattern,k,")
         assert len(text.splitlines()) == len(rows) + 1
 

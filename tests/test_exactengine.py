@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fthresh.dgraphs import DGraph, cycle_placements
+from fthresh.dgraphs import DGraph, clean_cycle_types, cycle_placements
 from fthresh.errors import ResourceLimitError
 from fthresh.exactengine import ExactEngine, Placements, get_engine
 from fthresh.fgraphs import FGraph, classify, potential_copies_on, shadow
@@ -197,7 +197,8 @@ class TestPlacementRows:
     def test_build_makes_no_fgraph(self, monkeypatch):
         """The type representatives are F-graphs, one per type; the
         placements are not: 3,780 at n = 8 and 26,460 at n = 10 cost the
-        same F-graph builds."""
+        same F-graph builds. The types are built once per template, so the
+        memo is cleared for each build to count them both times."""
         made = []
         post_init = FGraph.__post_init__
 
@@ -208,6 +209,7 @@ class TestPlacementRows:
         monkeypatch.setattr(FGraph, "__post_init__", counting)
         builds = []
         for n, cycles in ((8, 3780), (10, 26460)):
+            clean_cycle_types.cache_clear()
             made.clear()
             assert Placements(K3, n).n_cycles == cycles
             builds.append(len(made))

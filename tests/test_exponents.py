@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from exponent_oracles import brute_max_g1
+
 from fthresh.dgraphs import clean_cycle_types, dcycle_of
-from fthresh.exponents import (admissible_f_subgraphs, brute_max_g1,
-                               certified_max_f1, certified_max_g1,
-                               exponent_audit_csv, f_exponents,
-                               max_g1_of_dcycle, select_constants)
+from fthresh.exponents import (admissible_f_subgraphs, certified_max_f1,
+                               certified_max_g1, certify, exponent_audit_csv,
+                               f_exponents, max_g1_of_dcycle,
+                               select_constants)
 from fthresh.graphs import Graph
 from fthresh.patterns import pattern_preset
 
@@ -78,7 +80,7 @@ class TestSelectConstants:
 
     def test_audit_csv(self):
         f = pattern_preset("k3")
-        text = exponent_audit_csv(f)
+        text = exponent_audit_csv(certify(f, min(f.s, 4)))
         lines = text.splitlines()
         assert lines[0].startswith("kind,")
         assert len(lines) > 2
