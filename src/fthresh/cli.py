@@ -26,7 +26,7 @@ from .graphs import format_edge_list
 from .inventory import build_inventory, chen_stein_bound
 from .patterns import (Pattern, derive_params, p_star, pattern_from_file,
                        pattern_preset)
-from .sampling import (STREAM_EDGES, edge_order, graph_from_uniforms,
+from .sampling import (STREAM_EDGES, edge_slots, graph_from_uniforms,
                        rng_for)
 
 GRID_POINTS = 9
@@ -142,7 +142,7 @@ def _scan_trial(payload) -> list[tuple]:
     if not ps:
         return []
     copies = enumerate_copies(graph_from_uniforms(n, us, max(ps)), f)
-    slot = {e: i for i, e in enumerate(edge_order(n))}
+    slot = edge_slots(n)
     births = [max(us[slot[e]] for e in fe.edge_set) for fe in copies]
     out = []
     for p in ps:

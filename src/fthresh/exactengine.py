@@ -24,7 +24,7 @@ from .errors import InternalInconsistencyError, ResourceLimitError
 from .fgraphs import FEdge, FGraph, all_potential_copies
 from .graphs import Graph
 from .patterns import Pattern
-from .sampling import edge_order
+from .sampling import edge_order, edge_slots
 
 DEFAULT_OUTCOME_CAP = 2 ** 24
 _WORD = 2 ** 64 - 1
@@ -49,7 +49,7 @@ class Placements:
         self.f = f
         self.n = n
         self.pairs = edge_order(n)
-        self.edge_index = {e: i for i, e in enumerate(self.pairs)}
+        self.edge_index = edge_slots(n)
         self.copies = tuple(all_potential_copies(f, n))
         # keyed by copy identity as a plain tuple, which hashes faster than
         # the FEdge itself

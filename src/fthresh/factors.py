@@ -65,8 +65,12 @@ def find_f_factor(g: Graph, f: Pattern, budget: int = 10 ** 6,
 
     Exact cover over the distinct copy vertex sets, branching on the vertex
     with fewest remaining candidates; the copy chosen per set is arbitrary
-    since a factor only constrains vertex sets. Stops with status "budget"
-    once the expansion budget is spent, so a miss under budget is exhaustive.
+    since a factor only constrains vertex sets. A set is live while all its
+    vertices are uncovered, and each vertex keeps its count of live sets,
+    as in Knuth's dancing links: choosing a set kills every live set it
+    meets and lowers their vertices' counts, and an undo stack restores
+    both when the choice is released. Stops with status "budget" once the
+    expansion budget is spent, so a miss under budget is exhaustive.
     A caller that already holds the copies of g, as enumerate_copies orders
     them, passes them as copies and the search skips the enumeration.
     """
@@ -88,8 +92,32 @@ def find_f_factor(g: Graph, f: Pattern, budget: int = 10 ** 6,
             by_vertex[u].append(i)
 
     uncovered = set(g.vertices)
+    live = [True] * len(sets)
+    count = {u: len(ids) for u, ids in by_vertex.items()}
+    killed: list[int] = []  # the undo stack of sets made dead
     chosen: list[int] = []
     expanded = 0
+
+    def choose(i: int) -> int:
+        """Cover set i; returns the undo mark that release takes."""
+        mark = len(killed)
+        for u in sets[i]:
+            for j in by_vertex[u]:
+                if live[j]:
+                    live[j] = False
+                    killed.append(j)
+                    for w in sets[j]:
+                        count[w] -= 1
+        uncovered.difference_update(sets[i])
+        return mark
+
+    def release(i: int, mark: int) -> None:
+        uncovered.update(sets[i])
+        while len(killed) > mark:
+            j = killed.pop()
+            live[j] = True
+            for w in sets[j]:
+                count[w] += 1
 
     def search() -> Optional[str]:
         nonlocal expanded
@@ -98,20 +126,16 @@ def find_f_factor(g: Graph, f: Pattern, budget: int = 10 ** 6,
         expanded += 1
         if expanded > budget:
             return "budget"
-        pivot = min(uncovered,
-                    key=lambda u: sum(1 for i in by_vertex[u]
-                                      if sets[i] <= uncovered))
-        cands = [i for i in by_vertex[pivot] if sets[i] <= uncovered]
-        if not cands:
-            return None
+        pivot = min(uncovered, key=count.__getitem__)
+        cands = [i for i in by_vertex[pivot] if live[i]]
         for i in cands:
-            uncovered.difference_update(sets[i])
+            mark = choose(i)
             chosen.append(i)
             out = search()
             if out is not None:
                 return out
             chosen.pop()
-            uncovered.update(sets[i])
+            release(i, mark)
         return None
 
     out = search()

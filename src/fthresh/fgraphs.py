@@ -13,7 +13,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .errors import ResourceLimitError, WitnessNotFoundError
 from .graphs import (DEFAULT_ENUMERATION_CAP, Edge, Graph, _norm_edge,
@@ -176,12 +177,23 @@ def classify(h: FGraph) -> CycleClass:
 
 def copies_in(g: Graph, f: Pattern,
               cap: int = DEFAULT_ENUMERATION_CAP) -> set[FEdge]:
-    """All copies of the template in g, as F-edges."""
-    out: dict[tuple[frozenset, frozenset], FEdge] = {}
-    for m in enumerate_embeddings(f.graph, g, cap=cap):
-        fe = FEdge.from_embedding(f, m)
-        out[(fe.vertices, fe.edge_set)] = fe
-    return set(out.values())
+    """All copies of the template in g, as F-edges.
+
+    The enumeration breaks the template's symmetry, so each copy is reached
+    once, through its least embedding, which becomes the F-edge's
+    embedding. cap bounds the number of copies, not of raw embeddings.
+    """
+    pverts = sorted(f.graph.vertices)
+    pos = {u: i for i, u in enumerate(pverts)}
+    edges = [(pos[u], pos[v]) for u, v in f.graph.edges]
+    out: set[FEdge] = set()
+    for m in enumerate_embeddings(f.graph, g, cap=cap,
+                                  automorphisms=f.automorphisms):
+        emb = tuple(m[u] for u in pverts)
+        out.add(FEdge(frozenset(emb),
+                      frozenset(_norm_edge(emb[a], emb[b]) for a, b in edges),
+                      emb))
+    return out
 
 
 def induced_f_edges(h: FGraph, f: Pattern) -> set[FEdge]:
@@ -260,13 +272,17 @@ def find_avoidable(h: FGraph, max_fedges: int,
     return None
 
 
-def fgraph_automorphisms(shape: FGraph) -> list[dict[int, int]]:
-    """Vertex permutations preserving the F-edge set (shadow auts filtered)."""
+@functools.lru_cache(maxsize=4096)
+def fgraph_automorphisms(shape: FGraph) -> tuple[Mapping[int, int], ...]:
+    """Vertex permutations preserving the F-edge set (shadow auts filtered).
+
+    Memoised per F-graph, so every reader of one shape shares one group,
+    whose permutations are read only."""
     copies = {(fe.vertices, fe.edge_set) for fe in shape.fedges}
-    return [a for a in automorphisms(shadow(shape))
-            if {(frozenset(a[u] for u in vs),
-                 frozenset(_norm_edge(a[u], a[v]) for u, v in es))
-                for vs, es in copies} == copies]
+    return tuple(MappingProxyType(a) for a in automorphisms(shadow(shape))
+                 if {(frozenset(a[u] for u in vs),
+                      frozenset(_norm_edge(a[u], a[v]) for u, v in es))
+                     for vs, es in copies} == copies)
 
 
 def count_copies(shape: FGraph, n: int) -> int:

@@ -8,6 +8,7 @@ correctness downstream, so floating point is not allowed here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -191,7 +192,8 @@ def strictly_1_balanced_violation(g: Graph) -> Optional[Graph]:
 
 
 def automorphisms(g: Graph) -> Iterator[dict[int, int]]:
-    """All adjacency-preserving vertex permutations, by backtracking."""
+    """All adjacency-preserving vertex permutations, by backtracking, in
+    no promised order."""
     verts = sorted(g.vertices)
     n = len(verts)
     if n == 0:
@@ -205,8 +207,18 @@ def automorphisms(g: Graph) -> Iterator[dict[int, int]]:
         adj[i][j] = adj[j][i] = True
         deg[i] += 1
         deg[j] += 1
-    # order by rarity of degree to prune early
-    order = sorted(range(n), key=lambda i: (deg[i], i))
+    # start from the least degree, then always take the vertex with the
+    # most neighbours already ordered, so each image is pinned early
+    nbrs = [[j for j in range(n) if adj[i][j]] for i in range(n)]
+    order = [min(range(n), key=lambda i: (deg[i], i))]
+    placed = [0] * n  # per vertex, its neighbours already ordered
+    rest = set(range(n)) - {order[0]}
+    while rest:
+        for j in nbrs[order[-1]]:
+            placed[j] += 1
+        nxt = min(rest, key=lambda i: (-placed[i], deg[i], i))
+        order.append(nxt)
+        rest.discard(nxt)
     image = [0] * n
     used = [False] * n
 
@@ -362,11 +374,21 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # -- subgraph embeddings -----------------------------------------------------
 
 def enumerate_embeddings(pattern: Graph, host: Graph,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[dict[int, int]]:
+                         cap: int = DEFAULT_ENUMERATION_CAP,
+                         automorphisms: Iterable[tuple[int, ...]] = ()
+                         ) -> Iterator[dict[int, int]]:
     """Injective maps of pattern into host preserving pattern edges.
 
     Copies are not required to be induced; host edges outside the image are
-    ignored. Yields raw embeddings; callers collapse them to copies.
+    ignored. With no automorphisms every raw embedding is yielded. Given
+    pattern automorphisms, each as the images of the sorted pattern
+    vertices, only the embeddings m whose image tuple (m[v] for v sorted)
+    is lexicographically no larger than under any of them survive; given
+    the whole of Aut(pattern), that is one embedding per copy, the least
+    of its class. The check reduces, per automorphism, to one pair of
+    pattern vertices (the first vertex x it moves, and its image y) with
+    m[x] < m[y], so partial embeddings are cut as soon as both are placed.
+    More than cap yielded embeddings raise ResourceLimitError.
     """
     pverts = sorted(pattern.vertices)
     if not pverts:
@@ -390,6 +412,19 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
         order.append(nxt)
         rest.remove(nxt)
     pdeg = {u: len(padj[u]) for u in pattern.vertices}
+    # per position, the earlier-placed vertices the new image must exceed
+    # (above) or stay below (below), from the automorphisms' vertex pairs
+    pos_of = {u: i for i, u in enumerate(order)}
+    above: list[set[int]] = [set() for _ in order]
+    below: list[set[int]] = [set() for _ in order]
+    for a in automorphisms:
+        moved = [(x, y) for x, y in zip(pverts, a) if x != y]
+        if moved:
+            x, y = moved[0]
+            if pos_of[x] < pos_of[y]:
+                above[pos_of[y]].add(x)
+            else:
+                below[pos_of[x]].add(y)
     emitted = 0
     mapping: dict[int, int] = {}
     used: set[int] = set()
@@ -411,8 +446,10 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
             cands -= used
         else:
             cands = set(host.vertices) - used
+        lo = max((mapping[w] for w in above[pos]), default=-1)
+        hi = min((mapping[w] for w in below[pos]), default=math.inf)
         for t in sorted(cands):
-            if hdeg[t] < pdeg[u]:
+            if hdeg[t] < pdeg[u] or not lo < t < hi:
                 continue
             mapping[u] = t
             used.add(t)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -34,9 +36,17 @@ def uniforms(seed: int, stream_id: int, count: int) -> np.ndarray:
     return rng_for(seed, stream_id).random(count)
 
 
-def edge_order(n: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=64)
+def edge_order(n: int) -> tuple[tuple[int, int], ...]:
     """Lexicographic order of the potential edges on [n]."""
-    return list(itertools.combinations(range(n), 2))
+    return tuple(itertools.combinations(range(n), 2))
+
+
+@functools.lru_cache(maxsize=64)
+def edge_slots(n: int) -> Mapping[tuple[int, int], int]:
+    """Each potential edge's position in edge_order(n), read only since
+    every caller shares it."""
+    return MappingProxyType({e: i for i, e in enumerate(edge_order(n))})
 
 
 def edge_uniforms(n: int, seed: int,

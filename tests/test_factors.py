@@ -4,13 +4,14 @@ import itertools
 import random
 
 import pytest
+from factor_oracles import copies_by_embedding, recount_factor_search
 
-from fthresh.errors import DomainError
+from fthresh.errors import DomainError, ResourceLimitError
 from fthresh.factors import (enumerate_copies, f_isolated, find_f_factor,
                              verify_factor)
-from fthresh.fgraphs import FEdge
+from fthresh.fgraphs import FEdge, copies_in
 from fthresh.graphs import Graph
-from fthresh.patterns import pattern_preset
+from fthresh.patterns import analyze_pattern, pattern_preset
 from fthresh.sampling import sample_gnp
 
 K3 = pattern_preset("k3")
@@ -92,3 +93,64 @@ class TestHelpers:
         g = Graph.complete(6)
         one = enumerate_copies(g, K3)[:1]
         assert not verify_factor(g, K3, tuple(one))
+
+
+def _with_embeddings(copies) -> list:
+    """Copies with their embeddings, which F-edge equality ignores."""
+    return [(fe.sort_key(), fe.embedding) for fe in copies]
+
+
+class TestOracles:
+    @pytest.mark.parametrize("f", [
+        pattern_preset(name) for name in ("k3", "k4", "c4", "c5", "k4me")
+    ] + [
+        # C4 labelled 0-2-1-3: its sorted vertices do not follow the cycle
+        analyze_pattern(Graph.from_edges([(0, 2), (1, 2), (1, 3), (0, 3)]))
+    ], ids=["k3", "k4", "c4", "c5", "k4me", "c4-relabelled"])
+    def test_copies_match_embedding_oracle(self, f):
+        total = 0
+        for seed, (n, p) in enumerate([(7, 0.9), (10, 0.6), (14, 0.4),
+                                       (18, 0.25), (24, 0.15)]):
+            g = sample_gnp(n, p, seed)
+            got = copies_in(g, f)
+            assert sorted(_with_embeddings(got)) == sorted(
+                _with_embeddings(copies_by_embedding(g, f)))
+            total += len(got)
+        assert total > 0
+
+    def test_search_matches_recount_oracle(self):
+        statuses = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            name, n = rng.choice([("k3", 12), ("k3", 15), ("c4", 12),
+                                  ("k4me", 12)])
+            f = pattern_preset(name)
+            g = sample_gnp(n, rng.uniform(0.2, 0.6), seed)
+            copies = enumerate_copies(g, f)
+            budget = rng.choice([3, 10 ** 5])
+            res = find_f_factor(g, f, budget=budget, copies=copies)
+            status, expanded, cert = recount_factor_search(g, f, copies,
+                                                           budget)
+            assert (res.status, res.nodes_expanded) == (status, expanded)
+            assert res.n_copies == len(copies)
+            if cert is None:
+                assert res.certificate is None
+            else:
+                assert _with_embeddings(res.certificate) == \
+                    _with_embeddings(cert)
+            statuses.add(status)
+        assert statuses == {"found", "none", "budget"}
+
+
+class TestCap:
+    """The cap counts copies: K5 holds 10 triangles in 60 embeddings."""
+
+    def test_cap_equal_to_the_copy_count_passes(self):
+        assert len(copies_in(Graph.complete(5), K3, cap=10)) == 10
+        assert len(enumerate_copies(Graph.complete(5), K3, cap=10)) == 10
+
+    def test_cap_below_the_copy_count_raises(self):
+        with pytest.raises(ResourceLimitError):
+            copies_in(Graph.complete(5), K3, cap=9)
+        with pytest.raises(ResourceLimitError):
+            enumerate_copies(Graph.complete(5), K3, cap=9)

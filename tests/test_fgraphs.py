@@ -105,6 +105,31 @@ class TestCopies:
         # swap the two apexes, swap the shared pair, or both
         assert len(fgraph_automorphisms(sparse)) == 4
 
+    def test_fgraph_automorphisms_searched_once_per_shape(self,
+                                                         monkeypatch):
+        import fthresh.fgraphs
+        searched = []
+        original = fthresh.fgraphs.automorphisms
+
+        def counting(g):
+            searched.append(g)
+            return original(g)
+
+        monkeypatch.setattr(fthresh.fgraphs, "automorphisms", counting)
+        chain = FGraph.from_fedges([triangle(0, 1, 2), triangle(2, 3, 4),
+                                    triangle(4, 5, 0)])
+        fgraph_automorphisms.cache_clear()
+        group = fgraph_automorphisms(chain)
+        # the clean 3-cycle of triangles has the symmetry of a hexagon
+        # that keeps the triangles: the rotations by two and three
+        # reflections
+        assert len(group) == 6
+        assert [count_copies(chain, n) for n in (6, 7, 9)] == [
+            math.factorial(6) // 6, math.perm(7, 6) // 6,
+            math.perm(9, 6) // 6]
+        assert fgraph_automorphisms(chain) is group
+        assert len(searched) == 1
+
 
 PRESETS = ("k2", "k3", "k4", "c4", "c5", "k4me")
 # C4 labelled 0-2-1-3: its sorted vertices do not follow the cycle

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fthresh.errors import UndefinedDensityError
 from fthresh.graphs import (Graph, are_isomorphic, automorphism_count,
-                            canonical_form, components,
+                            automorphisms, canonical_form, components,
                             enumerate_connected_subgraphs,
                             enumerate_embeddings, format_edge_list,
                             one_density, parse_edge_list,
@@ -130,6 +130,26 @@ class TestEmbeddings:
         found = list(enumerate_embeddings(Graph.complete(3),
                                           Graph.complete(5)))
         assert len(found) == 5 * 4 * 3
+
+    @pytest.mark.parametrize("pattern", [
+        Graph.complete(3), Graph.cycle(4),
+        # the path 1-4-0-3-2: its reflection moves 1 onto 2, which the
+        # search places before 1
+        Graph.from_edges([(1, 4), (4, 0), (0, 3), (3, 2)])])
+    def test_automorphisms_leave_the_least_embedding_per_copy(self,
+                                                             pattern):
+        pverts = sorted(pattern.vertices)
+        auts = [tuple(a[u] for u in pverts) for a in automorphisms(pattern)]
+        host = Graph.from_edges(
+            [e for i, e in enumerate(itertools.combinations(range(8), 2))
+             if i % 3 != 1], vertices=range(8))
+        least = set()
+        for m in enumerate_embeddings(pattern, host):
+            least.add(min(tuple(m[x] for x in a) for a in auts))
+        found = [tuple(m[u] for u in pverts) for m in enumerate_embeddings(
+            pattern, host, automorphisms=auts)]
+        assert len(found) == len(set(found))
+        assert set(found) == least
 
     def test_no_triangle_in_tree(self):
         assert not list(enumerate_embeddings(Graph.complete(3),

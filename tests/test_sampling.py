@@ -12,8 +12,9 @@ from fthresh.dgraphs import sparse_cycle_placements
 from fthresh.fgraphs import FGraph, classify
 from fthresh.patterns import pattern_preset, pi_prime
 from fthresh.sampling import (STREAM_COPIES, STREAM_DUMMIES, STREAM_EDGES,
-                              dummy_slots, edge_order, edge_uniforms,
-                              graph_from_uniforms, merge_to_hr, rng_for,
+                              dummy_slots, edge_order, edge_slots,
+                              edge_uniforms, graph_from_uniforms,
+                              merge_to_hr, rng_for,
                               sample_gnp, sample_gstar, sample_hf, uniforms)
 
 K3 = pattern_preset("k3")
@@ -138,7 +139,13 @@ class TestDummySlots:
 
 
 def test_edge_order_is_lexicographic():
-    assert edge_order(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert edge_order(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def test_edge_slots_index_edge_order():
+    assert edge_order(7) is edge_order(7)
+    assert edge_slots(7) is edge_slots(7)
+    assert [edge_slots(7)[e] for e in edge_order(7)] == list(range(21))
 
 
 def test_rng_for_reproducible():
