@@ -26,8 +26,8 @@ from .graphs import format_edge_list
 from .inventory import build_inventory, chen_stein_bound
 from .patterns import (Pattern, derive_params, p_star, pattern_from_file,
                        pattern_preset)
-from .sampling import (STREAM_EDGES, edge_slots, graph_from_uniforms,
-                       rng_for)
+from .sampling import (STREAM_EDGES, GraphAt, edge_slots,
+                       graph_from_uniforms, rng_for)
 
 GRID_POINTS = 9
 GRID_LO = 0.6
@@ -136,7 +136,8 @@ def _scan_trial(payload) -> list[tuple]:
     The copies are enumerated once, in the graph at the top of the grid,
     each with its birth time: the largest uniform among its edges. The
     copies present at p are those born below p, the same test that puts
-    an edge in the graph at p.
+    an edge in the graph at p; the search reads that graph as a GraphAt,
+    so only the top of the grid builds one.
     """
     f, n, us, ps, budget = payload
     if not ps:
@@ -147,7 +148,7 @@ def _scan_trial(payload) -> list[tuple]:
     out = []
     for p in ps:
         present = [fe for fe, b in zip(copies, births) if b < p]
-        res = find_f_factor(graph_from_uniforms(n, us, p), f, budget=budget,
+        res = find_f_factor(GraphAt(n, us, p), f, budget=budget,
                             copies=present)
         covered = set().union(*(fe.vertices for fe in present))
         out.append((res.status, len(covered) == n, res.n_copies))

@@ -23,7 +23,8 @@ import numpy as np
 
 from .dgraphs import DGraph
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .exactengine import ExactEngine, Placements, get_engine, placements
+from .exactengine import (ExactEngine, Placements, get_engine, placements,
+                          weighted_index)
 from .fgraphs import FGraph, classify, find_avoidable, inducing_witness
 from .graphs import Graph
 from .patterns import Pattern, ThresholdParams
@@ -222,20 +223,12 @@ def _precouple_shared(f: Pattern, params: ThresholdParams,
 
 # -- the two laws ------------------------------------------------------------
 
-def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
-    total = float(weights.sum())
-    if not total > 0:
-        raise InternalInconsistencyError("empty conditional support")
-    cdf = np.cumsum(weights)
-    return min(int(np.searchsorted(cdf, rng.random() * total,
-                                   side="right")), len(weights) - 1)
-
-
 class _ExactLaw:
     """Every conditional probability by enumeration over the engine's
     product spaces; the final structures follow the exact conditional laws.
-    The copy subsets and edge masks still consistent with the decisions so
-    far are the state the steps narrow down."""
+    The state the steps narrow down is, on each side, the ascending masks
+    still consistent with the decisions so far (copy subsets, edge masks)
+    and their weights, so a step reads only what is still live."""
 
     g_law = "exact"
 
@@ -248,12 +241,11 @@ class _ExactLaw:
         self.pre = pre = _precouple_exact(f, n, params, seed, rng, eng)
         if pre.b3:
             return
-        masks_h, pc_h = eng.valid_h(pre.c1)
-        self.masks_h = masks_h.copy()
+        self.masks_h, pc_h = eng.valid_h(pre.c1)
         x = params.pi / (1.0 - params.pi)
         self.w_h = x ** pc_h.astype(np.float64)
-        self.valid_g = eng.valid_g_dense(pre.c1).copy()
-        self.w_g = eng.g_weights(params.p)
+        self.masks_g = eng.valid_g_dense(pre.c1)
+        self.w_g = eng.g_weights(params.p)[self.masks_g]
 
     def b3_structures(self) -> tuple[FGraph, DGraph]:
         return self.pre.h_pre, self.pre.g_pre
@@ -266,18 +258,19 @@ class _ExactLaw:
             raise InternalInconsistencyError("copy state has no support")
         pi_prime_j = float(self.w_h[self._has].sum()) / tot_h
         mj = np.uint32(self.tab.copy_bits[j])
-        self._sup = (self.eng.g_masks & mj) == mj
-        tot_g = float(self.w_g[self.valid_g].sum())
+        self._sup = (self.masks_g & mj) == mj
+        tot_g = float(self.w_g.sum())
         if not tot_g > 0:
             raise InternalInconsistencyError("graph state has no support")
-        pi_j = float(self.w_g[self.valid_g & self._sup].sum()) / tot_g
+        pi_j = float(self.w_g[self._sup].sum()) / tot_g
         return pi_j, pi_prime_j
 
     def commit(self, j: int, dec_h: bool, dec_g: Optional[bool]) -> None:
         keep = self._has if dec_h else ~self._has
         self.masks_h, self.w_h = self.masks_h[keep], self.w_h[keep]
         if dec_g is not None:
-            self.valid_g &= self._sup if dec_g else ~self._sup
+            keep = self._sup if dec_g else ~self._sup
+            self.masks_g, self.w_g = self.masks_g[keep], self.w_g[keep]
 
     def finish(self, outcome: str, decided: list, h0: set[int],
                r_bits: int) -> tuple[FGraph, DGraph]:
@@ -288,12 +281,12 @@ class _ExactLaw:
                     "sequence")
             final_mask = int(self.masks_h[0])
         else:
-            final_mask = int(self.masks_h[_weighted_pick(self.w_h,
+            final_mask = int(self.masks_h[weighted_index(self.w_h,
                                                          self.rng)])
         h = FGraph.from_fedges((fe for i, fe in enumerate(self.tab.copies)
                                 if final_mask >> i & 1),
                                vertices=range(self.tab.n))
-        g = self.eng.sample_g(self.valid_g, self.params.p, self.pre.c1,
+        g = self.eng.sample_g(self.masks_g, self.params.p, self.pre.c1,
                               self.rng)
         return h, g
 
@@ -325,10 +318,8 @@ class _BoundLaw:
         cycle outside C1, and otherwise has its unconditional rate."""
         if j in h0:
             return 1.0
-        ids = self.tab.copy_ids
-        # a cycle lists copy j at most once, so the hits are its rows
-        rows = np.flatnonzero(ids.ravel() == j) // max(ids.shape[1], 1)
-        members = ids[rows[~self._c1_rows[rows]]]
+        rows = self.tab.rows_with(j)
+        members = self.tab.copy_ids[rows[~self._c1_rows[rows]]]
         closed = self.tab.copy_flags(h0)[members] | (members == j)
         return 0.0 if closed.all(axis=1).any() else self.params.pi
 

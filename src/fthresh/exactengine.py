@@ -61,6 +61,16 @@ class Placements:
         self.copy_ids, self.lengths, self.sparse = cycle_placements(
             f, range(n), f.s)
         self.n_cycles = len(self.lengths)
+        # copy -> the rows that list it, ascending, in compressed sparse
+        # rows: copy c's rows are copy_rows[row_start[c]:row_start[c + 1]];
+        # the -1 padding sorts first and is dropped
+        flat = self.copy_ids.ravel()
+        order = np.argsort(flat, kind="stable")
+        order //= max(self.copy_ids.shape[1], 1)
+        counts = np.bincount(flat + 1, minlength=len(self.copies) + 1)
+        self.copy_rows = order[counts[0]:].astype(np.int32)
+        self.row_start = np.zeros(len(self.copies) + 1, dtype=np.int32)
+        np.cumsum(counts[1:], out=self.row_start[1:])
         self.n_words = max(1, -(-len(self.pairs) // 64))
         # a last all-zero row, which the -1 padding of copy_ids indexes
         copy_words = np.array([self.words(b) for b in self.copy_bits + (0,)],
@@ -72,6 +82,10 @@ class Placements:
     def ids(self, i: int) -> list[int]:
         """The sorted copy ids of cycle i."""
         return self.copy_ids[i, :self.lengths[i]].tolist()
+
+    def rows_with(self, c: int) -> np.ndarray:
+        """The rows of the cycles that list copy c, ascending."""
+        return self.copy_rows[self.row_start[c]:self.row_start[c + 1]]
 
     def cycle(self, i: int) -> FGraph:
         """Cycle i as an F-graph, for the readers that need one."""
@@ -126,6 +140,60 @@ def placements(f: Pattern, n: int) -> Placements:
     return Placements(f, n)
 
 
+def _subset_sums(masks: np.ndarray, terms: np.ndarray,
+                 bits: int) -> np.ndarray:
+    """Per mask m on `bits` axes, the sum of terms[i] over every i whose
+    masks[i] is a subset of m: each term is scattered at its own mask, then
+    one in-place pass per bit adds every mask without the bit into the same
+    mask with it (the zeta transform of the subset lattice). Integer sums,
+    so the order of the additions does not matter."""
+    out = np.zeros(1 << bits, dtype=terms.dtype)
+    np.add.at(out, masks, terms)
+    for b in range(bits):
+        v = out.reshape(-1, 2, 1 << b)
+        v[:, 1, :] += v[:, 0, :]
+    return out
+
+
+def _supersets(base: int, bits: int) -> np.ndarray:
+    """The masks on `bits` axes that contain base, ascending: each free bit,
+    lowest first, doubles the list with the bit set, and the new half lies
+    above the old one since the old masks differ only in lower bits."""
+    out = np.array([base], dtype=np.uint32)
+    for b in range(bits):
+        if not base >> b & 1:
+            out = np.concatenate((out, out | np.uint32(1 << b)))
+    return out
+
+
+def weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probability proportional to its weight.
+
+    The total is numpy's pairwise sum and the cdf a running sum, so a draw
+    near the top can land past the cdf's end; it then goes to the last
+    index of positive weight, never to one the weights rule out."""
+    total = float(weights.sum())
+    if not total > 0:
+        raise InternalInconsistencyError("empty conditional support")
+    i = int(np.searchsorted(np.cumsum(weights), rng.random() * total,
+                            side="right"))
+    if i == len(weights):
+        i = int(np.flatnonzero(weights)[-1])
+    return i
+
+
+def _remember(cache: dict, key, value, limit: int = 512):
+    """Store value, an array or a tuple of arrays made read-only since
+    every caller shares it, in a cache emptied once it holds limit
+    entries."""
+    for a in value if isinstance(value, tuple) else (value,):
+        a.flags.writeable = False
+    if len(cache) >= limit:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
 def _check_outcomes(axes: int) -> None:
     if 2 ** axes > DEFAULT_OUTCOME_CAP:
         raise ResourceLimitError(
@@ -154,39 +222,23 @@ class ExactEngine:
                                    dtype=np.uint32)
         self._shadows = tab.shadow_words[:, 0].astype(np.uint32)
 
-        # copy-subset space
-        hm = np.arange(2 ** self.M, dtype=np.uint32)
-        self.h_pc = np.bitwise_count(hm).astype(np.uint8)
-        rng = np.random.Generator(np.random.Philox(key=(0xC0FFEE, 0)))
-        # keys small enough that any subset sum stays below 2**64
-        self._cycle_keys = rng.integers(1, 2 ** 48, size=tab.n_cycles,
-                                        dtype=np.uint64)
-        hh = np.zeros(hm.shape, dtype=np.uint64)
-        for i, cm in enumerate(self._copy_sets):
-            hh += self._cycle_keys[i] * ((hm & cm) == cm)
-        self.h_hash = hh
-
-        # usual-edge space
-        gm = np.arange(2 ** self.E, dtype=np.uint32)
-        self.g_masks = gm
-        self.g_pc = np.bitwise_count(gm).astype(np.uint8)
-        dense_count = np.zeros(gm.shape, dtype=np.int32)
-        s_all = np.zeros(gm.shape, dtype=np.int32)
-        gh = np.zeros(gm.shape, dtype=np.uint64)
-        for i, (sm, sparse) in enumerate(zip(self._shadows, tab.sparse)):
-            comp = (gm & sm) == sm
-            if sparse:
-                s_all += comp
-            else:
-                dense_count += comp
-                gh += self._cycle_keys[i] * comp
-        self.g_dense_count = dense_count
-        self.g_s_all = s_all
-        self.g_dense_hash = gh
+        # per mask, how many cycles it contains: on the copy axis the
+        # cycles, on the edge axis the dense and the sparse shadows apart
+        ones = np.ones(tab.n_cycles, dtype=np.min_scalar_type(tab.n_cycles))
+        self.h_count = _subset_sums(self._copy_sets, ones, self.M)
+        dense, sparse = ~tab.sparse, tab.sparse
+        self.g_dense_count = _subset_sums(self._shadows[dense], ones[dense],
+                                          self.E)
+        self.g_s_all = _subset_sums(self._shadows[sparse], ones[sparse],
+                                    self.E)
+        self.g_pc = np.bitwise_count(
+            np.arange(2 ** self.E, dtype=np.uint32)).astype(np.uint8)
 
         self._valid_h_cache: dict[frozenset[int], tuple] = {}
+        self._valid_g_cache: dict[frozenset[int], np.ndarray] = {}
         self._mu_cache: dict[tuple, float] = {}
         self._nu_cache: dict[tuple, float] = {}
+        self._g_weights: dict[float, np.ndarray] = {}
 
     # -- translation ---------------------------------------------------------
 
@@ -208,22 +260,17 @@ class ExactEngine:
     # -- copy-process side ---------------------------------------------------
 
     def valid_h(self, c1: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
-        """(masks, popcounts) of copy subsets whose cycle set is exactly c1."""
+        """(masks, popcounts) of copy subsets whose cycle set is exactly c1,
+        masks ascending: among the subsets holding every copy of c1, which
+        contain all of c1's cycles, those that contain no other cycle."""
         if c1 in self._valid_h_cache:
             return self._valid_h_cache[c1]
-        target = np.uint64(0)
-        for i in c1:
-            target += self._cycle_keys[i]
-        cand = np.flatnonzero(self.h_hash == target).astype(np.uint32)
-        keep = np.ones(cand.shape, dtype=bool)
-        for i, cm in enumerate(self._copy_sets):
-            keep &= ((cand & cm) == cm) == (i in c1)
-        masks = cand[keep]
-        out = (masks, self.h_pc[masks])
-        if len(self._valid_h_cache) > 512:
-            self._valid_h_cache.clear()
-        self._valid_h_cache[c1] = out
-        return out
+        rows = list(c1)
+        cand = _supersets(int(np.bitwise_or.reduce(self._copy_sets[rows])),
+                          self.M)
+        masks = cand[self.h_count[cand] == len(rows)]
+        return _remember(self._valid_h_cache, c1,
+                         (masks, np.bitwise_count(masks)))
 
     def mu(self, c1: frozenset[int], pi: float) -> float:
         """Probability that the copy process has cycle set exactly c1."""
@@ -243,34 +290,34 @@ class ExactEngine:
     # -- auxiliary-graph side ------------------------------------------------
 
     def g_weights(self, p: float) -> np.ndarray:
-        """Per-edge-mask weight including the free-dummy marginal factor."""
+        """Per-edge-mask weight including the free-dummy marginal factor,
+        computed once per p and shared read-only."""
+        w = self._g_weights.get(p)
+        if w is not None:
+            return w
         if p <= 0.0 or p >= 1.0:
             w = np.zeros(2 ** self.E)
             w[-1 if p >= 1.0 else 0] = 1.0
-            return w
-        lp, lq = np.log(p), np.log1p(-p)
-        pc = self.g_pc.astype(np.float64)
-        return np.exp(pc * lp + (self.E - pc) * lq
-                      + self.g_s_all.astype(np.float64) * lq)
+        else:
+            lp, lq = np.log(p), np.log1p(-p)
+            pc = self.g_pc.astype(np.float64)
+            w = np.exp(pc * lp + (self.E - pc) * lq
+                       + self.g_s_all.astype(np.float64) * lq)
+        return _remember(self._g_weights, p, w, limit=8)
 
     def valid_g_dense(self, c1: frozenset[int]) -> np.ndarray:
-        """Edge masks whose complete dense cycles are exactly c1's dense part
-        and whose complete sparse shadows cover c1's sparse part."""
-        sparse = self.table.sparse
-        dense = [i for i in c1 if not sparse[i]]
-        target = np.uint64(0)
-        for i in dense:
-            target += self._cycle_keys[i]
-        ok = self.g_dense_hash == target
-        for i in dense:
-            sm = self._shadows[i]
-            ok &= (self.g_masks & sm) == sm
-        ok &= self.g_dense_count == len(dense)
-        for i in c1:
-            if sparse[i]:
-                sm = self._shadows[i]
-                ok &= (self.g_masks & sm) == sm
-        return ok
+        """Edge masks, ascending, whose complete dense cycles are exactly
+        c1's dense part and whose complete sparse shadows cover c1's sparse
+        part: among the masks holding every shadow of c1, those that
+        complete no other dense cycle."""
+        if c1 in self._valid_g_cache:
+            return self._valid_g_cache[c1]
+        rows = list(c1)
+        cand = _supersets(int(np.bitwise_or.reduce(self._shadows[rows])),
+                          self.E)
+        n_dense = len(rows) - int(self.table.sparse[rows].sum())
+        return _remember(self._valid_g_cache, c1,
+                         cand[self.g_dense_count[cand] == n_dense])
 
     def nu(self, c1: frozenset[int], p: float) -> float:
         """Probability that the auxiliary graph has d-cycle set exactly c1."""
@@ -282,25 +329,18 @@ class ExactEngine:
             val = float((c1 == full) if p >= 1.0 else (not c1))
         else:
             n_sparse = sum(1 for i in c1 if self.table.sparse[i])
-            ok = self.valid_g_dense(c1)
             # sparse cycles off c1 with complete shadow: dummy forced absent;
             # the g_weights factor (1-p)^{s_all} overcounts the c1 ones
-            w = self.g_weights(p)[ok]
+            w = self.g_weights(p)[self.valid_g_dense(c1)]
             val = float(np.sum(w)) * (p / (1.0 - p)) ** n_sparse
         self._nu_cache[key] = val
         return val
 
-    def sample_g(self, valid: np.ndarray, p: float, c1: frozenset[int],
+    def sample_g(self, masks: np.ndarray, p: float, c1: frozenset[int],
                  rng: np.random.Generator) -> DGraph:
-        """Draw the auxiliary graph from its conditional law: edge mask
-        proportional to weight on the valid set, then dummies."""
-        w = self.g_weights(p) * valid
-        total = w.sum()
-        if not total > 0:
-            raise InternalInconsistencyError("empty conditional support")
-        cdf = np.cumsum(w)
-        mask = int(np.searchsorted(cdf, rng.random() * total, side="right"))
-        mask = min(mask, 2 ** self.E - 1)
+        """Draw the auxiliary graph from its conditional law: an edge mask
+        among the valid masks, proportional to weight, then dummies."""
+        mask = int(masks[weighted_index(self.g_weights(p)[masks], rng)])
         edges = [self.pairs[i] for i in range(self.E) if mask >> i & 1]
         base = Graph.from_edges(edges, vertices=range(self.n))
         tab = self.table

@@ -72,7 +72,8 @@ def find_f_factor(g: Graph, f: Pattern, budget: int = 10 ** 6,
     both when the choice is released. Stops with status "budget" once the
     expansion budget is spent, so a miss under budget is exhaustive.
     A caller that already holds the copies of g, as enumerate_copies orders
-    them, passes them as copies and the search skips the enumeration.
+    them, passes them as copies and the search skips the enumeration; g
+    is then read only through vertices, v() and has_edge.
     """
     if budget <= 0:
         raise DomainError("budget must be positive")

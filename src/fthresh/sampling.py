@@ -63,6 +63,23 @@ def graph_from_uniforms(n: int, us: np.ndarray, p: float) -> Graph:
                             vertices=range(n))
 
 
+class GraphAt:
+    """graph_from_uniforms(n, us, p) as the factor search reads a graph
+    whose copies it is given: the vertex set, and an edge test against the
+    uniforms for the certificate check. No edge set is built."""
+
+    def __init__(self, n: int, us: np.ndarray, p: float):
+        self.vertices = frozenset(range(n))
+        self._us, self._p, self._slot = us, p, edge_slots(n)
+
+    def v(self) -> int:
+        return len(self.vertices)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self._us[self._slot[(u, v) if u < v else (v, u)]]
+                    < self._p)
+
+
 def sample_gnp(n: int, p: float, seed: int,
                stream_id: int = STREAM_EDGES) -> Graph:
     """Binomial random graph on [n]."""

@@ -175,11 +175,17 @@ def precouple_digest(f, n, params, seeds, mode):
     return h.hexdigest()
 
 
-# (mode, n, pi, seeds) -> (transcript sha256, outcome mix)
+# (mode, n, pi, seeds) -> (transcript sha256, outcome mix); pi None is the
+# default of derive_params
 GOLDEN_TRANSCRIPTS = {
     ("exact", 6, 0.01, 200): (
         "c505557513677094a5545dea547ac71c8949b97535e61cabf84c22e7b44262e2",
         {"success": 165, "B3": 34, "B1": 1}),
+    # criterion 7's parameters (pi from select_constants): the rejection
+    # path of the exact pre-coupling, nearly every run a B3
+    ("exact", 6, None, 300): (
+        "7a42c623fc07597e789dfb6075788c9a107c679d75383f91ef1f9777132368d0",
+        {"B3": 299, "B2": 1}),
     ("exact", 6, 0.02, 200): (
         "f3732fd5b6a41c426a0b6dc923d2cf6539819162eba8d0173f96d196635b163d",
         {"success": 99, "B3": 90, "B1": 9, "B2": 2}),

@@ -4,10 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from engine_oracles import (brute_valid_g_dense, brute_valid_h, cycle_masks,
+                            loop_arrays)
 
 from fthresh.dgraphs import DGraph, clean_cycle_types, cycle_placements
 from fthresh.errors import ResourceLimitError
-from fthresh.exactengine import ExactEngine, Placements, get_engine
+from fthresh.exactengine import (ExactEngine, Placements, _subset_sums,
+                                 _supersets, get_engine, weighted_index)
 from fthresh.fgraphs import FGraph, classify, potential_copies_on, shadow
 from fthresh.graphs import Graph
 from fthresh.patterns import pattern_preset
@@ -84,6 +87,76 @@ class TestSetup:
         assert get_engine(K3, 4) is eng
 
 
+class TestBuild:
+    """The subset-sum build gives the counts a pass per cycle gives. K3 is
+    the only preset with cycles inside the outcome cap (K4-e at n = 5
+    already has 30 copies); C4 at n = 5 covers a table without any."""
+
+    @pytest.mark.parametrize("name,n", [("k3", 4), ("k3", 5), ("k3", 6),
+                                        ("c4", 5)])
+    def test_matches_a_pass_per_cycle(self, name, n):
+        eng = get_engine(pattern_preset(name), n)
+        got = (eng.h_count, eng.g_dense_count, eng.g_s_all)
+        for a, b in zip(got, loop_arrays(eng)):
+            assert np.array_equal(a, b)
+
+    def test_subset_sums(self):
+        rng = np.random.default_rng(5)
+        bits = 7
+        masks = rng.integers(0, 2 ** bits, size=40)  # with repeats
+        terms = rng.integers(-50, 50, size=40)
+        got = _subset_sums(masks, terms, bits)
+        for m in range(2 ** bits):
+            assert got[m] == sum(t for s, t in zip(masks, terms)
+                                 if s & m == s)
+
+    @pytest.mark.parametrize("base", [0, 0b1, 0b10110, 0b1111111])
+    def test_supersets(self, base):
+        want = [m for m in range(2 ** 7) if m & base == base]
+        assert _supersets(base, 7).tolist() == want
+
+
+def cycle_set_of(masks, sets):
+    return frozenset(i for i, cm in enumerate(sets) if masks & cm == cm)
+
+
+class TestValidSets:
+    """The valid sets, read off the supersets of c1's copies or shadows,
+    equal a scan of every mask, for cycle sets read off random masks (so
+    every one is attainable) and one that is not."""
+
+    @pytest.mark.parametrize("n,draws", [(5, 12), (6, 2)])
+    def test_valid_h(self, n, draws):
+        eng = get_engine(K3, n)
+        copy_sets, _ = cycle_masks(eng)
+        rng = np.random.default_rng(n)
+        c1s = {cycle_set_of(int(m), copy_sets)
+               for m in rng.integers(0, 2 ** eng.M, size=draws)}
+        c1s = [c1 for c1 in c1s if c1]
+        assert c1s
+        if n == 5:
+            c1s.append(frozenset(range(eng.table.n_cycles - 1)))
+        for c1 in c1s:
+            masks, pc = eng.valid_h(c1)
+            want = brute_valid_h(eng, c1)
+            assert np.array_equal(masks, want)
+            assert np.array_equal(pc, np.bitwise_count(want))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_valid_g_dense(self, n):
+        eng = get_engine(K3, n)
+        _, shadows = cycle_masks(eng)
+        rng = np.random.default_rng(n)
+        for m in rng.integers(0, 2 ** eng.E, size=12):
+            complete = cycle_set_of(int(m), shadows)
+            # every complete dense cycle, and some of the sparse ones
+            c1 = frozenset(i for i in complete if not eng.table.sparse[i]
+                           or rng.random() < 0.5)
+            got = eng.valid_g_dense(c1)
+            assert int(m) in got
+            assert np.array_equal(got, brute_valid_g_dense(eng, c1))
+
+
 class TestMu:
     def test_matches_brute_force(self, eng):
         pi = 0.23
@@ -149,6 +222,32 @@ class TestSampleG:
                 assert eng.table.cycle(i).fedges in dummy_sets
 
 
+class TopRng:
+    """Every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        return 1.0 - 2.0 ** -53
+
+
+class TestWeightedDraw:
+    def test_top_draw_lands_on_positive_weight(self):
+        """Nine weights of 0.1 sum pairwise to 0.9 but run to
+        0.8999999999999999, so the top draw lands past the cdf's end; it
+        must go to the last positive weight, not a trailing zero."""
+        w = np.array([0.1] * 9 + [0.0, 0.0])
+        assert TopRng().random() * float(w.sum()) >= np.cumsum(w)[-1]
+        assert weighted_index(w, TopRng()) == 8
+
+    def test_top_draw_stays_in_the_valid_set(self):
+        """At n = 6 the pairwise total exceeds the running cdf's end, so a
+        draw clamped to the last mask gave all 15 edges and complete dense
+        cycles for a cycle set that has none."""
+        eng = get_engine(K3, 6)
+        c1 = frozenset()
+        g = eng.sample_g(eng.valid_g_dense(c1), 0.05, c1, TopRng())
+        assert eng.gstar_cycle_ids(g) == c1
+
+
 class TestTranslation:
     def test_h_cycle_ids(self, eng):
         h = FGraph.from_fedges(list(eng.copies[:2]), vertices=range(4))
@@ -193,6 +292,15 @@ class TestPlacementRows:
             assert tab.cycle(i) == cyc
             assert tab.shadow_words[i].tolist() == tab.words(
                 tab.edge_mask(shadow(cyc).edges))
+
+    @pytest.mark.parametrize("name,n", [("k3", 8), ("c4", 7)])
+    def test_rows_with_lists_each_copy(self, name, n):
+        tab = Placements(pattern_preset(name), n)
+        for j in range(len(tab.copies)):
+            want = [i for i in range(tab.n_cycles) if j in tab.ids(i)]
+            got = tab.rows_with(j)
+            assert got.dtype == np.int32
+            assert got.tolist() == want
 
     def test_build_makes_no_fgraph(self, monkeypatch):
         """The type representatives are F-graphs, one per type; the

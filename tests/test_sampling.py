@@ -12,7 +12,7 @@ from fthresh.dgraphs import sparse_cycle_placements
 from fthresh.fgraphs import FGraph, classify
 from fthresh.patterns import pattern_preset, pi_prime
 from fthresh.sampling import (STREAM_COPIES, STREAM_DUMMIES, STREAM_EDGES,
-                              dummy_slots, edge_order, edge_slots,
+                              GraphAt, dummy_slots, edge_order, edge_slots,
                               edge_uniforms, graph_from_uniforms,
                               merge_to_hr, rng_for,
                               sample_gnp, sample_gstar, sample_hf, uniforms)
@@ -43,6 +43,16 @@ class TestGnp:
         us = edge_uniforms(8, 0)
         assert graph_from_uniforms(8, us, 1.0).e() == 28
         assert graph_from_uniforms(8, us, 0.0).e() == 0
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
+    def test_graph_at_reads_as_the_built_graph(self, p):
+        us = edge_uniforms(9, 4)
+        g, view = graph_from_uniforms(9, us, p), GraphAt(9, us, p)
+        assert view.vertices == g.vertices and view.v() == g.v()
+        for u in range(9):
+            for v in range(9):
+                if u != v:
+                    assert view.has_edge(u, v) == g.has_edge(u, v)
 
     def test_edge_count_statistics(self):
         n, p, reps = 12, 0.3, 300
