@@ -254,12 +254,11 @@ def cmd_chen_stein(args) -> int:
     if not args.n:
         raise SystemExit("chen-stein requires --n")
     delta, eps = _constants(f, args)
-    ns = [args.n] if isinstance(args.n, int) else args.n
     config = {"command": "chen-stein", "pattern": args.pattern or "file",
               "delta": delta, "eps": eps}
     lines = [_csv_header(config),
              "n,lengths,count,pi,p,bound_H,bound_G"]
-    for n in ns:
+    for n in args.n:
         params = derive_params(f, n, delta, eps, pi=args.pi)
         pi = params.pi
         p = args.p if args.p is not None else params.p
@@ -276,6 +275,23 @@ def cmd_chen_stein(args) -> int:
 
 # -- entry point -------------------------------------------------------------
 
+# the flags a subcommand may take, each with its argparse settings
+_FLAGS = {
+    "n": {"type": int, "help": "instance size"},
+    "p": {"type": float, "help": "edge probability"},
+    "pi": {"type": float, "help": "copy probability"},
+    "delta": {"type": float, "help": "coupling slack exponent"},
+    "eps": {"type": float, "help": "growth-rate exponent"},
+    "trials": {"type": int, "default": 100},
+    "seed": {"type": int, "default": 0},
+    "mode": {"choices": ("exact", "bound"), "default": "exact"},
+    "budget": {"type": int, "default": 100_000,
+               "help": "search expansion budget"},
+    "max-len": {"type": int, "help": "largest cycle length"},
+    "out": {"help": "output file (default stdout)"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fthresh",
@@ -285,51 +301,30 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"fthresh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_multi=False):
+    def add(name, func, summary, flags):
+        """A subcommand taking the template flags and the listed ones:
+        those its command reads, so any other flag is a usage error."""
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--pattern", help="preset template name")
         sp.add_argument("--pattern-file", help="edge-list file of a template")
-        if n_multi:
-            sp.add_argument("--n", type=int, nargs="+", help="instance sizes")
-        else:
-            sp.add_argument("--n", type=int, help="instance size")
-        sp.add_argument("--p", type=float, help="edge probability")
-        sp.add_argument("--pi", type=float, help="copy probability")
-        sp.add_argument("--delta", type=float, help="coupling slack exponent")
-        sp.add_argument("--eps", type=float, help="growth-rate exponent")
-        sp.add_argument("--trials", type=int, default=100)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--mode", choices=("exact", "bound"),
-                        default="exact")
-        sp.add_argument("--budget", type=int, default=100_000,
-                        help="search expansion budget")
-        sp.add_argument("--out", help="output file (default stdout)")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("analyze", help="template invariants and parameters")
-    common(sp)
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("verify",
-                        help="certify d-cycle balance and exponent signs")
-    common(sp)
-    sp.add_argument("--max-len", type=int, help="largest cycle length")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("scan", help="factor probability across a p-grid")
-    common(sp)
-    sp.set_defaults(func=cmd_scan)
-
-    sp = sub.add_parser("couple", help="run the stepwise coupling")
-    common(sp)
-    sp.set_defaults(func=cmd_couple)
-
-    sp = sub.add_parser("chen-stein",
-                        help="Poisson approximation error bounds")
-    common(sp, n_multi=True)
-    sp.set_defaults(func=cmd_chen_stein)
-
-    sp = sub.add_parser("params", help="derived instance parameters")
-    common(sp)
-    sp.set_defaults(func=cmd_params)
+    add("analyze", cmd_analyze, "template invariants and parameters",
+        ("n", "pi", "delta", "eps"))
+    add("verify", cmd_verify, "certify d-cycle balance and exponent signs",
+        ("max-len", "out"))
+    add("scan", cmd_scan, "factor probability across a p-grid",
+        ("n", "p", "trials", "seed", "budget", "out"))
+    add("couple", cmd_couple, "run the stepwise coupling",
+        ("n", "pi", "delta", "eps", "trials", "seed", "mode", "out"))
+    sp = add("chen-stein", cmd_chen_stein, "Poisson approximation error "
+             "bounds", ("pi", "p", "delta", "eps", "out"))
+    sp.add_argument("--n", type=int, nargs="+", help="instance sizes")
+    add("params", cmd_params, "derived instance parameters",
+        ("n", "pi", "delta", "eps"))
 
     return parser
 

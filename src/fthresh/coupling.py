@@ -135,21 +135,48 @@ def _q_report(tab: Placements, j: int, c1_rows: np.ndarray,
 
 @dataclass
 class CouplingTranscript:
-    header: dict
+    """One run's inputs, steps and final structures. The JSON header and
+    trailer are views over these fields, built only when read."""
+
+    f: Pattern
+    n: int
+    params: ThresholdParams
+    seed: int
+    mode: str
     steps: list
-    trailer: dict
     h: FGraph
     g: DGraph
     outcome: str
     containment: Optional[bool]
-    witness: Optional[dict] = None
+    witness: Optional[dict]
+    g_law: str
     q_reports: list = field(default_factory=list)
+
+    @property
+    def header(self) -> dict:
+        return {"pattern_edges": sorted(map(list, self.f.graph.edges)),
+                "n": self.n, "params": params_as_jsonable(self.params),
+                "seed": self.seed, "mode": self.mode}
+
+    @property
+    def trailer(self) -> dict:
+        return {"outcome": self.outcome, "containment": self.containment,
+                "witness": self.witness, "h": _embeddings(self.h),
+                "g": _serialize_g(self.g), "g_law": self.g_law}
 
     def to_jsonl(self) -> str:
         lines = [json.dumps({"kind": "header", **self.header})]
         lines.extend(json.dumps({"kind": "step", **s}) for s in self.steps)
         lines.append(json.dumps({"kind": "trailer", **self.trailer}))
         return "\n".join(lines) + "\n"
+
+
+def params_as_jsonable(params: ThresholdParams) -> dict:
+    """Plain-float view of the parameters; exact fractions become floats."""
+    out = {}
+    for k, v in dataclasses.asdict(params).items():
+        out[k] = float(v) if not isinstance(v, (bool, int)) else v
+    return out
 
 
 def _embeddings(h: FGraph) -> list:
@@ -396,14 +423,6 @@ def _overlapping_pair(cycles: list[FGraph]) -> Optional[tuple[int, int]]:
     return None
 
 
-def params_as_jsonable(params: ThresholdParams) -> dict:
-    """Plain-float view of the parameters; exact fractions become floats."""
-    out = {}
-    for k, v in dataclasses.asdict(params).items():
-        out[k] = float(v) if not isinstance(v, (bool, int)) else v
-    return out
-
-
 def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
                  mode: str = "exact") -> CouplingTranscript:
     """One full coupling run; the transcript records every step and the
@@ -411,9 +430,6 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
     B2 (avoidable configuration), B3 (cycle mismatch) or step_failure."""
     law = _law(f, n, params, seed, mode)
     tab, pre, rng = law.tab, law.pre, law.rng
-    header = {"pattern_edges": sorted(map(list, f.graph.edges)), "n": n,
-              "params": params_as_jsonable(params), "seed": seed,
-              "mode": mode}
     steps: list[dict] = []
     q_reports: list[QReport] = []
     outcome = "success"
@@ -512,10 +528,7 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
     containment: Optional[bool] = None
     if outcome == "success":
         containment = all(fe.edge_set <= g.base.edges for fe in h.fedges)
-    trailer = {"outcome": outcome, "containment": containment,
-               "witness": witness, "h": _embeddings(h),
-               "g": _serialize_g(g), "g_law": law.g_law}
-    return CouplingTranscript(header=header, steps=steps, trailer=trailer,
-                              h=h, g=g, outcome=outcome,
+    return CouplingTranscript(f=f, n=n, params=params, seed=seed, mode=mode,
+                              steps=steps, h=h, g=g, outcome=outcome,
                               containment=containment, witness=witness,
-                              q_reports=q_reports)
+                              g_law=law.g_law, q_reports=q_reports)

@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,15 +25,13 @@ from .fgraphs import (FEdge, FGraph, _clean_cycle_order, classify,
                       fgraph_automorphisms, potential_copies_on, shadow)
 from .patterns import Pattern
 
-DummyKey = frozenset  # frozenset[FEdge]: the two copies of a sparse 2-cycle
-
 
 @dataclass(frozen=True)
 class DGraph:
     """A simple graph plus dummy edges keyed by sparse clean 2-cycles."""
 
     base: Graph
-    dummies: frozenset  # frozenset[DummyKey]
+    dummies: frozenset  # each the frozenset of a sparse 2-cycle's copies
 
     def __post_init__(self):
         for key in self.dummies:
@@ -304,18 +302,26 @@ def cycle_placements(f: Pattern, labels: Iterable[int], max_len: int,
     return CycleRows(ids, lengths[order], np.concatenate(sparse)[order])
 
 
-def sparse_cycle_placements(f: Pattern,
-                            labels: Iterable[int]) -> list[frozenset[FEdge]]:
-    """Every sparse clean 2-cycle on the given labels, as unordered copy
-    pairs ordered by their shared vertex pair and then by copy ids. These
-    key the dummy edges."""
-    labels = sorted(labels)
-    copies = potential_copies_on(f, labels)
-    rows = cycle_placements(f, labels, 2)
-    pairs = rows.copy_ids[rows.sparse, :2].reshape(-1, 2)
+def dummy_order(f: Pattern, copies: Sequence[FEdge],
+                pairs: np.ndarray) -> np.ndarray:
+    """The order of the sparse 2-cycles given as rows of two ascending ids
+    into copies: by their shared vertex pair, then by copy ids. It is the
+    order of the dummy slots, which the dummy stream of sample_gstar
+    indexes."""
     verts = np.array([sorted(fe.vertices) for fe in copies]).reshape(-1, f.r)
     first, second = verts[pairs[:, 0]], verts[pairs[:, 1]]
     shared = first[(first[:, :, None] == second[:, None, :]).any(axis=2)]
     shared = shared.reshape(-1, 2)
-    pairs = pairs[np.lexsort((*pairs.T[::-1], *shared.T[::-1]))]
+    return np.lexsort((*pairs.T[::-1], *shared.T[::-1]))
+
+
+def sparse_cycle_placements(f: Pattern,
+                            labels: Iterable[int]) -> list[frozenset[FEdge]]:
+    """Every sparse clean 2-cycle on the given labels, as unordered copy
+    pairs in dummy_order. These key the dummy edges."""
+    labels = sorted(labels)
+    copies = potential_copies_on(f, labels)
+    rows = cycle_placements(f, labels, 2)
+    pairs = rows.copy_ids[rows.sparse, :2].reshape(-1, 2)
+    pairs = pairs[dummy_order(f, copies, pairs)]
     return [frozenset((copies[a], copies[b])) for a, b in pairs.tolist()]

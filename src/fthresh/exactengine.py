@@ -19,12 +19,12 @@ import functools
 
 import numpy as np
 
-from .dgraphs import DGraph, cycle_placements
+from .dgraphs import DGraph, cycle_placements, dummy_order
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .fgraphs import FEdge, FGraph, all_potential_copies
 from .graphs import Graph
 from .patterns import Pattern
-from .sampling import edge_order, edge_slots
+from .sampling import dummy_slots, edge_order, edge_slots
 
 DEFAULT_OUTCOME_CAP = 2 ** 24
 _WORD = 2 ** 64 - 1
@@ -42,7 +42,9 @@ class Placements:
     ``shadow_words[i]`` is its shadow edge mask, the OR of its copies'
     edge masks, split into 64-bit words (edge e in word e // 64, bit
     e % 64); ``sparse[i]`` is its sparsity flag, set exactly for the
-    sparse pairs.
+    sparse pairs, and ``dummy_slot[i]`` its dummy edge's index into
+    dummy_slots(f, n), -1 off the sparse rows. The table builds no dummy
+    key of its own: it hands out the keys that sample_gstar draws.
     """
 
     def __init__(self, f: Pattern, n: int):
@@ -61,6 +63,11 @@ class Placements:
         self.copy_ids, self.lengths, self.sparse = cycle_placements(
             f, range(n), f.s)
         self.n_cycles = len(self.lengths)
+        sparse_rows = np.flatnonzero(self.sparse)
+        order = dummy_order(f, self.copies,
+                            self.copy_ids[sparse_rows, :2].reshape(-1, 2))
+        self.dummy_slot = np.full(self.n_cycles, -1, dtype=np.int32)
+        self.dummy_slot[sparse_rows[order]] = np.arange(len(order))
         # copy -> the rows that list it, ascending, in compressed sparse
         # rows: copy c's rows are copy_rows[row_start[c]:row_start[c + 1]];
         # the -1 padding sorts first and is dropped
@@ -92,11 +99,10 @@ class Placements:
         return FGraph.from_fedges(self.copies[c] for c in self.ids(i))
 
     def dummy_keys(self, rows) -> list[frozenset[FEdge]]:
-        """The dummy-edge keys of the listed sparse cycles: each one's pair
-        of copies, without an F-graph per cycle."""
-        copies = self.copies
-        return [frozenset((copies[a], copies[b]))
-                for a, b in self.copy_ids[rows, :2].tolist()]
+        """The dummy-edge keys of the listed sparse cycles, taken from
+        dummy_slots(f, n)."""
+        slots = dummy_slots(self.f, self.n)
+        return [slots[s] for s in self.dummy_slot[rows].tolist()]
 
     def copy_id(self, fe: FEdge) -> int:
         return self.copy_index[(fe.vertices, fe.edge_set)]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -339,18 +338,3 @@ def _all_potential_copies_cached(f: Pattern, n: int) -> tuple[FEdge, ...]:
 def all_potential_copies(f: Pattern, n: int) -> list[FEdge]:
     """Every potential copy on [n], in the fixed order the coupling replays."""
     return list(_all_potential_copies_cached(f, n))
-
-
-# -- serialization -----------------------------------------------------------
-
-def fgraph_to_json(h: FGraph, pattern_name: str, n: int) -> str:
-    fedges = sorted((list(fe.embedding) for fe in h.fedges))
-    return json.dumps({"n": n, "pattern_name": pattern_name, "fedges": fedges})
-
-
-def fgraph_from_json(text: str, f: Pattern) -> FGraph:
-    data = json.loads(text)
-    pverts = sorted(f.graph.vertices)
-    fes = [FEdge.from_embedding(f, dict(zip(pverts, images)))
-           for images in data["fedges"]]
-    return FGraph.from_fedges(fes, vertices=range(data["n"]))

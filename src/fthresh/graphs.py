@@ -93,10 +93,6 @@ class Graph:
         return Graph(keep, frozenset((u, v) for u, v in self.edges
                                      if u in keep and v in keep))
 
-    def relabel(self, mapping: dict[int, int]) -> "Graph":
-        return Graph.from_edges(((mapping[u], mapping[v]) for u, v in self.edges),
-                                vertices=(mapping[x] for x in self.vertices))
-
     def union(self, other: "Graph") -> "Graph":
         return Graph(self.vertices | other.vertices, self.edges | other.edges)
 
@@ -250,56 +246,6 @@ def automorphism_count(g: Graph) -> int:
     return sum(1 for _ in automorphisms(g))
 
 
-def enumerate_connected_subgraphs(g: Graph, max_vertices: int,
-                                  cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Graph]:
-    """All connected subgraphs with at most max_vertices vertices.
-
-    Yields every single vertex and every connected edge subset (as a graph on
-    its support), each exactly once by identity of labels.
-    """
-    if max_vertices < 1:
-        raise ValueError("max_vertices must be >= 1")
-    emitted = 0
-    for u in sorted(g.vertices):
-        yield Graph(frozenset([u]), frozenset())
-        emitted += 1
-        if emitted > cap:
-            raise ResourceLimitError(f"subgraph enumeration exceeded cap {cap}")
-    edges = sorted(g.edges)
-    adj_edges: dict[int, list[Edge]] = {u: [] for u in g.vertices}
-    for e in edges:
-        adj_edges[e[0]].append(e)
-        adj_edges[e[1]].append(e)
-    seen: set[frozenset[Edge]] = set()
-    # grow connected edge sets breadth-first from every edge
-    frontier: list[tuple[frozenset[Edge], frozenset[int]]] = []
-    for e in edges:
-        es = frozenset([e])
-        frontier.append((es, frozenset(e)))
-        seen.add(es)
-    while frontier:
-        es, support = frontier.pop()
-        yield Graph(support, es)
-        emitted += 1
-        if emitted > cap:
-            raise ResourceLimitError(f"subgraph enumeration exceeded cap {cap}")
-        for u in support:
-            for e in adj_edges[u]:
-                if e in es:
-                    continue
-                new_support = support | frozenset(e)
-                if len(new_support) > max_vertices:
-                    continue
-                new_es = es | {e}
-                if new_es in seen:
-                    continue
-                seen.add(new_es)
-                if len(seen) > cap:
-                    raise ResourceLimitError(
-                        f"subgraph enumeration exceeded cap {cap}")
-                frontier.append((new_es, new_support))
-
-
 # -- canonical labeling ------------------------------------------------------
 
 def _refine(n: int, adj: list[set[int]], colors: list[int]) -> list[int]:
@@ -365,10 +311,6 @@ def canonical_form(g: Graph) -> str:
     """Canonical label string: equal iff isomorphic, deterministic."""
     n, enc = _canonical_encoding(g)
     return f"n{n}:" + ",".join(f"{u}-{v}" for u, v in enc)
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return canonical_form(g1) == canonical_form(g2)
 
 
 # -- subgraph embeddings -----------------------------------------------------

@@ -113,8 +113,3 @@ def sample_gstar(f: Pattern, n: int, p: float, seed: int,
     us = uniforms(seed, dummy_stream, len(slots))
     dummies = frozenset(slots[i] for i in np.flatnonzero(us < p))
     return DGraph(base=base, dummies=dummies)
-
-
-def merge_to_hr(h: FGraph) -> set[frozenset[int]]:
-    """Vertex sets holding at least one copy: the merged hypergraph's edges."""
-    return {fe.vertices for fe in h.fedges}

@@ -10,6 +10,8 @@ import math
 import random
 from fractions import Fraction
 
+from graph_helpers import merge_to_hr
+
 from fthresh.cli import auto_grid, run_scan, crossing_estimate
 from fthresh.coupling import OUTCOMES, run_coupling
 from fthresh.exponents import (certified_max_f1, certified_max_g1, certify,
@@ -22,8 +24,7 @@ from fthresh.graphs import Graph, automorphism_count, components, density_report
 from fthresh.inventory import build_inventory, chen_stein_bound
 from fthresh.patterns import (analyze_pattern, derive_params, p_star,
                               pattern_preset, pi_prime)
-from fthresh.sampling import (edge_order, merge_to_hr, sample_gnp,
-                              sample_gstar, sample_hf)
+from fthresh.sampling import edge_order, sample_gnp, sample_gstar, sample_hf
 
 K3 = pattern_preset("k3")
 PRESETS = ("k3", "c4", "c5", "k4", "k4me")

@@ -173,6 +173,24 @@ class TestChenStein:
             main(["chen-stein", "--pattern", "k3"])
 
 
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["couple", "--pattern", "k3", "--n", "6", "--trials", "1",
+         "--p", "0.9"],
+        ["scan", "--pattern", "k3", "--n", "9", "--trials", "1",
+         "--pi", "0.1"],
+        ["verify", "--pattern", "k3", "--n", "99"],
+    ])
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        """A flag the subcommand does not read is refused, not ignored:
+        --p is unknown to couple and only a prefix of its --pattern and
+        --pi, which argparse refuses as ambiguous."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: " in capsys.readouterr().err
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

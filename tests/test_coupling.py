@@ -14,6 +14,7 @@ from fthresh.exponents import select_constants
 from fthresh.fgraphs import shadow
 from fthresh.graphs import Graph
 from fthresh.patterns import analyze_pattern, derive_params, pattern_preset
+from fthresh.sampling import dummy_slots
 
 K3 = pattern_preset("k3")
 
@@ -149,6 +150,24 @@ class TestBoundMode:
         a = run_coupling(K3, 10, params, 7, mode="bound")
         b = run_coupling(K3, 10, params, 7, mode="bound")
         assert a.to_jsonl() == b.to_jsonl()
+
+    @pytest.mark.parametrize("name,n", [("k3", 6), ("k3", 10), ("c4", 7)])
+    def test_dummies_are_the_slots(self, name, n):
+        """The dummies of G, from the bound completion or from sample_gstar
+        after B3, are the objects of dummy_slots(f, n)."""
+        f = pattern_preset(name)
+        sc = select_constants(f)
+        params = derive_params(f, n, float(sc.delta), float(sc.eps),
+                               pi=0.001)
+        slots = dummy_slots(f, n)
+        ids = set(map(id, slots))
+        completed = 0
+        for seed in range(5):
+            t = run_coupling(f, n, params, seed, mode="bound")
+            assert all(id(key) in ids for key in t.g.dummies)
+            if t.outcome != "B3":
+                completed += len(t.g.dummies)
+        assert completed > 0
 
 
 def transcript_digest(f, n, params, seeds, mode):

@@ -11,10 +11,11 @@ from fthresh.dgraphs import DGraph, clean_cycle_types, cycle_placements
 from fthresh.errors import ResourceLimitError
 from fthresh.exactengine import (ExactEngine, Placements, _subset_sums,
                                  _supersets, get_engine, weighted_index)
-from fthresh.fgraphs import FGraph, classify, potential_copies_on, shadow
+from fthresh.fgraphs import (FEdge, FGraph, classify, potential_copies_on,
+                             shadow)
 from fthresh.graphs import Graph
 from fthresh.patterns import pattern_preset
-from fthresh.sampling import rng_for
+from fthresh.sampling import dummy_slots, rng_for
 
 K3 = pattern_preset("k3")
 
@@ -322,3 +323,57 @@ class TestPlacementRows:
             assert Placements(K3, n).n_cycles == cycles
             builds.append(len(made))
         assert builds[0] == builds[1]
+
+
+def holds_dummy_key(value) -> bool:
+    """Whether value is, or holds in a tuple, list or dict, a frozenset of
+    copies."""
+    if isinstance(value, frozenset):
+        return any(isinstance(x, FEdge) for x in value)
+    if isinstance(value, (tuple, list)):
+        return any(holds_dummy_key(x) for x in value)
+    if isinstance(value, dict):
+        return any(holds_dummy_key(k) or holds_dummy_key(v)
+                   for k, v in value.items())
+    return False
+
+
+class TestDummyKeys:
+    """The table and the engine hand out the keys of dummy_slots(f, n),
+    the very objects sample_gstar draws, and build none of their own."""
+
+    @pytest.mark.parametrize("name,n", [("k3", 6), ("k3", 10), ("c4", 7)])
+    def test_keys_are_the_slots(self, name, n):
+        f = pattern_preset(name)
+        tab = Placements(f, n)
+        rows = np.flatnonzero(tab.sparse)
+        slots = dummy_slots(f, n)
+        keys = tab.dummy_keys(rows)
+        # both lists stay alive, so equal ids mean the same objects
+        assert sorted(map(id, keys)) == sorted(map(id, slots))
+        for i, key in zip(rows.tolist(), keys):
+            assert key == frozenset(tab.copies[c] for c in tab.ids(i))
+
+    def test_table_holds_no_key(self):
+        """The keys are read from the dummy_slots cache on each call, so a
+        rebuilt cache is what the table hands out next."""
+        tab = Placements(K3, 6)
+        assert not holds_dummy_key(vars(tab))
+        rows = np.flatnonzero(tab.sparse)
+        dummy_slots.cache_clear()
+        slots = dummy_slots(K3, 6)
+        keys = tab.dummy_keys(rows)
+        assert sorted(map(id, keys)) == sorted(map(id, slots))
+        assert not holds_dummy_key(vars(tab))
+
+    def test_sample_g_draws_the_slots(self):
+        eng = get_engine(K3, 6)
+        slots = dummy_slots(K3, 6)
+        ids = set(map(id, slots))
+        rng = rng_for(4, 3)
+        drawn = []
+        for c1 in (frozenset(), frozenset({0})):
+            for _ in range(20):
+                g = eng.sample_g(eng.valid_g_dense(c1), 0.3, c1, rng)
+                drawn.extend(g.dummies)
+        assert drawn and all(id(key) in ids for key in drawn)

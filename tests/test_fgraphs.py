@@ -10,7 +10,6 @@ import pytest
 from fthresh.fgraphs import (FEdge, FGraph, all_potential_copies, classify,
                              copies_in, copies_on_vertex_set, count_copies,
                              f_degrees, fgraph_automorphisms,
-                             fgraph_from_json, fgraph_to_json,
                              induced_f_edges, inducing_witness, max_f_degree,
                              nullity, potential_copies_on, shadow)
 from fthresh.graphs import Graph
@@ -216,12 +215,3 @@ class TestInducedWitness:
                 assert target in induced_f_edges(w, K3)
                 checked += 1
         assert checked > 0
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        h = FGraph.from_fedges([triangle(0, 1, 2), triangle(2, 3, 4)],
-                               vertices=range(6))
-        back = fgraph_from_json(fgraph_to_json(h, "k3", 6), K3)
-        assert back.fedges == h.fedges
-        assert back.vertices == h.vertices

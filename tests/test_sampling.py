@@ -5,16 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from graph_helpers import merge_to_hr
 from placement_oracles import by_pair_sparse_placements
 
-from fthresh import sampling
+from fthresh import exactengine, sampling
 from fthresh.dgraphs import sparse_cycle_placements
 from fthresh.fgraphs import FGraph, classify
 from fthresh.patterns import pattern_preset, pi_prime
 from fthresh.sampling import (STREAM_COPIES, STREAM_DUMMIES, STREAM_EDGES,
                               GraphAt, dummy_slots, edge_order, edge_slots,
-                              edge_uniforms, graph_from_uniforms,
-                              merge_to_hr, rng_for,
+                              edge_uniforms, graph_from_uniforms, rng_for,
                               sample_gnp, sample_gstar, sample_hf, uniforms)
 
 K3 = pattern_preset("k3")
@@ -146,6 +146,21 @@ class TestDummySlots:
         finally:
             dummy_slots.cache_clear()
         assert calls == {key: 1 for key in self.KEYS}
+
+
+def test_sample_gstar_builds_no_placement_table(monkeypatch):
+    """sample_gstar takes its slots from the sparse 2-cycles alone, not
+    from the table of every cycle length (366,366 rows for K3 at n = 14)."""
+    def refuse(*args):
+        raise AssertionError("placement table built")
+
+    monkeypatch.setattr(exactengine.Placements, "__init__", refuse)
+    dummy_slots.cache_clear()
+    try:
+        g = sample_gstar(K3, 16, 0.2, 3)
+    finally:
+        dummy_slots.cache_clear()
+    assert len(g.dummies) > 0
 
 
 def test_edge_order_is_lexicographic():

@@ -112,3 +112,13 @@ class TestReference:
         assert rows == reference_scan(f, 25, ps, 6, 4)
         assert all(r["divisibility"] == 6 for r in rows)
         assert rows[-1]["mean_copies"] > 0
+
+
+class TestWorkers:
+    def test_pool_gives_the_serial_rows(self):
+        """Two worker processes split the six trials into two chunks of the
+        pool's map and return the rows of the in-process loop."""
+        f = pattern_preset("k3")
+        ps = auto_grid(f, 30)
+        assert run_scan(f, 30, ps, 6, 5, BUDGET, workers=2) == \
+            run_scan(f, 30, ps, 6, 5, BUDGET, workers=1)
