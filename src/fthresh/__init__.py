@@ -19,15 +19,14 @@ from .sampling import sample_gnp, sample_gstar, sample_hf
 from .factors import FactorResult, find_f_factor, verify_factor
 from .exponents import SelectedConstants, select_constants
 from .inventory import CycleInventory, build_inventory, chen_stein_bound
-from .coupling import (CouplingTranscript, QReport, precouple_cycles,
-                       run_coupling)
+from .coupling import CouplingTranscript, precouple_cycles, run_coupling
 
 __all__ = [
     "CounterexampleError", "CouplingTranscript", "CycleInventory",
     "DGraph", "DisconnectedInputError", "DomainError", "FEdge", "FGraph",
     "FThreshError", "FactorResult", "Graph", "InternalInconsistencyError",
     "NotACleanCycleError", "NotStrictlyOneBalancedError", "Pattern",
-    "QReport", "ResourceLimitError", "SelectedConstants", "ThresholdParams",
+    "ResourceLimitError", "SelectedConstants", "ThresholdParams",
     "UndefinedDensityError", "WitnessNotFoundError", "analyze_pattern",
     "build_inventory", "canonical_form", "chen_stein_bound", "classify",
     "clean_cycle_types", "dcycle_of", "derive_params", "find_f_factor",

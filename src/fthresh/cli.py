@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import __version__
 from .coupling import params_as_jsonable, run_coupling
-from .errors import FThreshError
+from .errors import DomainError, FThreshError
 from .exponents import (certify, constants_of, dcycle_report_csv,
                         exponent_audit_csv, select_constants,
                         verify_clean_dcycles_strictly_balanced)
@@ -35,11 +35,12 @@ GRID_HI = 1.5
 
 
 def _worker_count() -> int:
+    """FTHRESH_WORKERS, a positive integer; unset means 1."""
     raw = os.environ.get("FTHRESH_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.isdecimal() or int(raw) < 1:
+        raise DomainError("FTHRESH_WORKERS must be a positive integer, "
+                          f"got {raw!r}")
+    return int(raw)
 
 
 def _resolve_pattern(args) -> Pattern:
@@ -159,6 +160,8 @@ def run_scan(f: Pattern, n: int, ps: list[float], trials: int, seed: int,
              budget: int, workers: int = 1) -> list[dict]:
     """Factor and isolated-vertex scan reusing one uniform batch per trial
     across the whole grid, so both indicators are monotone in p per trial."""
+    if trials < 1:
+        raise DomainError("trials must be positive")
     m = n * (n - 1) // 2
     batch = rng_for(seed, STREAM_EDGES).random((trials, m))
     payloads = [(f, n, batch[t], ps, budget) for t in range(trials)]
@@ -202,6 +205,8 @@ def cmd_scan(args) -> int:
     f = _resolve_pattern(args)
     if not args.n:
         raise SystemExit("scan requires --n")
+    if args.p is not None and not 0.0 <= args.p <= 1.0:
+        raise DomainError("p must lie in [0, 1]")
     ps = [args.p] if args.p is not None else auto_grid(f, args.n)
     rows = run_scan(f, args.n, ps, args.trials, args.seed, args.budget,
                     workers=_worker_count())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,39 +37,13 @@ _MAX_PRECOUPLE_PROPOSALS = 200_000
 
 # -- relative-error report ---------------------------------------------------
 
-@dataclass
-class QReport:
-    """Decomposition of the relative error in the inclusion-probability
-    bound at one step, split into cycle/edge and bad/good contributions.
-    A bad contributor is one fully covered by the present edges; each comes
-    with a structural witness or a recorded contradiction."""
-
-    q_total: float
-    q_cb: float
-    q_cg: float
-    q_eb: float
-    q_eg: float
-    n_contributors: int
-    bad_witnesses: list
-
-    def as_dict(self) -> dict:
-        return {"total": self.q_total, "cb": self.q_cb, "cg": self.q_cg,
-                "eb": self.q_eb, "eg": self.q_eg,
-                "n_contributors": self.n_contributors,
-                "bad": [{k: v for k, v in w.items() if k != "fgraph"}
-                        for w in self.bad_witnesses]}
-
-    def avoidable_witness(self) -> Optional[FGraph]:
-        for w in self.bad_witnesses:
-            if w["kind"] == "avoidable":
-                return w["fgraph"]
-        return None
-
-
 def _q_report(tab: Placements, j: int, c1_rows: np.ndarray,
               nprime: set[int], r_bits: int, h0: set[int],
-              p: float) -> QReport:
-    """Exact evaluation of the union-bound error term for step j.
+              p: float) -> dict:
+    """Exact evaluation of the union-bound error term for step j, as the
+    step's q record: split into cycle/edge and bad/good contributions, and
+    each bad contributor, one fully covered by the present edges, with a
+    structural witness or a recorded contradiction.
 
     The copy half loops over N'; the cycle half is one pass over the
     shadow words of every cycle outside C1 (c1_rows is C1 as a row mask).
@@ -115,20 +89,19 @@ def _q_report(tab: Placements, j: int, c1_rows: np.ndarray,
             bad.append({"index": i + 1,
                         "kind": "avoidable" if kind == "avoidable"
                         else "cycle_contradiction",
-                        "fedges": _embeddings(w),
-                        "fgraph": w})
+                        "fedges": _embeddings(w)})
         av = find_avoidable(h0j, 2 * f.s * f.s) if bad_cycles else None
         for i in bad_cycles:
             w, kind = (av, "avoidable") if av is not None else \
                 (tab.cycle(i), "cycle_contradiction")
             bad.append({"index": -(i + 1), "kind": kind,
-                        "fedges": _embeddings(w), "fgraph": w})
+                        "fedges": _embeddings(w)})
 
     q_eb = float(len(bad_copies))
     q_cb = float(len(bad_cycles))
-    return QReport(q_total=q_cb + q_cg + q_eb + q_eg, q_cb=q_cb, q_cg=q_cg,
-                   q_eb=q_eb, q_eg=q_eg, n_contributors=n_copies + len(rows),
-                   bad_witnesses=bad)
+    return {"total": q_cb + q_cg + q_eb + q_eg, "cb": q_cb, "cg": q_cg,
+            "eb": q_eb, "eg": q_eg, "n_contributors": n_copies + len(rows),
+            "bad": bad}
 
 
 # -- transcript --------------------------------------------------------------
@@ -150,7 +123,6 @@ class CouplingTranscript:
     containment: Optional[bool]
     witness: Optional[dict]
     g_law: str
-    q_reports: list = field(default_factory=list)
 
     @property
     def header(self) -> dict:
@@ -277,7 +249,7 @@ class _ExactLaw:
     def b3_structures(self) -> tuple[FGraph, DGraph]:
         return self.pre.h_pre, self.pre.g_pre
 
-    def probs(self, j: int, q: QReport, h0: set[int],
+    def probs(self, j: int, q: dict, h0: set[int],
               r_bits: int) -> tuple[float, float]:
         self._has = (self.masks_h & np.uint32(1 << j)) != 0
         tot_h = float(self.w_h.sum())
@@ -350,13 +322,13 @@ class _BoundLaw:
         closed = self.tab.copy_flags(h0)[members] | (members == j)
         return 0.0 if closed.all(axis=1).any() else self.params.pi
 
-    def probs(self, j: int, q: QReport, h0: set[int],
+    def probs(self, j: int, q: dict, h0: set[int],
               r_bits: int) -> tuple[float, float]:
         free = self.tab.copy_bits[j] & ~r_bits
         if j in h0 or free == 0:
             pi_j = 1.0
         else:
-            pi_j = min(1.0, max(0.0, (1.0 - q.q_total)
+            pi_j = min(1.0, max(0.0, (1.0 - q["total"])
                                 * self.params.p ** free.bit_count()))
         return pi_j, self._pi_prime(j, h0)
 
@@ -431,7 +403,6 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
     law = _law(f, n, params, seed, mode)
     tab, pre, rng = law.tab, law.pre, law.rng
     steps: list[dict] = []
-    q_reports: list[QReport] = []
     outcome = "success"
     witness: Optional[dict] = None
 
@@ -481,15 +452,15 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
                 break
 
             q = _q_report(tab, j, c1_rows, nprime, r_bits, h0, params.p)
-            q_reports.append(q)
             pi_j, pi_prime_j = law.probs(j, q, h0, r_bits)
             step = {"j": j + 1, "pi_j": pi_j, "pi_prime_j": pi_prime_j,
                     "coin": None, "decision_H": None, "decision_G": None,
-                    "q": q.as_dict()}
-            av = q.avoidable_witness()
+                    "q": q}
+            av = next((w for w in q["bad"] if w["kind"] == "avoidable"),
+                      None)
             if av is not None:
                 outcome = "B2"
-                witness = {"kind": "avoidable", "fedges": _embeddings(av)}
+                witness = {"kind": "avoidable", "fedges": av["fedges"]}
                 steps.append(step)
                 break
 
@@ -509,7 +480,7 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
                     outcome = "step_failure"
                     witness = {"kind": "step", "j": j + 1,
                                "pi_prime_j": pi_prime_j, "pi_j": pi_j,
-                               "q": q.as_dict()}
+                               "q": q}
             law.commit(j, dec_h, dec_g)
             decided[j] = dec_h
             if dec_g is False:
@@ -531,4 +502,4 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
     return CouplingTranscript(f=f, n=n, params=params, seed=seed, mode=mode,
                               steps=steps, h=h, g=g, outcome=outcome,
                               containment=containment, witness=witness,
-                              g_law=law.g_law, q_reports=q_reports)
+                              g_law=law.g_law)

@@ -20,9 +20,10 @@ import numpy as np
 from .errors import (InternalInconsistencyError, NotACleanCycleError,
                      ResourceLimitError)
 from .graphs import DEFAULT_ENUMERATION_CAP, Graph, canonical_form
-from .fgraphs import (FEdge, FGraph, _clean_cycle_order, classify,
-                      copies_on_vertex_set, count_copies,
-                      fgraph_automorphisms, potential_copies_on, shadow)
+from .fgraphs import (FEdge, FGraph, _clean_cycle_order,
+                      all_potential_copies, classify, copies_on_vertex_set,
+                      count_copies, fgraph_automorphisms,
+                      potential_copies_on, shadow)
 from .patterns import Pattern
 
 
@@ -318,9 +319,13 @@ def dummy_order(f: Pattern, copies: Sequence[FEdge],
 def sparse_cycle_placements(f: Pattern,
                             labels: Iterable[int]) -> list[frozenset[FEdge]]:
     """Every sparse clean 2-cycle on the given labels, as unordered copy
-    pairs in dummy_order. These key the dummy edges."""
+    pairs in dummy_order. These key the dummy edges; on [n] they hold the
+    objects of all_potential_copies(f, n), which every other reader of
+    (f, n) holds too."""
     labels = sorted(labels)
-    copies = potential_copies_on(f, labels)
+    copies = (all_potential_copies(f, len(labels))
+              if labels == list(range(len(labels)))
+              else potential_copies_on(f, labels))
     rows = cycle_placements(f, labels, 2)
     pairs = rows.copy_ids[rows.sparse, :2].reshape(-1, 2)
     pairs = pairs[dummy_order(f, copies, pairs)]

@@ -52,7 +52,7 @@ class Placements:
         self.n = n
         self.pairs = edge_order(n)
         self.edge_index = edge_slots(n)
-        self.copies = tuple(all_potential_copies(f, n))
+        self.copies = all_potential_copies(f, n)
         # keyed by copy identity as a plain tuple, which hashes faster than
         # the FEdge itself
         self.copy_index = {(fe.vertices, fe.edge_set): i
@@ -211,13 +211,11 @@ class ExactEngine:
     """Shared per-(pattern, n) arrays; probabilities enter per call."""
 
     def __init__(self, f: Pattern, n: int):
-        self.f = f
         self.n = n
         self.E = n * (n - 1) // 2
         _check_outcomes(self.E)  # before building the table for a large n
         tab = placements(f, n)
         self.table = tab
-        self.copies = tab.copies
         self.M = len(tab.copies)
         _check_outcomes(self.M)
         self.pairs = tab.pairs

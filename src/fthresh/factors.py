@@ -18,12 +18,11 @@ def enumerate_copies(g: Graph, f: Pattern,
     return sorted(copies_in(g, f, cap=cap), key=lambda fe: fe.sort_key())
 
 
-def f_isolated(g: Graph, f: Pattern,
-               cap: int = DEFAULT_ENUMERATION_CAP
-               ) -> tuple[dict[int, int], frozenset[int]]:
+def f_isolated(g: Graph,
+               f: Pattern) -> tuple[dict[int, int], frozenset[int]]:
     """Per-vertex copy counts and the set of vertices in no copy."""
     deg = {u: 0 for u in g.vertices}
-    for fe in copies_in(g, f, cap=cap):
+    for fe in copies_in(g, f):
         for u in fe.vertices:
             deg[u] += 1
     return deg, frozenset(u for u, d in deg.items() if d == 0)
@@ -40,7 +39,6 @@ class FactorResult:
     status: str
     certificate: Optional[tuple[FEdge, ...]]
     nodes_expanded: int
-    budget: int
     n_copies: int
 
 
@@ -59,7 +57,6 @@ def verify_factor(g: Graph, f: Pattern, parts: tuple[FEdge, ...]) -> bool:
 
 
 def find_f_factor(g: Graph, f: Pattern, budget: int = 10 ** 6,
-                  cap: int = DEFAULT_ENUMERATION_CAP,
                   copies: Optional[list[FEdge]] = None) -> FactorResult:
     """Search for vertex-disjoint copies covering every vertex.
 
@@ -78,11 +75,10 @@ def find_f_factor(g: Graph, f: Pattern, budget: int = 10 ** 6,
     if budget <= 0:
         raise DomainError("budget must be positive")
     if copies is None:
-        copies = enumerate_copies(g, f, cap=cap)
+        copies = enumerate_copies(g, f)
     if g.v() % f.r != 0:
         return FactorResult(status="divisibility", certificate=None,
-                            nodes_expanded=0, budget=budget,
-                            n_copies=len(copies))
+                            nodes_expanded=0, n_copies=len(copies))
     rep: dict[frozenset[int], FEdge] = {}
     for fe in copies:
         rep.setdefault(fe.vertices, fe)
@@ -144,9 +140,7 @@ def find_f_factor(g: Graph, f: Pattern, budget: int = 10 ** 6,
         cert = tuple(rep[sets[i]] for i in chosen)
         assert verify_factor(g, f, cert)
         return FactorResult(status="found", certificate=cert,
-                            nodes_expanded=expanded, budget=budget,
-                            n_copies=len(copies))
+                            nodes_expanded=expanded, n_copies=len(copies))
     status = "budget" if out == "budget" else "none"
     return FactorResult(status=status, certificate=None,
-                        nodes_expanded=expanded, budget=budget,
-                        n_copies=len(copies))
+                        nodes_expanded=expanded, n_copies=len(copies))

@@ -223,9 +223,10 @@ def inducing_witness(h: FGraph, f: Pattern, target: FEdge) -> FGraph:
         f"no inducing witness with <= {f.s} F-edges for {target}")
 
 
-def find_avoidable(h: FGraph, max_fedges: int,
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> Optional[FGraph]:
-    """A connected sub-F-graph with <= max_fedges F-edges and nullity >= 2."""
+def find_avoidable(h: FGraph, max_fedges: int) -> Optional[FGraph]:
+    """A connected sub-F-graph with <= max_fedges F-edges and nullity >= 2.
+    Examining more than DEFAULT_ENUMERATION_CAP sub-F-graphs raises
+    ResourceLimitError."""
     if max_fedges < 2:
         raise ValueError("max_fedges must be >= 2")
     fes = sorted(h.fedges, key=lambda x: x.sort_key())
@@ -238,8 +239,9 @@ def find_avoidable(h: FGraph, max_fedges: int,
     def grow(current: frozenset[int]) -> Optional[FGraph]:
         nonlocal examined
         examined += 1
-        if examined > cap:
-            raise ResourceLimitError(f"avoidable search exceeded cap {cap}")
+        if examined > DEFAULT_ENUMERATION_CAP:
+            raise ResourceLimitError("avoidable search exceeded cap "
+                                     f"{DEFAULT_ENUMERATION_CAP}")
         sub = FGraph.from_fedges(fes[i] for i in current)
         if len(current) >= 2 and nullity(sub) >= 2:
             from .graphs import components
@@ -331,10 +333,7 @@ def potential_copies_on(f: Pattern, labels: Iterable[int]) -> list[FEdge]:
 
 
 @functools.lru_cache(maxsize=64)
-def _all_potential_copies_cached(f: Pattern, n: int) -> tuple[FEdge, ...]:
+def all_potential_copies(f: Pattern, n: int) -> tuple[FEdge, ...]:
+    """Every potential copy on [n], in the fixed order the coupling replays;
+    one tuple per key, shared by every reader."""
     return tuple(potential_copies_on(f, range(n)))
-
-
-def all_potential_copies(f: Pattern, n: int) -> list[FEdge]:
-    """Every potential copy on [n], in the fixed order the coupling replays."""
-    return list(_all_potential_copies_cached(f, n))

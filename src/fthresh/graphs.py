@@ -93,9 +93,6 @@ class Graph:
         return Graph(keep, frozenset((u, v) for u, v in self.edges
                                      if u in keep and v in keep))
 
-    def union(self, other: "Graph") -> "Graph":
-        return Graph(self.vertices | other.vertices, self.edges | other.edges)
-
     def is_connected(self) -> bool:
         return components(self)[0] <= 1
 

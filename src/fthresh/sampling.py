@@ -21,7 +21,7 @@ from .fgraphs import FGraph, all_potential_copies
 from .graphs import Graph
 from .patterns import Pattern
 
-# fixed stream roles; callers may override but must keep streams distinct
+# fixed stream roles
 STREAM_EDGES = 0
 STREAM_COPIES = 1
 STREAM_DUMMIES = 2
@@ -49,9 +49,8 @@ def edge_slots(n: int) -> Mapping[tuple[int, int], int]:
     return MappingProxyType({e: i for i, e in enumerate(edge_order(n))})
 
 
-def edge_uniforms(n: int, seed: int,
-                  stream_id: int = STREAM_EDGES) -> np.ndarray:
-    return uniforms(seed, stream_id, n * (n - 1) // 2)
+def edge_uniforms(n: int, seed: int) -> np.ndarray:
+    return uniforms(seed, STREAM_EDGES, n * (n - 1) // 2)
 
 
 def graph_from_uniforms(n: int, us: np.ndarray, p: float) -> Graph:
@@ -80,17 +79,15 @@ class GraphAt:
                     < self._p)
 
 
-def sample_gnp(n: int, p: float, seed: int,
-               stream_id: int = STREAM_EDGES) -> Graph:
+def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Binomial random graph on [n]."""
-    return graph_from_uniforms(n, edge_uniforms(n, seed, stream_id), p)
+    return graph_from_uniforms(n, edge_uniforms(n, seed), p)
 
 
-def sample_hf(f: Pattern, n: int, pi: float, seed: int,
-              stream_id: int = STREAM_COPIES) -> FGraph:
+def sample_hf(f: Pattern, n: int, pi: float, seed: int) -> FGraph:
     """Independent copy indicators over every potential copy on [n]."""
     copies = all_potential_copies(f, n)
-    us = uniforms(seed, stream_id, len(copies))
+    us = uniforms(seed, STREAM_COPIES, len(copies))
     return FGraph.from_fedges((copies[i] for i in np.flatnonzero(us < pi)),
                               vertices=range(n))
 
@@ -103,13 +100,11 @@ def dummy_slots(f: Pattern, n: int) -> tuple[frozenset, ...]:
     return tuple(sparse_cycle_placements(f, range(n)))
 
 
-def sample_gstar(f: Pattern, n: int, p: float, seed: int,
-                 edge_stream: int = STREAM_EDGES,
-                 dummy_stream: int = STREAM_DUMMIES) -> DGraph:
+def sample_gstar(f: Pattern, n: int, p: float, seed: int) -> DGraph:
     """Auxiliary random graph: usual edges and dummy edges, all independent
     with probability p. Dummy slots follow the fixed sparse-cycle order."""
-    base = sample_gnp(n, p, seed, edge_stream)
+    base = sample_gnp(n, p, seed)
     slots = dummy_slots(f, n)
-    us = uniforms(seed, dummy_stream, len(slots))
+    us = uniforms(seed, STREAM_DUMMIES, len(slots))
     dummies = frozenset(slots[i] for i in np.flatnonzero(us < p))
     return DGraph(base=base, dummies=dummies)

@@ -118,6 +118,27 @@ class TestScan:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_is_an_error(self, capsys, trials):
+        assert main(["scan", "--pattern", "k3", "--n", "9",
+                     "--trials", trials]) == 1
+        assert "error: trials must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+    def test_p_outside_the_unit_interval_is_an_error(self, capsys, p):
+        assert main(["scan", "--pattern", "k3", "--n", "9", "--p", p,
+                     "--trials", "1"]) == 1
+        assert "error: p must lie in [0, 1]" in capsys.readouterr().err
+
+    # only malformed values, so that no worker process is started
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+    def test_malformed_workers_is_an_error(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("FTHRESH_WORKERS", raw)
+        assert main(["scan", "--pattern", "k3", "--n", "9", "--p", "0.5",
+                     "--trials", "1"]) == 1
+        assert "error: FTHRESH_WORKERS must be a positive integer" in \
+            capsys.readouterr().err
+
     def test_auto_grid(self):
         grid = auto_grid(K3, 30)
         base = p_star(K3, 30)

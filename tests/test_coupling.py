@@ -58,18 +58,16 @@ class TestTranscripts:
         assert seen - {"success"}
 
     def test_q_decomposition_consistent(self):
-        """Every recorded Q splits exactly into its four parts and the
-        step records carry the same numbers."""
+        """Every step's recorded Q splits exactly into its four parts."""
         params = small_params()
         checked = 0
         for seed in range(40):
             t = run_coupling(K3, 6, params, seed)
-            assert len(t.q_reports) == len(t.steps)
-            for step, q in zip(t.steps, t.q_reports):
-                assert q.q_total == pytest.approx(
-                    q.q_cb + q.q_cg + q.q_eb + q.q_eg)
-                assert min(q.q_cb, q.q_cg, q.q_eb, q.q_eg) >= 0.0
-                assert step["q"]["total"] == q.q_total
+            for step in t.steps:
+                q = step["q"]
+                assert q["total"] == pytest.approx(
+                    q["cb"] + q["cg"] + q["eb"] + q["eg"])
+                assert min(q["cb"], q["cg"], q["eb"], q["eg"]) >= 0.0
                 checked += 1
         assert checked > 0
 
@@ -332,10 +330,10 @@ class TestVectorisedSteps:
             c1_rows = np.zeros(tab.n_cycles, dtype=bool)
             c1_rows[list(c1)] = True
             q = _q_report(tab, j, c1_rows, nprime, r_bits, h0, 0.3)
-            assert (q.q_cb, q.q_cg, q.q_eb, q.q_eg, q.n_contributors,
-                    [w["index"] for w in q.bad_witnesses]) == \
+            assert (q["cb"], q["cg"], q["eb"], q["eg"], q["n_contributors"],
+                    [w["index"] for w in q["bad"]]) == \
                 scalar_q(tab, cycles, j, c1, nprime, r_bits, 0.3)
-            assert q.q_total == q.q_cb + q.q_cg + q.q_eb + q.q_eg
+            assert q["total"] == q["cb"] + q["cg"] + q["eb"] + q["eg"]
 
     def test_pi_prime_matches_scalar_loop(self):
         params = small_params(8, 0.05)

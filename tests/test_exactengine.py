@@ -27,7 +27,7 @@ def cycle_graphs(eng: ExactEngine) -> list[FGraph]:
 
 def brute_h_law(eng: ExactEngine, pi: float) -> dict[frozenset, float]:
     """Cycle-set law of the copy process by direct summation."""
-    copy_sets = [sum(1 << eng.copies.index(fe) for fe in cyc.fedges)
+    copy_sets = [sum(1 << eng.table.copies.index(fe) for fe in cyc.fedges)
                  for cyc in cycle_graphs(eng)]
     law: dict[frozenset, float] = {}
     for mask in range(2 ** eng.M):
@@ -251,7 +251,7 @@ class TestWeightedDraw:
 
 class TestTranslation:
     def test_h_cycle_ids(self, eng):
-        h = FGraph.from_fedges(list(eng.copies[:2]), vertices=range(4))
+        h = FGraph.from_fedges(list(eng.table.copies[:2]), vertices=range(4))
         ids = eng.h_cycle_ids(h)
         want = frozenset(i for i, cyc in enumerate(cycle_graphs(eng))
                          if cyc.fedges <= h.fedges)
@@ -353,6 +353,16 @@ class TestDummyKeys:
         assert sorted(map(id, keys)) == sorted(map(id, slots))
         for i, key in zip(rows.tolist(), keys):
             assert key == frozenset(tab.copies[c] for c in tab.ids(i))
+
+    @pytest.mark.parametrize("name,n", [("k3", 6), ("k3", 10), ("c4", 7)])
+    def test_keys_hold_the_table_copies(self, name, n):
+        """Each key holds the table's own copy objects, not equal copies
+        rebuilt for the key."""
+        f = pattern_preset(name)
+        dummy_slots.cache_clear()
+        slots = dummy_slots(f, n)
+        held = set(map(id, Placements(f, n).copies))
+        assert all(id(fe) in held for key in slots for fe in key)
 
     def test_table_holds_no_key(self):
         """The keys are read from the dummy_slots cache on each call, so a
