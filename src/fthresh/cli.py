@@ -123,12 +123,12 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def auto_grid(f: Pattern, n: int, points: int = GRID_POINTS) -> list[float]:
+def auto_grid(f: Pattern, n: int) -> list[float]:
     """Geometric grid of edge probabilities around the threshold constant."""
     base = p_star(f, n)
     lo, hi = GRID_LO * base, GRID_HI * base
-    ratio = (hi / lo) ** (1.0 / (points - 1))
-    return [lo * ratio ** i for i in range(points)]
+    ratio = (hi / lo) ** (1.0 / (GRID_POINTS - 1))
+    return [lo * ratio ** i for i in range(GRID_POINTS)]
 
 
 def _scan_trial(payload) -> list[tuple]:
@@ -232,6 +232,8 @@ def cmd_couple(args) -> int:
     f = _resolve_pattern(args)
     if not args.n:
         raise SystemExit("couple requires --n")
+    if args.trials < 1:
+        raise DomainError("trials must be positive")
     delta, eps = _constants(f, args)
     params = derive_params(f, args.n, delta, eps, pi=args.pi)
     tally: dict[str, int] = {}

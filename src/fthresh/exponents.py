@@ -14,14 +14,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .dgraphs import CleanDCycle, clean_cycle_types, dcycle_of
+from .dgraphs import CleanDCycle, DGraph, clean_cycle_types, dcycle_of
 from .errors import (CounterexampleError, DomainError,
                      InternalInconsistencyError)
-from .graphs import Graph, components
+from .graphs import Graph, _induced_edge_counts, components
 from .patterns import Pattern
 
 
@@ -96,29 +96,13 @@ def _subgraph_rows(f: Pattern) -> tuple[tuple[Graph, ExponentReport], ...]:
     return rows
 
 
-def certified_max_f1(f: Pattern) -> Fraction:
-    return max(rep.f1 for _s, rep in _subgraph_rows(f))
-
-
 # -- clean d-cycles ----------------------------------------------------------
-
-def _induced_edge_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Edge count and size of the induced subgraph on every vertex subset of
-    g, indexed by its bit mask over the sorted vertices."""
-    idx = {u: i for i, u in enumerate(sorted(g.vertices))}
-    masks = np.arange(1 << len(idx), dtype=np.uint32)
-    counts = np.zeros(masks.shape, dtype=np.int64)
-    for u, v in g.edges:
-        bits = np.uint32((1 << idx[u]) | (1 << idx[v]))
-        counts += (masks & bits) == bits
-    return counts, np.bitwise_count(masks).astype(np.int64)
-
 
 def dcycle_density(d: CleanDCycle) -> Fraction:
     return Fraction(d.dgraph.e(), d.dgraph.v())
 
 
-def max_proper_subgraph_density(d: CleanDCycle) -> Fraction:
+def max_proper_subgraph_density(dg: DGraph) -> Fraction:
     """Largest edge density over proper subgraphs with at least one vertex.
 
     A dummy edge is incident to every vertex of its cycle, which here is the
@@ -128,9 +112,9 @@ def max_proper_subgraph_density(d: CleanDCycle) -> Fraction:
     Full-vertex-set proper subgraphs are dominated by the one missing a
     single edge.
     """
-    counts, sizes = _induced_edge_counts(d.dgraph.base)
-    nv = d.dgraph.v()
-    return max([Fraction(d.dgraph.e() - 1, nv)]
+    counts, sizes = _induced_edge_counts(dg.base)
+    nv = dg.v()
+    return max([Fraction(dg.e() - 1, nv)]
                + [Fraction(int(counts[sizes == size].max()), size)
                   for size in range(1, nv)])
 
@@ -235,7 +219,7 @@ def certify(f: Pattern, max_len: int) -> Certificate:
         for cycle, sig in clean_cycle_types(f, k):
             d = dcycle_of(cycle, f)
             density = dcycle_density(d)
-            proper = max_proper_subgraph_density(d)
+            proper = max_proper_subgraph_density(d.dgraph)
             g1, how = max_g1_of_dcycle(f, d)
             rows.append(TypeRow(
                 k=k, sparsity=d.sparsity, signature=sig, v=d.dgraph.v(),
@@ -259,19 +243,6 @@ def verify_clean_dcycles_strictly_balanced(
     return cert.types
 
 
-def _max_g1(rows: Iterable[TypeRow]) -> Fraction:
-    """The empty sub-d-graph contributes -1."""
-    return max([Fraction(-1), *(r.max_g1 for r in rows)])
-
-
-def certified_max_g1(f: Pattern,
-                     max_len: int) -> tuple[Fraction, tuple[TypeRow, ...]]:
-    """Exact maximum of g1 over proper sub-d-graphs of every clean d-cycle
-    type of length 2..max_len, with the per-type rows."""
-    rows = certify(f, max_len).types
-    return _max_g1(rows), rows
-
-
 # -- constant selection ------------------------------------------------------
 
 def constants_of(cert: Certificate) -> SelectedConstants:
@@ -284,7 +255,8 @@ def constants_of(cert: Certificate) -> SelectedConstants:
     """
     f = cert.f
     mf1 = max(rep.f1 for _s, rep in cert.subgraphs)
-    mg1 = _max_g1(cert.types)
+    # the empty sub-d-graph contributes -1
+    mg1 = max([Fraction(-1), *(r.max_g1 for r in cert.types)])
     top = max(mf1, mg1)
     if top >= 0:
         raise DomainError(f"max exponent {top} is not negative; "
@@ -308,13 +280,10 @@ def constants_of(cert: Certificate) -> SelectedConstants:
     return out
 
 
-def select_constants(f: Pattern,
-                     max_len: Optional[int] = None) -> SelectedConstants:
+def select_constants(f: Pattern) -> SelectedConstants:
     """The constants of the certificate over clean d-cycles of length
-    2..max_len, min(e(F), 4) by default."""
-    if max_len is None:
-        max_len = min(f.s, 4)
-    return constants_of(certify(f, max_len))
+    2..min(e(F), 4)."""
+    return constants_of(certify(f, min(f.s, 4)))
 
 
 # -- audit CSVs --------------------------------------------------------------

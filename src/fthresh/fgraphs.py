@@ -295,18 +295,6 @@ def count_copies(shape: FGraph, n: int) -> int:
             // len(fgraph_automorphisms(shape)))
 
 
-def f_degrees(h: FGraph) -> dict[int, int]:
-    deg = {u: 0 for u in h.vertices}
-    for fe in h.fedges:
-        for u in fe.vertices:
-            deg[u] += 1
-    return deg
-
-
-def max_f_degree(h: FGraph) -> int:
-    return max(f_degrees(h).values(), default=0)
-
-
 # -- potential copies on [n], in the canonical order -------------------------
 
 def copies_on_vertex_set(f: Pattern, vset: Iterable[int]) -> list[FEdge]:

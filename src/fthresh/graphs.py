@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from .errors import ResourceLimitError, UndefinedDensityError
 
 Edge = tuple[int, int]
@@ -52,10 +54,6 @@ class Graph:
         return Graph(frozenset(vs), es)
 
     @staticmethod
-    def empty(n: int) -> "Graph":
-        return Graph(frozenset(range(n)), frozenset())
-
-    @staticmethod
     def complete(n: int) -> "Graph":
         return Graph.from_edges(itertools.combinations(range(n), 2),
                                 vertices=range(n))
@@ -63,11 +61,6 @@ class Graph:
     @staticmethod
     def cycle(n: int) -> "Graph":
         return Graph.from_edges(((i, (i + 1) % n) for i in range(n)),
-                                vertices=range(n))
-
-    @staticmethod
-    def path(n: int) -> "Graph":
-        return Graph.from_edges(((i, i + 1) for i in range(n - 1)),
                                 vertices=range(n))
 
     def v(self) -> int:
@@ -118,129 +111,53 @@ def components(g: Graph) -> tuple[int, list[frozenset[int]]]:
     return len(parts), parts
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    edge_density: Fraction
-    one_density: Optional[Fraction]
-    strictly_balanced: bool
-    strictly_1_balanced: bool
-
-
 def one_density(g: Graph) -> Fraction:
     if g.v() < 2:
         raise UndefinedDensityError("1-density needs at least two vertices")
     return Fraction(g.e(), g.v() - 1)
 
 
-def _induced_edge_count(keep: frozenset[int], edges: frozenset[Edge]) -> int:
-    return sum(1 for u, v in edges if u in keep and v in keep)
-
-
-def density_report(g: Graph) -> DensityReport:
-    """Exact strict-balance classification.
-
-    For both notions it suffices to scan proper *induced* subgraphs: for a
-    fixed vertex set the induced subgraph maximizes e (hence both densities),
-    and spanning subgraphs with fewer edges are strictly sparser than g
-    automatically.
-    """
-    n, m = g.v(), g.e()
-    if n == 0:
-        raise UndefinedDensityError("density of the empty graph is undefined")
-    d = Fraction(m, n)
-    d1 = Fraction(m, n - 1) if n >= 2 else None
-
-    strictly_balanced = True
-    strictly_1_balanced = n >= 2 and m >= 1
-    verts = sorted(g.vertices)
-    for k in range(1, n):
-        for sub in itertools.combinations(verts, k):
-            keep = frozenset(sub)
-            e_sub = _induced_edge_count(keep, g.edges)
-            # edge density: e_sub / k < m / n, exact cross-multiplication
-            if e_sub * n >= m * k:
-                strictly_balanced = False
-            if k >= 2 and e_sub >= 1 and d1 is not None:
-                if Fraction(e_sub, k - 1) >= d1:
-                    strictly_1_balanced = False
-        if not strictly_balanced and not strictly_1_balanced:
-            break
-    return DensityReport(edge_density=d, one_density=d1,
-                         strictly_balanced=strictly_balanced,
-                         strictly_1_balanced=strictly_1_balanced)
+def _induced_edge_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Edge count and size of the induced subgraph on every vertex subset of
+    g, indexed by its bit mask over the sorted vertices. More than
+    DEFAULT_ENUMERATION_CAP subsets (24 vertices or more) raise
+    ResourceLimitError before any array is built."""
+    idx = {u: i for i, u in enumerate(sorted(g.vertices))}
+    if 1 << len(idx) > DEFAULT_ENUMERATION_CAP:
+        raise ResourceLimitError(f"{1 << len(idx)} vertex subsets exceed cap "
+                                 f"{DEFAULT_ENUMERATION_CAP}")
+    masks = np.arange(1 << len(idx), dtype=np.uint32)
+    counts = np.zeros(masks.shape, dtype=np.int64)
+    for u, v in g.edges:
+        bits = np.uint32((1 << idx[u]) | (1 << idx[v]))
+        counts += (masks & bits) == bits
+    return counts, np.bitwise_count(masks).astype(np.int64)
 
 
 def strictly_1_balanced_violation(g: Graph) -> Optional[Graph]:
-    """A non-trivial proper induced subgraph with d1 >= d1(g), if one exists."""
-    if g.v() < 2:
+    """A non-trivial proper induced subgraph with d1 >= d1(g), if one
+    exists: one with the fewest vertices, then the least sorted labels."""
+    n, m = g.v(), g.e()
+    if n < 2:
         return None
-    d1 = one_density(g)
+    counts, sizes = _induced_edge_counts(g)
+    # e_W / (|W| - 1) >= m / (n - 1), cross-multiplied
+    bad = np.flatnonzero((sizes < n) & (counts >= 1)
+                         & (counts * (n - 1) >= m * (sizes - 1)))
+    if not len(bad):
+        return None
     verts = sorted(g.vertices)
-    for k in range(2, g.v()):
-        for sub in itertools.combinations(verts, k):
-            s = g.induced(sub)
-            if s.e() >= 1 and one_density(s) >= d1:
-                return s
-    return None
+    smallest = bad[sizes[bad] == sizes[bad].min()]
+    sub = min([i for i in range(n) if mask >> i & 1]
+              for mask in smallest.tolist())
+    return g.induced(verts[i] for i in sub)
 
 
 def automorphisms(g: Graph) -> Iterator[dict[int, int]]:
-    """All adjacency-preserving vertex permutations, by backtracking, in
-    no promised order."""
-    verts = sorted(g.vertices)
-    n = len(verts)
-    if n == 0:
-        yield {}
-        return
-    idx = {u: i for i, u in enumerate(verts)}
-    adj = [[False] * n for _ in range(n)]
-    deg = [0] * n
-    for u, v in g.edges:
-        i, j = idx[u], idx[v]
-        adj[i][j] = adj[j][i] = True
-        deg[i] += 1
-        deg[j] += 1
-    # start from the least degree, then always take the vertex with the
-    # most neighbours already ordered, so each image is pinned early
-    nbrs = [[j for j in range(n) if adj[i][j]] for i in range(n)]
-    order = [min(range(n), key=lambda i: (deg[i], i))]
-    placed = [0] * n  # per vertex, its neighbours already ordered
-    rest = set(range(n)) - {order[0]}
-    while rest:
-        for j in nbrs[order[-1]]:
-            placed[j] += 1
-        nxt = min(rest, key=lambda i: (-placed[i], deg[i], i))
-        order.append(nxt)
-        rest.discard(nxt)
-    image = [0] * n
-    used = [False] * n
-
-    def extend(pos: int) -> Iterator[dict[int, int]]:
-        if pos == n:
-            yield {verts[i]: verts[image[i]] for i in range(n)}
-            return
-        u = order[pos]
-        for t in range(n):
-            if used[t] or deg[t] != deg[u]:
-                continue
-            ok = True
-            for q in range(pos):
-                w = order[q]
-                if adj[u][w] != adj[t][image[w]]:
-                    ok = False
-                    break
-            if ok:
-                image[u] = t
-                used[t] = True
-                yield from extend(pos + 1)
-                used[t] = False
-
-    yield from extend(0)
-
-
-def automorphism_count(g: Graph) -> int:
-    """Exact count of adjacency-preserving vertex permutations."""
-    return sum(1 for _ in automorphisms(g))
+    """All adjacency-preserving vertex permutations, in no promised order:
+    the embeddings of g into itself, since an injective self-map of a
+    finite graph that keeps every edge keeps the edge set."""
+    yield from enumerate_embeddings(g, g)
 
 
 # -- canonical labeling ------------------------------------------------------

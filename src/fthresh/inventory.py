@@ -47,16 +47,17 @@ class InventoryItem:
 class CycleInventory:
     f: Pattern
     n: int
-    max_len: int
     items: Optional[tuple[InventoryItem, ...]]
     total_count: int
     lengths: Optional[frozenset[int]] = None
-    """Restrict to these cycle lengths; None means 2..max_len. The coupling
+    """Restrict to these cycle lengths; None means 2..e(F). The coupling
     propositions treat each length class separately, so class-restricted
     inventories are first-class citizens."""
 
-def _wanted(k: int, max_len: int, lengths: Optional[frozenset[int]]) -> bool:
-    return k in lengths if lengths is not None else 2 <= k <= max_len
+
+def _lengths(f: Pattern, lengths: Optional[frozenset[int]]) -> list[int]:
+    """The wanted cycle lengths, in increasing order."""
+    return [k for k in range(2, f.s + 1) if lengths is None or k in lengths]
 
 
 def _words(mask: int, n_words: int) -> np.ndarray:
@@ -64,15 +65,16 @@ def _words(mask: int, n_words: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def _rows(f: Pattern, n_labels: int, max_len: int,
-          lengths: Optional[frozenset[int]], cap: int = 10 ** 7) -> tuple:
+def _rows(f: Pattern, n_labels: int, lengths: Optional[frozenset[int]],
+          cap: int = 10 ** 7) -> tuple:
     """The wanted placements on the labels 0..n_labels-1: copy ids,
     lengths, sparse flags, and each placement's vertices and shadow edges
     as one bit set in uint64 words, vertex u at bit u and edge (u, v) at
     bit n_labels * (u + 1) + v."""
-    enum_len = max_len if lengths is None else min(max_len, max(lengths))
-    rows = cycle_placements(f, range(n_labels), enum_len, cap=cap)
-    keep = np.isin(rows.lengths, list(lengths or range(2, max_len + 1)))
+    wanted = _lengths(f, lengths)
+    rows = cycle_placements(f, range(n_labels), max(wanted, default=0),
+                            cap=cap)
+    keep = np.isin(rows.lengths, wanted)
     # per copy, then an all-zero mask that the -1 padding of copy ids reads
     masks = [sum(1 << u for u in fe.vertices)
              | sum(1 << n_labels * (u + 1) + v for u, v in fe.edge_set)
@@ -84,28 +86,26 @@ def _rows(f: Pattern, n_labels: int, max_len: int,
             np.bitwise_or.reduce(words[ids], axis=1))
 
 
-def inventory_size(f: Pattern, n: int, max_len: int,
+def inventory_size(f: Pattern, n: int,
                    lengths: Optional[frozenset[int]] = None) -> int:
     """Exact number of placements, from per-type orbit counts."""
-    return sum(_safe_count(rep, n) for rep in _type_reps(f, max_len, lengths))
+    return sum(_safe_count(rep, n) for rep in _type_reps(f, lengths))
 
 
-def build_inventory(f: Pattern, n: int, max_len: Optional[int] = None,
+def build_inventory(f: Pattern, n: int,
                     lengths: Optional[frozenset[int]] = None,
                     cap: int = 10 ** 7) -> CycleInventory:
     """Exact placement count, with the placements listed when there are at
     most DEFAULT_PAIRWISE_LIMIT of them; only such lists are ever summed
     pair by pair."""
-    if max_len is None:
-        max_len = f.s
     if lengths is not None:
         lengths = frozenset(lengths)
-    total = inventory_size(f, n, max_len, lengths)
+    total = inventory_size(f, n, lengths)
     if total > DEFAULT_PAIRWISE_LIMIT:
-        return CycleInventory(f=f, n=n, max_len=max_len, items=None,
-                              total_count=total, lengths=lengths)
+        return CycleInventory(f=f, n=n, items=None, total_count=total,
+                              lengths=lengths)
     items = []
-    for ids, k, sparse, words in zip(*_rows(f, n, max_len, lengths, cap)):
+    for ids, k, sparse, words in zip(*_rows(f, n, lengths, cap)):
         bits = int.from_bytes(words.astype("<u8").tobytes(), "little")
         items.append(InventoryItem(
             copy_ids=tuple(ids[:k].tolist()), k=int(k), sparse=bool(sparse),
@@ -117,8 +117,8 @@ def build_inventory(f: Pattern, n: int, max_len: Optional[int] = None,
     if len(items) != total:
         raise DomainError(
             f"placement enumeration found {len(items)}, expected {total}")
-    return CycleInventory(f=f, n=n, max_len=max_len, items=tuple(items),
-                          total_count=total, lengths=lengths)
+    return CycleInventory(f=f, n=n, items=tuple(items), total_count=total,
+                          lengths=lengths)
 
 
 # -- Chen-Stein bound --------------------------------------------------------
@@ -151,14 +151,13 @@ def _pairwise_terms(inv: CycleInventory, pi: float,
     return 4.0 * (th1 + th2), 4.0 * (tg1 + tg2)
 
 
-def _type_reps(f: Pattern, max_len: int,
+def _type_reps(f: Pattern,
                lengths: Optional[frozenset[int]] = None) -> list[FGraph]:
-    return [cycle for k in range(2, max_len + 1)
-            if _wanted(k, max_len, lengths)
+    return [cycle for k in _lengths(f, lengths)
             for cycle, _sig in clean_cycle_types(f, k)]
 
 
-def _pair_buckets(f: Pattern, anchor: FGraph, max_len: int,
+def _pair_buckets(f: Pattern, anchor: FGraph,
                   lengths: Optional[frozenset[int]] = None
                   ) -> dict[tuple[int, int, int], int]:
     """Joint-moment buckets against one fixed placement of the anchor type.
@@ -170,11 +169,11 @@ def _pair_buckets(f: Pattern, anchor: FGraph, max_len: int,
     binomials this reproduces the exact sum over [n].
     """
     v_anchor = anchor.v()
-    v_other_max = max(cy.v() for cy in _type_reps(f, max_len, lengths))
+    v_other_max = max(cy.v() for cy in _type_reps(f, lengths))
     n_labels = v_anchor + v_other_max - 1
     copies = potential_copies_on(f, range(n_labels))
     c0 = sorted(copies.index(fe) for fe in anchor.fedges)
-    ids, ks, sparse, words = _rows(f, n_labels, max_len, lengths)
+    ids, ks, sparse, words = _rows(f, n_labels, lengths)
     at = np.flatnonzero((ks == len(c0))
                         & (ids[:, :len(c0)] == c0).all(axis=1))[0]
     n_words = words.shape[1]
@@ -199,22 +198,22 @@ def _pair_buckets(f: Pattern, anchor: FGraph, max_len: int,
 
 
 @functools.lru_cache(maxsize=8)
-def _all_buckets(f: Pattern, max_len: int,
+def _all_buckets(f: Pattern,
                  lengths: Optional[frozenset[int]]) -> tuple[dict, ...]:
     """The buckets of every type representative, in _type_reps order. Keyed
     by the labelled template: which type sits at which index depends on
     F's labelling, not only on its isomorphism type."""
-    return tuple(_pair_buckets(f, rep, max_len, lengths)
-                 for rep in _type_reps(f, max_len, lengths))
+    return tuple(_pair_buckets(f, rep, lengths)
+                 for rep in _type_reps(f, lengths))
 
 
-def _aggregate_terms(f: Pattern, n: int, max_len: int, pi: float, p: float,
+def _aggregate_terms(f: Pattern, n: int, pi: float, p: float,
                      lengths: Optional[frozenset[int]] = None
                      ) -> tuple[float, float]:
     """(bound_H, bound_G) from per-type orbit counts; exact for any n."""
-    reps = _type_reps(f, max_len, lengths)
+    reps = _type_reps(f, lengths)
     s = f.s
-    all_buckets = _all_buckets(f, max_len, lengths)
+    all_buckets = _all_buckets(f, lengths)
 
     th1 = tg1 = th2 = tg2 = 0.0
     counts = [_safe_count(rep, n) for rep in reps]
@@ -261,4 +260,4 @@ def chen_stein_bound(inv: CycleInventory, pi: float, p: float,
         return 0.0, 0.0
     if inv.items is not None and inv.total_count <= pairwise_limit:
         return _pairwise_terms(inv, pi, p)
-    return _aggregate_terms(inv.f, inv.n, inv.max_len, pi, p, inv.lengths)
+    return _aggregate_terms(inv.f, inv.n, pi, p, inv.lengths)

@@ -26,7 +26,8 @@ class TestAnalyze:
         path = tmp_path / "path4.txt"
         path.write_text("0 1\n1 2\n2 3\n")
         assert main(["analyze", "--pattern-file", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: subgraph on [0, 1] has 1-density 1 >= 1\n"
 
 
 # preset -> sha256 of the verify --out CSV and of stdout, at the default
@@ -176,6 +177,14 @@ class TestCouple:
         assert main(["couple", "--pattern", "k3", "--n", "6", "--trials",
                      "1", "--out", str(tmp_path)]) == 1
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_an_error(self, capsys, trials):
+        assert main(["couple", "--pattern", "k3", "--n", "6",
+                     "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "error: trials must be positive" in captured.err
+        assert captured.out == ""
 
 
 class TestChenStein:

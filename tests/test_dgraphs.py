@@ -37,8 +37,8 @@ class TestDCycles:
         d = dcycle_of(cyc, K3)
         assert d.sparsity == "sparse"
         assert dcycle_density(d) == Fraction(3, 2)
-        assert max_proper_subgraph_density(d) == Fraction(5, 4)
-        assert max_proper_subgraph_density(d) < dcycle_density(d)
+        assert max_proper_subgraph_density(d.dgraph) == Fraction(5, 4)
+        assert max_proper_subgraph_density(d.dgraph) < dcycle_density(d)
 
     def test_dense_three_cycle_density(self):
         cyc = FGraph.from_fedges([triangle(0, 1, 2), triangle(2, 3, 4),
@@ -46,8 +46,8 @@ class TestDCycles:
         d = dcycle_of(cyc, K3)
         assert d.sparsity == "dense"
         assert dcycle_density(d) == Fraction(3, 2)
-        assert max_proper_subgraph_density(d) == Fraction(7, 5)
-        assert max_proper_subgraph_density(d) < dcycle_density(d)
+        assert max_proper_subgraph_density(d.dgraph) == Fraction(7, 5)
+        assert max_proper_subgraph_density(d.dgraph) < dcycle_density(d)
 
     def test_dcycle_edge_count(self):
         cyc = FGraph.from_fedges([triangle(0, 1, 2), triangle(0, 1, 3)])
@@ -131,7 +131,7 @@ class TestCycleTypes:
         with pytest.raises(CounterexampleError) as exc:
             verify_clean_dcycles_strictly_balanced(cert)
         assert exc.value.witness is bad.dcycle
-        assert constants_of(cert) == select_constants(K3, 3)
+        assert constants_of(cert) == select_constants(K3)
 
     def test_report_csv(self):
         rows = verify_clean_dcycles_strictly_balanced(certify(K3, 3))

@@ -7,10 +7,9 @@ import pytest
 from exponent_oracles import brute_max_g1
 
 from fthresh.dgraphs import clean_cycle_types, dcycle_of
-from fthresh.exponents import (admissible_f_subgraphs, certified_max_f1,
-                               certified_max_g1, certify, exponent_audit_csv,
-                               f_exponents, max_g1_of_dcycle,
-                               select_constants)
+from fthresh.exponents import (admissible_f_subgraphs, certify,
+                               constants_of, exponent_audit_csv, f_exponents,
+                               max_g1_of_dcycle, select_constants)
 from fthresh.graphs import Graph
 from fthresh.patterns import pattern_preset
 
@@ -32,7 +31,7 @@ class TestFExponents:
 
     def test_k3_max_is_exact(self):
         f = pattern_preset("k3")
-        assert certified_max_f1(f) == Fraction(-1, 3)
+        assert select_constants(f).certified_max_f1 == Fraction(-1, 3)
 
     def test_admissible_subgraphs_proper_nonempty(self):
         f = pattern_preset("c4")
@@ -42,7 +41,7 @@ class TestFExponents:
     @pytest.mark.parametrize("name", sorted(CONSTANTS))
     def test_negative_for_presets(self, name):
         f = pattern_preset(name)
-        assert certified_max_f1(f) < 0
+        assert select_constants(f).certified_max_f1 < 0
 
 
 class TestGExponents:
@@ -58,13 +57,14 @@ class TestGExponents:
     def test_certified_max_negative(self):
         for name in sorted(CONSTANTS):
             f = pattern_preset(name)
-            best, rows = certified_max_g1(f, min(f.s, 4))
-            assert best < 0
-            assert rows
+            cert = certify(f, min(f.s, 4))
+            assert constants_of(cert).certified_max_g1 < 0
+            assert cert.types
 
     def test_g1_equals_f1_minus_one_relation(self):
         f = pattern_preset("k3")
-        assert certified_max_g1(f, 3)[0] == certified_max_f1(f)
+        sc = select_constants(f)
+        assert sc.certified_max_g1 == sc.certified_max_f1
 
 
 class TestSelectConstants:

@@ -9,9 +9,9 @@ import pytest
 
 from fthresh.fgraphs import (FEdge, FGraph, all_potential_copies, classify,
                              copies_in, copies_on_vertex_set, count_copies,
-                             f_degrees, fgraph_automorphisms,
-                             induced_f_edges, inducing_witness, max_f_degree,
-                             nullity, potential_copies_on, shadow)
+                             fgraph_automorphisms, induced_f_edges,
+                             inducing_witness, nullity, potential_copies_on,
+                             shadow)
 from fthresh.graphs import Graph
 from fthresh.patterns import analyze_pattern, pattern_preset
 
@@ -44,12 +44,6 @@ class TestBasics:
         h = FGraph.from_fedges([triangle(0, 1, 2), triangle(0, 1, 3)])
         # (r-1)e + c - v = 2*2 + 1 - 4
         assert nullity(h) == 1
-
-    def test_f_degrees(self):
-        h = FGraph.from_fedges([triangle(0, 1, 2), triangle(0, 1, 3)])
-        assert f_degrees(h)[0] == 2
-        assert f_degrees(h)[3] == 1
-        assert max_f_degree(h) == 2
 
 
 class TestClassify:

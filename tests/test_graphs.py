@@ -1,19 +1,20 @@
 """Graph primitives against brute-force and third-party oracles."""
 
+import hashlib
+import inspect
 import itertools
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
-from graph_helpers import relabel
+from graph_helpers import empty, path, relabel
 from hypothesis import strategies as st
 
-from fthresh.errors import UndefinedDensityError
-from fthresh.graphs import (Graph, automorphism_count, automorphisms,
-                            canonical_form, components, enumerate_embeddings,
-                            format_edge_list,
-                            one_density, parse_edge_list,
+from fthresh.errors import ResourceLimitError, UndefinedDensityError
+from fthresh.graphs import (Graph, automorphisms, canonical_form,
+                            components, enumerate_embeddings,
+                            format_edge_list, one_density, parse_edge_list,
                             strictly_1_balanced_violation)
 
 
@@ -29,12 +30,32 @@ def brute_strictly_1_balanced(g: Graph) -> bool:
     return True
 
 
+def labelled_graphs(max_n: int):
+    """Every graph on the vertices 0..n-1, for n = 2..max_n, edgeless
+    included."""
+    for n in range(2, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(2 ** len(pairs)):
+            yield Graph.from_edges(
+                (pairs[i] for i in range(len(pairs)) if bits >> i & 1),
+                vertices=range(n))
+
+
+def automorphism_count(g: Graph) -> int:
+    return sum(1 for _ in automorphisms(g))
+
+
 def all_graphs(max_n: int):
     for n in range(2, max_n + 1):
         pairs = list(itertools.combinations(range(n), 2))
         for bits in range(1, 2 ** len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
             yield Graph.from_edges(edges)
+
+
+# sha256 of strictly_1_balanced_violation's witnesses over labelled_graphs(5)
+WITNESS_DIGEST = \
+    "e7f0da71a61345ade9f8e07611387328c94c6fb878c8309473a41874ec16ea1f"
 
 
 class TestDensity:
@@ -46,7 +67,7 @@ class TestDensity:
 
     def test_single_vertex_undefined(self):
         with pytest.raises(UndefinedDensityError):
-            one_density(Graph.empty(1))
+            one_density(empty(1))
 
     def test_balance_oracle_small(self):
         checked = 0
@@ -59,11 +80,33 @@ class TestDensity:
         assert checked > 100
 
     def test_violation_is_witness(self):
-        path = Graph.path(4)
-        w = strictly_1_balanced_violation(path)
+        p4 = path(4)
+        w = strictly_1_balanced_violation(p4)
         assert w is not None
-        assert one_density(w) >= one_density(path)
-        assert w.v() < path.v()
+        assert one_density(w) >= one_density(p4)
+        assert w.v() < p4.v()
+        # labels other than 0..n-1: the path 5-9-2-7, least pair first
+        w = strictly_1_balanced_violation(relabel(p4, {0: 5, 1: 9, 2: 2,
+                                                       3: 7}))
+        assert (w.vertices, w.edges) == ({2, 7}, {(2, 7)})
+
+    def test_subset_scan_is_capped(self):
+        # 2^24 subsets: refused before any array is allocated
+        with pytest.raises(ResourceLimitError):
+            strictly_1_balanced_violation(Graph.cycle(24))
+
+    def test_witnesses_are_pinned(self):
+        """The witness (fewest vertices, then the least labels) of every
+        graph on 2..5 vertices, hashed."""
+        digest = hashlib.sha256()
+        checked = 0
+        for g in labelled_graphs(5):
+            w = strictly_1_balanced_violation(g)
+            key = None if w is None else (sorted(w.vertices), sorted(w.edges))
+            digest.update(repr(key).encode() + b"\n")
+            checked += 1
+        assert checked == 1098
+        assert digest.hexdigest() == WITNESS_DIGEST
 
 
 class TestIsomorphism:
@@ -107,9 +150,19 @@ class TestAutomorphisms:
     def test_counts(self):
         assert automorphism_count(Graph.complete(4)) == 24
         assert automorphism_count(Graph.cycle(5)) == 10
-        assert automorphism_count(Graph.path(3)) == 2
+        assert automorphism_count(path(3)) == 2
         assert automorphism_count(Graph.from_edges(
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])) == 4
+
+    def test_counts_with_isolated_vertices(self):
+        """Vertices that do not attach to the part already mapped."""
+        assert automorphism_count(Graph.from_edges([(0, 1)],
+                                                   vertices=range(4))) == 4
+        assert automorphism_count(empty(3)) == 6
+        assert automorphism_count(empty(0)) == 1
+
+    def test_is_a_generator_function(self):
+        assert inspect.isgeneratorfunction(automorphisms)
 
     def test_against_networkx(self):
         import random
@@ -154,7 +207,7 @@ class TestEmbeddings:
 
     def test_no_triangle_in_tree(self):
         assert not list(enumerate_embeddings(Graph.complete(3),
-                                             Graph.path(5)))
+                                             path(5)))
 
 
 class TestStructure:

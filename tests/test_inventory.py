@@ -20,29 +20,34 @@ class TestInventory:
             inv = build_inventory(K3, n)
             assert inv.items is not None
             assert len(inv.items) == inv.total_count
-            assert inv.total_count == inventory_size(K3, n, K3.s)
+            assert inv.total_count == inventory_size(K3, n)
         # past the pairwise limit only the count is kept
         inv = build_inventory(K3, 7)
         assert inv.items is None
-        assert inv.total_count == inventory_size(K3, 7, K3.s) == 1050
+        assert inv.total_count == inventory_size(K3, 7) == 1050
 
     def test_lengths_filter(self):
         inv = build_inventory(K3, 6, lengths={2})
         assert all(it.k == 2 for it in inv.items)
         assert inv.total_count == 90
 
+    def test_lengths_beyond_the_template_are_empty(self):
+        inv = build_inventory(K3, 6, lengths={5})
+        assert (inv.items, inv.total_count) == ((), 0)
+        assert chen_stein_bound(inv, 0.1, 0.5) == (0.0, 0.0)
+
     def test_lengths_filter_avoids_full_enumeration(self):
         # restricting to length 2 must not enumerate longer cycles: the
         # cap counts placements, 420 2-cycles against 3,780 of all lengths
         inv = build_inventory(K3, 8, lengths={2}, cap=2_000)
         assert len(inv.items) == inv.total_count == inventory_size(
-            K3, 8, K3.s, frozenset({2}))
+            K3, 8, frozenset({2}))
 
     def test_aggregate_fallback(self):
         inv = build_inventory(K3, 8)
         assert inv.total_count > DEFAULT_PAIRWISE_LIMIT
         assert inv.items is None
-        assert inv.total_count == inventory_size(K3, 8, K3.s)
+        assert inv.total_count == inventory_size(K3, 8)
 
     def test_item_shape(self):
         inv = build_inventory(K3, 5)

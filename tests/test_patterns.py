@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from graph_helpers import path
 
 from fthresh.errors import (DisconnectedInputError, DomainError,
                             NotStrictlyOneBalancedError)
@@ -29,8 +30,10 @@ class TestAnalyze:
 
     def test_path_rejected(self):
         with pytest.raises(NotStrictlyOneBalancedError) as exc:
-            analyze_pattern(Graph.path(4))
+            analyze_pattern(path(4))
         assert exc.value.witness is not None
+        # the witness has the fewest vertices, then the least labels
+        assert str(exc.value) == "subgraph on [0, 1] has 1-density 1 >= 1"
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedInputError):
