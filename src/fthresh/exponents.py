@@ -171,19 +171,20 @@ def max_g1_of_dcycle(f: Pattern, d: CleanDCycle) -> tuple[Fraction, str]:
         suffix[i] = suffix[i + 1] + usable[i][1]
 
     best = Fraction(0)  # the empty family
-
-    def search(i: int, taken: int, acc: Fraction) -> None:
-        nonlocal best
+    # depth first over (next piece, vertices taken, weight so far), taking
+    # piece i before leaving it out; a stack, since the pieces can outnumber
+    # Python's frames
+    stack = [(0, 0, Fraction(0))]
+    while stack:
+        i, taken, acc = stack.pop()
         if acc > best:
             best = acc
         if i >= len(usable) or acc + suffix[i] <= best:
-            return
+            continue
         m, h = usable[i]
+        stack.append((i + 1, taken, acc))
         if not (m & taken):
-            search(i + 1, taken | m, acc + h)
-        search(i + 1, taken, acc)
-
-    search(0, 0, Fraction(0))
+            stack.append((i + 1, taken | m, acc + h))
     best_g1 = best - 1
     how = "family"
 

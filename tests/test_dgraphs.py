@@ -10,8 +10,8 @@ from placement_oracles import (by_pair_sparse_placements,
                                chain_cycle_placements)
 
 from fthresh.cli import main
-from fthresh.dgraphs import (DGraph, clean_cycle_types, cycle_placements,
-                             dcycle_of, sparse_cycle_placements)
+from fthresh.dgraphs import (clean_cycle_types, cycle_placements, dcycle_of,
+                             sparse_cycle_placements)
 from fthresh.errors import CounterexampleError, ResourceLimitError
 from fthresh.exactengine import Placements
 from fthresh.exponents import (certify, constants_of, dcycle_density,

@@ -1,7 +1,5 @@
 """Exact enumeration backend against full product-space brute force."""
 
-import itertools
-
 import numpy as np
 import pytest
 from engine_oracles import (brute_valid_g_dense, brute_valid_h, cycle_masks,

@@ -1,5 +1,7 @@
 """Exponent certification and constant selection."""
 
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -60,6 +62,22 @@ class TestGExponents:
             cert = certify(f, min(f.s, 4))
             assert constants_of(cert).certified_max_g1 < 0
             assert cert.types
+
+    def test_search_takes_no_frame_per_piece(self):
+        """The first length-4 type of K4-e has 162 usable pieces, and a
+        recursion one frame per piece deep fails 60 frames above the
+        caller; the search must give the same maximum there."""
+        f = pattern_preset("k4me")
+        cycle, _sig = clean_cycle_types(f, 4)[0]
+        d = dcycle_of(cycle, f)
+        want = max_g1_of_dcycle(f, d)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            got = max_g1_of_dcycle(f, d)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
 
     def test_g1_equals_f1_minus_one_relation(self):
         f = pattern_preset("k3")

@@ -9,7 +9,7 @@ from factor_oracles import copies_by_embedding, recount_factor_search
 from fthresh.errors import DomainError, ResourceLimitError
 from fthresh.factors import (enumerate_copies, f_isolated, find_f_factor,
                              verify_factor)
-from fthresh.fgraphs import FEdge, copies_in
+from fthresh.fgraphs import copies_in
 from fthresh.graphs import Graph
 from fthresh.patterns import analyze_pattern, pattern_preset
 from fthresh.sampling import sample_gnp

@@ -1,9 +1,11 @@
 """Cycle inventories and Poisson-approximation bounds."""
 
-import math
+import hashlib
 
 import pytest
+from inventory_oracles import pairwise_terms_loop
 
+from fthresh.cli import main
 from fthresh.errors import DomainError
 from fthresh.fgraphs import FGraph, classify, potential_copies_on, shadow
 from fthresh.graphs import Graph
@@ -12,6 +14,19 @@ from fthresh.inventory import (DEFAULT_PAIRWISE_LIMIT, build_inventory,
 from fthresh.patterns import analyze_pattern, pattern_preset
 
 K3 = pattern_preset("k3")
+
+# (pi, p) pairs for the bit-for-bit checks, including both ends of [0, 1]
+PI_P = [(0.07, 0.3), (0.01, 0.2), (0.5, 0.5), (0, 1), (1, 0)]
+
+# chen-stein arguments -> sha256 of stdout; moves with any bound's last bit
+CHEN_STEIN_GOLDEN = {
+    ("--pattern", "k3", "--n", "6", "7", "8"):
+        "a5c1f0403bc9e24118f9022cd0c30bce90085b824dccdacf306b91b7d91f2ce6",
+    ("--pattern", "c4", "--n", "6"):
+        "4ca79f2e5a5417048817003febb3623012af14f5eec11a260e76f187af8535bf",
+    ("--pattern", "k3", "--n", "5", "--pi", "0.01"):
+        "06cc32e98962efeb6e4184fd7fcae49567e94a6f32de97e9617cc2361917e986",
+}
 
 
 class TestInventory:
@@ -124,3 +139,33 @@ class TestChenStein:
         inv = build_inventory(K3, 3)
         assert inv.total_count == 0
         assert chen_stein_bound(inv, 0.5, 0.5) == (0.0, 0.0)
+
+
+class TestPairwiseKernel:
+    """The blocked pair sums against the scalar loop, as float hex."""
+
+    CASES = ([("k3", n, lengths) for n in range(3, 9)
+              for lengths in (None, {2}, {3})]
+             + [("c4", n, {2}) for n in (5, 6, 7)])
+
+    def test_equals_the_loop_bit_for_bit(self):
+        listed = 0
+        for name, n, lengths in self.CASES:
+            inv = build_inventory(pattern_preset(name), n, lengths=lengths)
+            if not inv.items:
+                continue
+            listed += 1
+            for pi, p in PI_P:
+                got = chen_stein_bound(inv, pi, p)
+                want = pairwise_terms_loop(inv, pi, p)
+                assert all(type(b) is float for b in got)
+                assert [b.hex() for b in got] == [b.hex() for b in want], \
+                    (name, n, lengths, pi, p)
+        # K3: 4 and 5 all and {2}, 6 all, {2} and {3}, 7 and 8 {2}; C4: 6
+        assert listed == 10
+
+    @pytest.mark.parametrize("args", sorted(CHEN_STEIN_GOLDEN))
+    def test_cli_golden(self, args, capsys):
+        assert main(["chen-stein", *args]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == CHEN_STEIN_GOLDEN[args]
