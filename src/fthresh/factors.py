@@ -61,13 +61,19 @@ def find_f_factor(g: Graph, f: Pattern, budget: int = 10 ** 6,
     """Search for vertex-disjoint copies covering every vertex.
 
     Exact cover over the distinct copy vertex sets, branching on the vertex
-    with fewest remaining candidates; the copy chosen per set is arbitrary
-    since a factor only constrains vertex sets. A set is live while all its
-    vertices are uncovered, and each vertex keeps its count of live sets,
-    as in Knuth's dancing links: choosing a set kills every live set it
-    meets and lowers their vertices' counts, and an undo stack restores
-    both when the choice is released. Stops with status "budget" once the
-    expansion budget is spent, so a miss under budget is exhaustive.
+    with fewest live sets; the copy chosen per set is arbitrary since a
+    factor only constrains vertex sets. A set is live while all its
+    vertices are uncovered. The live sets are one int bit mask over the set
+    ids and through[u] is the mask of the sets holding u, so a count is
+    (live & through[u]).bit_count(), and choosing a set clears from live
+    the through masks of its vertices. Every search node keeps its own
+    live mask, so a release only puts the set's vertices back. The
+    candidates are the pivot's live sets in ascending id order, and ties
+    for the pivot go to the first vertex in the uncovered set's iteration
+    order. The search runs on an explicit stack, so a factor of any size
+    fits. A vertex in no copy ends the search at the root, as the pivot
+    with no candidates would. Stops with status "budget" once the expansion
+    budget is spent, so a miss under budget is exhaustive.
     A caller that already holds the copies of g, as enumerate_copies orders
     them, passes them as copies and the search skips the enumeration; g
     is then read only through vertices, v() and has_edge.
@@ -82,65 +88,51 @@ def find_f_factor(g: Graph, f: Pattern, budget: int = 10 ** 6,
     rep: dict[frozenset[int], FEdge] = {}
     for fe in copies:
         rep.setdefault(fe.vertices, fe)
+    if not g.vertices <= set().union(*rep):
+        return FactorResult(status="none", certificate=None,
+                            nodes_expanded=1, n_copies=len(copies))
     sets = sorted(rep, key=lambda vs: tuple(sorted(vs)))
-    by_vertex: dict[int, list[int]] = {u: [] for u in g.vertices}
+    through = {u: 0 for u in g.vertices}
     for i, vs in enumerate(sets):
         for u in vs:
-            by_vertex[u].append(i)
+            through[u] |= 1 << i
 
     uncovered = set(g.vertices)
-    live = [True] * len(sets)
-    count = {u: len(ids) for u, ids in by_vertex.items()}
-    killed: list[int] = []  # the undo stack of sets made dead
     chosen: list[int] = []
+    frames: list[list[int]] = []  # [untried candidates, live] per node
+    live = (1 << len(sets)) - 1
     expanded = 0
-
-    def choose(i: int) -> int:
-        """Cover set i; returns the undo mark that release takes."""
-        mark = len(killed)
-        for u in sets[i]:
-            for j in by_vertex[u]:
-                if live[j]:
-                    live[j] = False
-                    killed.append(j)
-                    for w in sets[j]:
-                        count[w] -= 1
-        uncovered.difference_update(sets[i])
-        return mark
-
-    def release(i: int, mark: int) -> None:
-        uncovered.update(sets[i])
-        while len(killed) > mark:
-            j = killed.pop()
-            live[j] = True
-            for w in sets[j]:
-                count[w] += 1
-
-    def search() -> Optional[str]:
-        nonlocal expanded
-        if not uncovered:
-            return "found"
+    out = "found"
+    while uncovered:
         expanded += 1
         if expanded > budget:
-            return "budget"
-        pivot = min(uncovered, key=count.__getitem__)
-        cands = [i for i in by_vertex[pivot] if live[i]]
-        for i in cands:
-            mark = choose(i)
-            chosen.append(i)
-            out = search()
-            if out is not None:
-                return out
-            chosen.pop()
-            release(i, mark)
-        return None
-
-    out = search()
+            out = "budget"
+            break
+        us = list(uncovered)
+        counts = [(live & through[u]).bit_count() for u in us]
+        pivot = us[counts.index(min(counts))]
+        frames.append([live & through[pivot], live])
+        while frames:
+            cands, live = frames[-1]
+            if cands:
+                low = cands & -cands
+                frames[-1][0] = cands ^ low
+                i = low.bit_length() - 1
+                for u in sets[i]:
+                    live &= ~through[u]
+                uncovered.difference_update(sets[i])
+                chosen.append(i)
+                break
+            frames.pop()
+            if chosen:
+                uncovered.update(sets[chosen.pop()])
+        else:
+            out = "none"
+            break
     if out == "found":
         cert = tuple(rep[sets[i]] for i in chosen)
         assert verify_factor(g, f, cert)
         return FactorResult(status="found", certificate=cert,
                             nodes_expanded=expanded, n_copies=len(copies))
-    status = "budget" if out == "budget" else "none"
-    return FactorResult(status=status, certificate=None,
+    return FactorResult(status=out, certificate=None,
                         nodes_expanded=expanded, n_copies=len(copies))

@@ -8,7 +8,6 @@ correctness downstream, so floating point is not allowed here.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -244,6 +243,11 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     of its class. The check reduces, per automorphism, to one pair of
     pattern vertices (the first vertex x it moves, and its image y) with
     m[x] < m[y], so partial embeddings are cut as soon as both are placed.
+    Candidate sets are int bit masks over the sorted host vertices: the
+    AND of the placed neighbours' neighbour masks and of the mask of host
+    vertices of at least the pattern vertex's degree, minus the used bits,
+    clipped above the largest and below the smallest bound; walking the
+    set bits upwards visits the candidates in ascending label order.
     More than cap yielded embeddings raise ResourceLimitError.
     """
     pverts = sorted(pattern.vertices)
@@ -251,8 +255,12 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
         yield {}
         return
     padj = pattern.adjacency()
-    hadj = host.adjacency()
-    hdeg = {u: len(hadj[u]) for u in host.vertices}
+    hverts = sorted(host.vertices)
+    bit = {u: i for i, u in enumerate(hverts)}
+    nbr = [0] * len(hverts)
+    for u, v in host.edges:
+        nbr[bit[u]] |= 1 << bit[v]
+        nbr[bit[v]] |= 1 << bit[u]
     # order pattern vertices so each one after the first attaches to the
     # already-mapped part if possible (connected patterns: always)
     order = [pverts[0]]
@@ -267,10 +275,15 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
             nxt = min(rest)
         order.append(nxt)
         rest.remove(nxt)
-    pdeg = {u: len(padj[u]) for u in pattern.vertices}
-    # per position, the earlier-placed vertices the new image must exceed
-    # (above) or stay below (below), from the automorphisms' vertex pairs
+    # per position: the host vertices of at least its degree, the earlier
+    # positions it must be adjacent to, and those whose images it must
+    # exceed (above) or stay below (below), from the automorphisms' pairs
     pos_of = {u: i for i, u in enumerate(order)}
+    hdeg = [m.bit_count() for m in nbr]
+    fit = [sum(1 << i for i, d in enumerate(hdeg) if d >= len(padj[u]))
+           for u in order]
+    anchors = [[pos_of[w] for w in padj[u] if pos_of[w] < pos]
+               for pos, u in enumerate(order)]
     above: list[set[int]] = [set() for _ in order]
     below: list[set[int]] = [set() for _ in order]
     for a in automorphisms:
@@ -278,42 +291,36 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
         if moved:
             x, y = moved[0]
             if pos_of[x] < pos_of[y]:
-                above[pos_of[y]].add(x)
+                above[pos_of[y]].add(pos_of[x])
             else:
-                below[pos_of[x]].add(y)
+                below[pos_of[x]].add(pos_of[y])
+    last = len(order) - 1
+    img = [0] * len(order)  # host bit index per placed position
+    at = img.__getitem__
     emitted = 0
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
 
-    def place(pos: int) -> Iterator[dict[int, int]]:
+    def place(pos: int, used: int) -> Iterator[dict[int, int]]:
         nonlocal emitted
-        if pos == len(order):
+        cands = fit[pos] & ~used
+        for a in anchors[pos]:
+            cands &= nbr[img[a]]
+        if above[pos]:
+            cands &= -(1 << (max(map(at, above[pos])) + 1))
+        if below[pos]:
+            cands &= (1 << min(map(at, below[pos]))) - 1
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            img[pos] = low.bit_length() - 1
+            if pos < last:
+                yield from place(pos + 1, used | low)
+                continue
             emitted += 1
             if emitted > cap:
                 raise ResourceLimitError(f"embedding enumeration exceeded cap {cap}")
-            yield dict(mapping)
-            return
-        u = order[pos]
-        anchors = [w for w in padj[u] if w in mapping]
-        if anchors:
-            cands = set(hadj[mapping[anchors[0]]])
-            for w in anchors[1:]:
-                cands &= hadj[mapping[w]]
-            cands -= used
-        else:
-            cands = set(host.vertices) - used
-        lo = max((mapping[w] for w in above[pos]), default=-1)
-        hi = min((mapping[w] for w in below[pos]), default=math.inf)
-        for t in sorted(cands):
-            if hdeg[t] < pdeg[u] or not lo < t < hi:
-                continue
-            mapping[u] = t
-            used.add(t)
-            yield from place(pos + 1)
-            del mapping[u]
-            used.discard(t)
+            yield dict(zip(order, [hverts[i] for i in img]))
 
-    yield from place(0)
+    yield from place(0, 0)
 
 
 # -- edge-list text format ---------------------------------------------------

@@ -1,24 +1,28 @@
 """Reference copy enumeration and factor search, kept as they were before
 the symmetry-broken enumeration and the live-count pivot.
 
-copies_by_embedding reaches every copy once per template automorphism and
-collapses the embeddings through FEdge.from_embedding; recount_factor_search
-recounts, at every expansion, the candidate sets of every uncovered vertex.
+copies_by_embedding reaches every copy once per template automorphism,
+through the set-based reference enumerator of embedding_oracles, and
+collapses the embeddings through FEdge.from_embedding;
+recount_factor_search recounts, at every expansion, the candidate sets of
+every uncovered vertex.
 fthresh must agree with both exactly: the same copies with the same
 embeddings, and the same status, expansions and certificate.
 """
 
 from typing import Optional
 
+from embedding_oracles import set_embeddings
+
 from fthresh.fgraphs import FEdge
-from fthresh.graphs import DEFAULT_ENUMERATION_CAP, enumerate_embeddings
+from fthresh.graphs import DEFAULT_ENUMERATION_CAP
 
 
 def copies_by_embedding(g, f, cap=DEFAULT_ENUMERATION_CAP) -> set:
     """Every copy of the template in g, one F-edge per embedding class;
     cap bounds the raw embeddings."""
     out = {}
-    for m in enumerate_embeddings(f.graph, g, cap=cap):
+    for m in set_embeddings(f.graph, g, cap=cap):
         fe = FEdge.from_embedding(f, m)
         out[(fe.vertices, fe.edge_set)] = fe
     return set(out.values())

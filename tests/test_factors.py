@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from factor_oracles import copies_by_embedding, recount_factor_search
@@ -67,6 +68,62 @@ class TestSolver:
     def test_budget_must_be_positive(self):
         with pytest.raises(DomainError):
             find_f_factor(Graph.complete(6), K3, budget=0)
+
+    def test_large_factor_needs_no_deep_stack(self):
+        g = Graph.from_edges((3 * i + a, 3 * i + b) for i in range(100)
+                             for a, b in ((0, 1), (0, 2), (1, 2)))
+        # 100 disjoint triangles under a limit 40 frames above this one
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            res = find_f_factor(g, K3)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.status == "found"
+        assert res.nodes_expanded == 100
+        assert len(res.certificate) == 100
+
+
+class TestEarlyExit:
+    """A vertex in no copy ends the search at the root, with the status,
+    expansions and certificate of the full search."""
+
+    def test_uncovered_vertex_matches_the_recount_oracle(self):
+        exits = 0
+        for seed in range(60):
+            name = ("k3", "c4", "k4me")[seed % 3]
+            f = pattern_preset(name)
+            n = f.r * (4 + seed % 3)
+            g = sample_gnp(n, 0.15 + 0.3 * (seed % 7) / 6, seed)
+            copies = enumerate_copies(g, f)
+            res = find_f_factor(g, f, copies=copies)
+            status, expanded, cert = recount_factor_search(g, f, copies,
+                                                           10 ** 6)
+            assert (res.status, res.nodes_expanded) == (status, expanded)
+            assert (res.certificate is None) == (cert is None)
+            if cert is not None:
+                assert _with_embeddings(res.certificate) == \
+                    _with_embeddings(cert)
+            if not g.vertices <= set().union(*(fe.vertices
+                                                for fe in copies)):
+                assert (res.status, res.nodes_expanded) == ("none", 1)
+                exits += 1
+        assert 0 < exits < 60
+
+    def test_indivisible_n_still_reports_divisibility(self):
+        hosts = [Graph.from_edges([(0, 1), (1, 2), (0, 2)],
+                                  vertices=range(4))]
+        hosts += [sample_gnp(n, 0.1, n) for n in (13, 14, 16)]
+        for g in hosts:
+            copies = enumerate_copies(g, K3)
+            assert not g.vertices <= set().union(*(fe.vertices
+                                                    for fe in copies))
+            res = find_f_factor(g, K3, copies=copies)
+            assert (res.status, res.nodes_expanded) == ("divisibility", 0)
+            assert res.certificate is None
 
 
 class TestHelpers:

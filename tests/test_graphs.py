@@ -3,10 +3,12 @@
 import hashlib
 import inspect
 import itertools
+import random
 from fractions import Fraction
 
 import networkx as nx
 import pytest
+from embedding_oracles import set_embeddings
 from hypothesis import given, settings
 from graph_helpers import empty, path, relabel
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from fthresh.graphs import (Graph, automorphisms, canonical_form,
                             components, enumerate_embeddings,
                             format_edge_list, one_density, parse_edge_list,
                             strictly_1_balanced_violation)
+from fthresh.patterns import analyze_pattern, pattern_preset
 
 
 def brute_strictly_1_balanced(g: Graph) -> bool:
@@ -208,6 +211,70 @@ class TestEmbeddings:
     def test_no_triangle_in_tree(self):
         assert not list(enumerate_embeddings(Graph.complete(3),
                                              path(5)))
+
+
+def _oracle_templates():
+    return [pattern_preset(name)
+            for name in ("k2", "k3", "k4", "c4", "c5", "k4me")] + [
+        # C4 labelled 0-2-1-3: its sorted vertices do not follow the cycle
+        analyze_pattern(Graph.from_edges([(0, 2), (1, 2), (1, 3), (0, 3)]))]
+
+
+def _drain(it) -> tuple[list, bool]:
+    """Everything an enumeration yields, and whether it then hit its cap."""
+    out = []
+    try:
+        for m in it:
+            out.append(m)
+    except ResourceLimitError:
+        return out, True
+    return out, False
+
+
+class TestEmbeddingOracle:
+    """The bit-mask enumerator yields the set-based reference's dicts, in
+    its order and with its key order, and stops at the same cap."""
+
+    @pytest.mark.parametrize("f", _oracle_templates(), ids=[
+        "k2", "k3", "k4", "c4", "c5", "k4me", "c4-relabelled"])
+    def test_same_embeddings_in_the_same_order(self, f):
+        rng = random.Random(17)
+        total = isolated = 0
+        for _ in range(25):
+            n = rng.randint(0, 13)
+            # non-contiguous labels, many above 64, some left isolated
+            labels = rng.sample(range(300), n)
+            p = rng.uniform(0.15, 0.9)
+            host = Graph.from_edges(
+                [e for e in itertools.combinations(labels, 2)
+                 if rng.random() < p], vertices=labels)
+            isolated += sum(not a for a in host.adjacency().values())
+            for auts in ((), f.automorphisms):
+                got = list(enumerate_embeddings(f.graph, host,
+                                                automorphisms=auts))
+                want = list(set_embeddings(f.graph, host,
+                                           automorphisms=auts))
+                assert got == want
+                assert [list(m) for m in got] == [list(m) for m in want]
+                total += len(got)
+        assert total > 0 and isolated > 0
+
+    @pytest.mark.parametrize("with_auts", [False, True])
+    def test_cap_raises_at_the_same_count(self, with_auts):
+        host = Graph.from_edges(
+            [e for i, e in enumerate(itertools.combinations(range(9), 2))
+             if i % 4 != 1], vertices=range(9))
+        for f in _oracle_templates():
+            auts = f.automorphisms if with_auts else ()
+            full = len(list(set_embeddings(f.graph, host,
+                                           automorphisms=auts)))
+            for cap in (0, 1, full // 2, full - 1, full):
+                got = _drain(enumerate_embeddings(f.graph, host, cap=cap,
+                                                  automorphisms=auts))
+                want = _drain(set_embeddings(f.graph, host, cap=cap,
+                                             automorphisms=auts))
+                assert got == want
+                assert got[1] == (cap < full)
 
 
 class TestStructure:
