@@ -15,6 +15,7 @@ further, at the price of approximate marginals.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -37,7 +38,7 @@ _MAX_PRECOUPLE_PROPOSALS = 200_000
 
 # -- relative-error report ---------------------------------------------------
 
-def _q_report(tab: Placements, j: int, c1_rows: np.ndarray,
+def _q_report(tab: Placements, j: int, c1: frozenset[int],
               nprime: set[int], r_bits: int, h0: set[int],
               p: float) -> dict:
     """Exact evaluation of the union-bound error term for step j, as the
@@ -45,10 +46,9 @@ def _q_report(tab: Placements, j: int, c1_rows: np.ndarray,
     each bad contributor, one fully covered by the present edges, with a
     structural witness or a recorded contradiction.
 
-    The copy half loops over N'; the cycle half is one pass over the
-    shadow words of every cycle outside C1 (c1_rows is C1 as a row mask).
-    Only contributors of exponent 0 need witnesses, and only they build H0
-    plus copy j as an F-graph."""
+    The copy half loops over N'; the cycle half comes from _cycle_half,
+    which the trials of one (F, n, p) share. Only contributors of exponent
+    0 need witnesses, and only they build H0 plus copy j as an F-graph."""
     f = tab.f
     mj = tab.copy_bits[j]
     ej_free = mj & ~r_bits
@@ -66,16 +66,7 @@ def _q_report(tab: Placements, j: int, c1_rows: np.ndarray,
         else:
             q_eg += p ** expo
 
-    rows = np.flatnonzero(tab.meets(ej_free) & ~c1_rows)
-    expos = tab.edges_outside(rows, mj | r_bits) + tab.sparse[rows]
-    zero = expos == 0
-    good = expos[~zero]
-    # p ** k as Python computes it, accumulated left to right in cycle
-    # order, so the sum is the one a scalar loop gives
-    powers = np.array([p ** k
-                       for k in range(int(expos.max(initial=0)) + 1)])
-    q_cg = float(np.cumsum(powers[good])[-1]) if len(good) else 0.0
-    bad_cycles = rows[zero].tolist()
+    q_cg, n_rows, bad_cycles = _cycle_half(f, tab.n, c1, j, r_bits, p)
 
     bad: list[dict] = []
     if bad_copies or bad_cycles:
@@ -100,8 +91,37 @@ def _q_report(tab: Placements, j: int, c1_rows: np.ndarray,
     q_eb = float(len(bad_copies))
     q_cb = float(len(bad_cycles))
     return {"total": q_cb + q_cg + q_eb + q_eg, "cb": q_cb, "cg": q_cg,
-            "eb": q_eb, "eg": q_eg, "n_contributors": n_copies + len(rows),
+            "eb": q_eb, "eg": q_eg, "n_contributors": n_copies + n_rows,
             "bad": bad}
+
+
+# 4,096 holds every K3 copy up to n = 30, so the common states of one
+# (F, n, p), swept in copy order, stay cached from trial to trial
+@functools.lru_cache(maxsize=4096)
+def _cycle_half(f: Pattern, n: int, c1: frozenset[int], j: int,
+                r_bits: int, p: float) -> tuple[float, int, tuple[int, ...]]:
+    """The cycle half of step j's error term: q_cg, the number of cycle
+    contributors, and the bad (fully covered) cycle rows in cycle order.
+
+    One pass over the shadow words of every cycle outside C1 that meets
+    copy j's free edges. It depends only on its arguments, and the key is
+    the labelled template, never the table, so the cache keeps alive no
+    table that placements has dropped."""
+    tab = placements(f, n)
+    mj = tab.copy_bits[j]
+    hit = tab.meets(mj & ~r_bits)
+    if c1:
+        hit[list(c1)] = False
+    rows = np.flatnonzero(hit)
+    expos = tab.edges_outside(rows, mj | r_bits) + tab.sparse[rows]
+    zero = expos == 0
+    good = expos[~zero]
+    # p ** k as Python computes it, accumulated left to right in cycle
+    # order, so the sum is the one a scalar loop gives
+    powers = np.array([p ** k
+                       for k in range(int(expos.max(initial=0)) + 1)])
+    q_cg = float(np.cumsum(powers[good])[-1]) if len(good) else 0.0
+    return q_cg, len(rows), tuple(rows[zero].tolist())
 
 
 # -- transcript --------------------------------------------------------------
@@ -317,6 +337,8 @@ class _BoundLaw:
         cycle outside C1, and otherwise has its unconditional rate."""
         if j in h0:
             return 1.0
+        if not h0:  # every cycle has two or more copies, so none can close
+            return self.params.pi
         rows = self.tab.rows_with(j)
         members = self.tab.copy_ids[rows[~self._c1_rows[rows]]]
         closed = self.tab.copy_flags(h0)[members] | (members == j)
@@ -413,8 +435,6 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
                    "c2_only": len(pre.c2 - pre.c1)}
     else:
         c1 = pre.c1
-        c1_rows = np.zeros(tab.n_cycles, dtype=bool)
-        c1_rows[list(c1)] = True
         cyc_objs = [tab.cycle(i) for i in sorted(c1)]
         # present edges, H0 as copy ids, its F-degrees, and N' (copies
         # decided absent from both structures)
@@ -451,7 +471,7 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
                            "degree": cand_max, "Delta": params.Delta}
                 break
 
-            q = _q_report(tab, j, c1_rows, nprime, r_bits, h0, params.p)
+            q = _q_report(tab, j, c1, nprime, r_bits, h0, params.p)
             pi_j, pi_prime_j = law.probs(j, q, h0, r_bits)
             step = {"j": j + 1, "pi_j": pi_j, "pi_prime_j": pi_prime_j,
                     "coin": None, "decision_H": None, "decision_G": None,

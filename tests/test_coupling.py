@@ -1,15 +1,19 @@
 """Coupling runs: transcripts, outcomes, witnesses, marginals."""
 
 import collections
+import gc
 import hashlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from fthresh.coupling import (OUTCOMES, _law, _q_report, precouple_cycles,
-                              run_coupling)
+from fthresh import coupling
+from fthresh.coupling import (OUTCOMES, _cycle_half, _law, _q_report,
+                              precouple_cycles, run_coupling)
+from fthresh.exactengine import placements
 from fthresh.exponents import select_constants
 from fthresh.fgraphs import shadow
 from fthresh.graphs import Graph
@@ -327,9 +331,7 @@ class TestVectorisedSteps:
             h0, r_bits, c1, nprime = random_state(tab, cycles, rng)
             # step j is undecided, so never in N'
             j = int(rng.choice(sorted(set(range(len(tab.copies))) - nprime)))
-            c1_rows = np.zeros(tab.n_cycles, dtype=bool)
-            c1_rows[list(c1)] = True
-            q = _q_report(tab, j, c1_rows, nprime, r_bits, h0, 0.3)
+            q = _q_report(tab, j, frozenset(c1), nprime, r_bits, h0, 0.3)
             assert (q["cb"], q["cg"], q["eb"], q["eg"], q["n_contributors"],
                     [w["index"] for w in q["bad"]]) == \
                 scalar_q(tab, cycles, j, c1, nprime, r_bits, 0.3)
@@ -348,6 +350,72 @@ class TestVectorisedSteps:
                 for j in range(len(law.tab.copies)):
                     assert law._pi_prime(j, h0) == scalar_pi_prime(
                         cycles, law.pre.c1, j, h0, params.pi)
+
+    def test_pi_prime_with_empty_h0(self):
+        """With H0 empty no cycle can close, so pi'_j is pi; the shortcut
+        must agree with the loop whether or not C1 is empty."""
+        laws = [_law(K3, 8, small_params(8, pi), seed, "bound")
+                for pi in (0.001, 0.05) for seed in range(2)]
+        assert not laws[0].pre.c1 and laws[-1].pre.c1
+        cycles = scalar_cycles(laws[0].tab)
+        for law in laws:
+            for j in range(len(law.tab.copies)):
+                assert law._pi_prime(j, set()) == scalar_pi_prime(
+                    cycles, law.pre.c1, j, set(), law.params.pi)
+
+
+class TestCycleHalfMemo:
+    """Trials of one (F, n, p) share the cycle half of the error term
+    through an LRU cache; what it returns must not depend on what ran
+    before, and what it keeps must not pin a placement table."""
+
+    def test_warm_cache_gives_cold_transcripts(self, monkeypatch):
+        c4 = pattern_preset("c4")
+        sc = select_constants(c4)
+        c4_params = derive_params(c4, 6, float(sc.delta), float(sc.eps),
+                                  pi=0.001)
+        # seeds 0..19 never reach a step with C1 non-empty: a C1 cycle puts
+        # two vertices at F-degree 2, so B1 ends the run at the first copy
+        # through them; exact seeds 22 and 162 take steps before that
+        runs = ([(K3, 8, small_params(8, 0.001), "bound", s)
+                 for s in range(20)]
+                + [(c4, 6, c4_params, "bound", s) for s in range(20)]
+                + [(K3, 6, small_params(6, 0.02), "exact", s)
+                   for s in list(range(20)) + [22, 162]])
+        keys = []
+
+        def spy(f, n, c1, j, r_bits, p):
+            keys.append((c1, r_bits))
+            return _cycle_half(f, n, c1, j, r_bits, p)
+
+        monkeypatch.setattr(coupling, "_cycle_half", spy)
+
+        def transcripts(order, cold):
+            out = {}
+            for f, n, params, mode, seed in order:
+                if cold:
+                    _cycle_half.cache_clear()
+                out[(f.graph.edges, n, mode, seed)] = run_coupling(
+                    f, n, params, seed, mode=mode).to_jsonl()
+            return out
+
+        cold = transcripts(runs, cold=True)
+        assert any(c1 for c1, _ in keys)
+        assert any(r_bits for _, r_bits in keys)
+        before = _cycle_half.cache_info().hits
+        assert transcripts(runs, cold=False) == cold
+        assert transcripts(runs[::-1], cold=False) == cold
+        assert _cycle_half.cache_info().hits > before
+
+    def test_memo_holds_no_table(self):
+        assert _cycle_half.cache_info().maxsize is not None
+        params = small_params(8, 0.001)
+        table = weakref.ref(placements(K3, 8))
+        run_coupling(K3, 8, params, 0, mode="bound")
+        assert _cycle_half.cache_info().currsize > 0
+        placements.cache_clear()
+        gc.collect()
+        assert table() is None
 
 
 C4_A = analyze_pattern(Graph.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)]))
