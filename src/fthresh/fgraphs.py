@@ -16,8 +16,9 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import ResourceLimitError, WitnessNotFoundError
-from .graphs import (DEFAULT_ENUMERATION_CAP, Edge, Graph, _norm_edge,
-                     automorphisms, enumerate_embeddings)
+from .graphs import (DEFAULT_ENUMERATION_CAP, Edge, Graph,
+                     _embedding_images, _neighbour_masks, _norm_edge,
+                     automorphisms)
 from .patterns import Pattern
 
 
@@ -37,6 +38,16 @@ class FEdge:
         verts = frozenset(mapping[u] for u in pverts)
         best = min(tuple(mapping[x] for x in a) for a in f.automorphisms)
         return FEdge(verts, edge_set, best)
+
+    @staticmethod
+    def from_images(images: tuple[int, ...],
+                    edges: list[tuple[int, int]]) -> "FEdge":
+        """The copy whose least embedding is images, the images of the
+        template's sorted vertices; edges as edge_positions gives them."""
+        return FEdge(frozenset(images),
+                     frozenset(_norm_edge(images[a], images[b])
+                               for a, b in edges),
+                     images)
 
     def sort_key(self) -> tuple:
         return (tuple(sorted(self.vertices)), tuple(sorted(self.edge_set)))
@@ -174,25 +185,27 @@ def classify(h: FGraph) -> CycleClass:
     return CycleClass(kind="other", nullity=nul)
 
 
+def edge_positions(f: Pattern) -> list[tuple[int, int]]:
+    """The template's edges as pairs of indices into its sorted vertices,
+    the coordinates of an image tuple."""
+    pos = {u: i for i, u in enumerate(sorted(f.graph.vertices))}
+    return [(pos[u], pos[v]) for u, v in f.graph.edges]
+
+
 def copies_in(g: Graph, f: Pattern,
               cap: int = DEFAULT_ENUMERATION_CAP) -> set[FEdge]:
     """All copies of the template in g, as F-edges.
 
     The enumeration breaks the template's symmetry, so each copy is reached
-    once, through its least embedding, which becomes the F-edge's
-    embedding. cap bounds the number of copies, not of raw embeddings.
+    once, as the image tuple of its least embedding, which becomes the
+    F-edge's embedding. cap bounds the number of copies, not of raw
+    embeddings.
     """
-    pverts = sorted(f.graph.vertices)
-    pos = {u: i for i, u in enumerate(pverts)}
-    edges = [(pos[u], pos[v]) for u, v in f.graph.edges]
-    out: set[FEdge] = set()
-    for m in enumerate_embeddings(f.graph, g, cap=cap,
-                                  automorphisms=f.automorphisms):
-        emb = tuple(m[u] for u in pverts)
-        out.add(FEdge(frozenset(emb),
-                      frozenset(_norm_edge(emb[a], emb[b]) for a, b in edges),
-                      emb))
-    return out
+    edges = edge_positions(f)
+    hverts, nbr = _neighbour_masks(g)
+    return {FEdge.from_images(emb, edges)
+            for emb in _embedding_images(f.graph, hverts, nbr, cap,
+                                         f.automorphisms)}
 
 
 def induced_f_edges(h: FGraph, f: Pattern) -> set[FEdge]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -228,6 +228,39 @@ def canonical_form(g: Graph) -> str:
 
 # -- subgraph embeddings -----------------------------------------------------
 
+def _placement_order(pattern: Graph) -> list[int]:
+    """The pattern vertices in the order the embedding search places them:
+    each one after the first attaches to the already-placed part if
+    possible (connected patterns: always), else the least is next."""
+    pverts = sorted(pattern.vertices)
+    padj = pattern.adjacency()
+    order = pverts[:1]
+    rest = set(pverts[1:])
+    while rest:
+        nxt = None
+        for u in sorted(rest):
+            if padj[u] & set(order):
+                nxt = u
+                break
+        if nxt is None:
+            nxt = min(rest)
+        order.append(nxt)
+        rest.remove(nxt)
+    return order
+
+
+def _neighbour_masks(host: Graph) -> tuple[list[int], list[int]]:
+    """The sorted host vertices, and per vertex the int bit mask of its
+    neighbours over that order."""
+    hverts = sorted(host.vertices)
+    bit = {u: i for i, u in enumerate(hverts)}
+    nbr = [0] * len(hverts)
+    for u, v in host.edges:
+        nbr[bit[u]] |= 1 << bit[v]
+        nbr[bit[v]] |= 1 << bit[u]
+    return hverts, nbr
+
+
 def enumerate_embeddings(pattern: Graph, host: Graph,
                          cap: int = DEFAULT_ENUMERATION_CAP,
                          automorphisms: Iterable[tuple[int, ...]] = ()
@@ -240,8 +273,28 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     vertices, only the embeddings m whose image tuple (m[v] for v sorted)
     is lexicographically no larger than under any of them survive; given
     the whole of Aut(pattern), that is one embedding per copy, the least
-    of its class. The check reduces, per automorphism, to one pair of
-    pattern vertices (the first vertex x it moves, and its image y) with
+    of its class. Each map is a dict view on the tuples of
+    _embedding_images, keyed in the order the search places the pattern
+    vertices. More than cap yielded embeddings raise ResourceLimitError.
+    """
+    pverts = sorted(pattern.vertices)
+    order = _placement_order(pattern)
+    at = [pverts.index(u) for u in order]
+    hverts, nbr = _neighbour_masks(host)
+    for emb in _embedding_images(pattern, hverts, nbr, cap, automorphisms):
+        yield {u: emb[i] for u, i in zip(order, at)}
+
+
+def _embedding_images(pattern: Graph, hverts: Sequence[int], nbr: list[int],
+                      cap: int = DEFAULT_ENUMERATION_CAP,
+                      automorphisms: Iterable[tuple[int, ...]] = ()
+                      ) -> Iterator[tuple[int, ...]]:
+    """The embeddings of enumerate_embeddings, in the same order, each as
+    the tuple of images of the sorted pattern vertices; the host is given
+    as _neighbour_masks returns it.
+
+    The symmetry check reduces, per automorphism, to one pair of pattern
+    vertices (the first vertex x it moves, and its image y) with
     m[x] < m[y], so partial embeddings are cut as soon as both are placed.
     Candidate sets are int bit masks over the sorted host vertices: the
     AND of the placed neighbours' neighbour masks and of the mask of host
@@ -252,29 +305,10 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     """
     pverts = sorted(pattern.vertices)
     if not pverts:
-        yield {}
+        yield ()
         return
     padj = pattern.adjacency()
-    hverts = sorted(host.vertices)
-    bit = {u: i for i, u in enumerate(hverts)}
-    nbr = [0] * len(hverts)
-    for u, v in host.edges:
-        nbr[bit[u]] |= 1 << bit[v]
-        nbr[bit[v]] |= 1 << bit[u]
-    # order pattern vertices so each one after the first attaches to the
-    # already-mapped part if possible (connected patterns: always)
-    order = [pverts[0]]
-    rest = set(pverts[1:])
-    while rest:
-        nxt = None
-        for u in sorted(rest):
-            if padj[u] & set(order):
-                nxt = u
-                break
-        if nxt is None:
-            nxt = min(rest)
-        order.append(nxt)
-        rest.remove(nxt)
+    order = _placement_order(pattern)
     # per position: the host vertices of at least its degree, the earlier
     # positions it must be adjacent to, and those whose images it must
     # exceed (above) or stay below (below), from the automorphisms' pairs
@@ -297,9 +331,10 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     last = len(order) - 1
     img = [0] * len(order)  # host bit index per placed position
     at = img.__getitem__
+    slots = [pos_of[u] for u in pverts]  # position of each sorted vertex
     emitted = 0
 
-    def place(pos: int, used: int) -> Iterator[dict[int, int]]:
+    def place(pos: int, used: int) -> Iterator[tuple[int, ...]]:
         nonlocal emitted
         cands = fit[pos] & ~used
         for a in anchors[pos]:
@@ -317,8 +352,9 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
                 continue
             emitted += 1
             if emitted > cap:
-                raise ResourceLimitError(f"embedding enumeration exceeded cap {cap}")
-            yield dict(zip(order, [hverts[i] for i in img]))
+                raise ResourceLimitError(
+                    f"embedding enumeration exceeded cap {cap}")
+            yield tuple([hverts[img[k]] for k in slots])
 
     yield from place(0, 0)
 

@@ -49,6 +49,12 @@ def edge_slots(n: int) -> Mapping[tuple[int, int], int]:
     return MappingProxyType({e: i for i, e in enumerate(edge_order(n))})
 
 
+def slots_of(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """edge_slots(n)[(lo, hi)] elementwise, in closed form, for lo < hi:
+    the rows before lo hold n-1, n-2, ..., n-lo edges."""
+    return lo * n - lo * (lo + 1) // 2 + hi - lo - 1
+
+
 def edge_uniforms(n: int, seed: int) -> np.ndarray:
     return uniforms(seed, STREAM_EDGES, n * (n - 1) // 2)
 
@@ -60,6 +66,16 @@ def graph_from_uniforms(n: int, us: np.ndarray, p: float) -> Graph:
         raise ValueError(f"expected {len(pairs)} uniforms, got {len(us)}")
     return Graph.from_edges((pairs[i] for i in np.flatnonzero(us < p)),
                             vertices=range(n))
+
+
+def neighbour_masks_at(n: int, us: np.ndarray, p: float) -> list[int]:
+    """graph_from_uniforms(n, us, p) as per-vertex int bit masks of the
+    neighbours, the host form of the embedding search; no Graph is built."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.triu_indices(n, 1)] = us < p  # row-major: edge_order(n)
+    adj |= adj.T
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(adj, axis=1, bitorder="little")]
 
 
 class GraphAt:

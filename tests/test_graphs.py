@@ -14,7 +14,8 @@ from graph_helpers import empty, path, relabel
 from hypothesis import strategies as st
 
 from fthresh.errors import ResourceLimitError, UndefinedDensityError
-from fthresh.graphs import (Graph, automorphisms, canonical_form,
+from fthresh.graphs import (Graph, _embedding_images, _neighbour_masks,
+                            automorphisms, canonical_form,
                             components, enumerate_embeddings,
                             format_edge_list, one_density, parse_edge_list,
                             strictly_1_balanced_violation)
@@ -275,6 +276,69 @@ class TestEmbeddingOracle:
                                              automorphisms=auts))
                 assert got == want
                 assert got[1] == (cap < full)
+
+
+def _image_core_templates():
+    """Every preset and one disconnected pattern, with their automorphisms."""
+    out = [(f.graph, f.automorphisms) for f in
+           (pattern_preset(name)
+            for name in ("k2", "k3", "k4", "c4", "c5", "k4me"))]
+    # a triangle and a disjoint edge, placed out of label order
+    g = Graph.from_edges([(4, 0), (0, 2), (2, 4), (1, 3)])
+    pverts = sorted(g.vertices)
+    out.append((g, tuple(tuple(a[u] for u in pverts)
+                         for a in automorphisms(g))))
+    return out
+
+
+def _as_images(pattern, maps) -> list[tuple[int, ...]]:
+    pverts = sorted(pattern.vertices)
+    return [tuple(m[u] for u in pverts) for m in maps]
+
+
+class TestImageCore:
+    """The search core yields enumerate_embeddings' maps as image tuples
+    over the sorted pattern vertices, in the same order, and stops at the
+    same cap."""
+
+    @pytest.mark.parametrize("pattern,auts", _image_core_templates(), ids=[
+        "k2", "k3", "k4", "c4", "c5", "k4me", "disconnected"])
+    def test_tuples_follow_the_dicts(self, pattern, auts):
+        rng = random.Random(23)
+        total = 0
+        for _ in range(20):
+            labels = rng.sample(range(200), rng.randint(0, 12))
+            p = rng.uniform(0.2, 0.9)
+            host = Graph.from_edges(
+                [e for e in itertools.combinations(labels, 2)
+                 if rng.random() < p], vertices=labels)
+            for a in ((), auts):
+                got = list(_embedding_images(pattern, *_neighbour_masks(host),
+                                             automorphisms=a))
+                assert got == _as_images(pattern, enumerate_embeddings(
+                    pattern, host, automorphisms=a))
+                assert got == _as_images(pattern, set_embeddings(
+                    pattern, host, automorphisms=a))
+                total += len(got)
+        assert total > 0
+
+    @pytest.mark.parametrize("pattern,auts", _image_core_templates(), ids=[
+        "k2", "k3", "k4", "c4", "c5", "k4me", "disconnected"])
+    def test_cap_raises_at_the_same_count(self, pattern, auts):
+        host = Graph.from_edges(
+            [e for i, e in enumerate(itertools.combinations(range(9), 2))
+             if i % 4 != 1], vertices=range(9))
+        full = len(list(enumerate_embeddings(pattern, host,
+                                             automorphisms=auts)))
+        assert full > 0
+        for cap in (0, 1, full // 2, full - 1, full):
+            images, hit = _drain(_embedding_images(
+                pattern, *_neighbour_masks(host), cap=cap,
+                automorphisms=auts))
+            maps, want_hit = _drain(enumerate_embeddings(
+                pattern, host, cap=cap, automorphisms=auts))
+            assert (images, hit) == (_as_images(pattern, maps), want_hit)
+            assert hit == (cap < full)
 
 
 class TestStructure:

@@ -11,11 +11,13 @@ from placement_oracles import by_pair_sparse_placements
 from fthresh import exactengine, sampling
 from fthresh.dgraphs import sparse_cycle_placements
 from fthresh.fgraphs import FGraph, classify
+from fthresh.graphs import _neighbour_masks
 from fthresh.patterns import pattern_preset, pi_prime
 from fthresh.sampling import (STREAM_COPIES, STREAM_DUMMIES, STREAM_EDGES,
                               GraphAt, dummy_slots, edge_order, edge_slots,
-                              edge_uniforms, graph_from_uniforms, rng_for,
-                              sample_gnp, sample_gstar, sample_hf, uniforms)
+                              edge_uniforms, graph_from_uniforms,
+                              neighbour_masks_at, rng_for, sample_gnp,
+                              sample_gstar, sample_hf, slots_of, uniforms)
 
 K3 = pattern_preset("k3")
 
@@ -53,6 +55,13 @@ class TestGnp:
             for v in range(9):
                 if u != v:
                     assert view.has_edge(u, v) == g.has_edge(u, v)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 70])
+    def test_neighbour_masks_at_read_as_the_built_graph(self, n):
+        us = edge_uniforms(n, 5)
+        hverts, nbr = _neighbour_masks(graph_from_uniforms(n, us, 0.4))
+        assert hverts == list(range(n))
+        assert neighbour_masks_at(n, us, 0.4) == nbr
 
     def test_edge_count_statistics(self):
         n, p, reps = 12, 0.3, 300
@@ -171,6 +180,13 @@ def test_edge_slots_index_edge_order():
     assert edge_order(7) is edge_order(7)
     assert edge_slots(7) is edge_slots(7)
     assert [edge_slots(7)[e] for e in edge_order(7)] == list(range(21))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 60])
+def test_slots_of_is_edge_slots_in_closed_form(n):
+    lo, hi = np.array(edge_order(n)).T
+    assert slots_of(lo, hi, n).tolist() == [edge_slots(n)[e]
+                                            for e in edge_order(n)]
 
 
 def test_rng_for_reproducible():

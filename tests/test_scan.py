@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from fthresh.cli import auto_grid, run_scan
-from fthresh.factors import f_isolated, find_f_factor
+from fthresh.cli import auto_grid, run_scan, trial_searches
+from fthresh.factors import enumerate_copies, f_isolated, find_f_factor
 from fthresh.patterns import pattern_preset
-from fthresh.sampling import STREAM_EDGES, graph_from_uniforms, rng_for
+from fthresh.sampling import (STREAM_EDGES, edge_slots, graph_from_uniforms,
+                              rng_for)
 
 BUDGET = 100_000
 
@@ -112,6 +113,73 @@ class TestReference:
         assert rows == reference_scan(f, 25, ps, 6, 4)
         assert all(r["divisibility"] == 6 for r in rows)
         assert rows[-1]["mean_copies"] > 0
+
+
+    def test_tight_budget(self):
+        """Budget 20 leaves a mix of found and budget rows at the top of
+        the grid, so one expansion more or less would change a row."""
+        f = pattern_preset("k3")
+        ps = auto_grid(f, 30)
+        rows = run_scan(f, 30, ps, 20, 5, 20)
+        assert rows == reference_scan(f, 30, ps, 20, 5, budget=20)
+        assert rows[-1]["budget"] and rows[-1]["found"]
+
+
+def _staggered_sets(f, n, us, ps) -> int:
+    """Vertex sets of the graph at the top of the grid holding copies
+    present at different grid points."""
+    slot = edge_slots(n)
+    first = {}
+    for fe in enumerate_copies(graph_from_uniforms(n, us, max(ps)), f):
+        born = max(us[slot[e]] for e in fe.edge_set)
+        first.setdefault(fe.vertices, set()).add(
+            min(p for p in ps if born < p))
+    return sum(len(points) > 1 for points in first.values())
+
+
+class TestTrialSearches:
+    """The one index per trial, searched under a live mask at each grid
+    point, gives the result of a fresh search of the graph at that point."""
+
+    def test_each_grid_point_matches_a_fresh_search(self):
+        statuses = set()
+        staggered = 0
+        for name, n, trials in [("k3", 30, 10), ("k3", 60, 4), ("c4", 20, 8),
+                                ("k4me", 16, 8), ("c5", 20, 8)]:
+            f = pattern_preset(name)
+            ps = auto_grid(f, n)
+            batch = rng_for(9, STREAM_EDGES).random((trials,
+                                                     n * (n - 1) // 2))
+            for us in batch:
+                staggered += _staggered_sets(f, n, us, ps)
+                for budget in (BUDGET, 20):
+                    got = trial_searches(f, n, us, ps, budget)
+                    for p, (res, covered) in zip(ps, got, strict=True):
+                        g = graph_from_uniforms(n, us, p)
+                        want = find_f_factor(g, f, budget=budget)
+                        assert res == want
+                        if want.certificate is not None:
+                            assert [fe.embedding for fe in res.certificate] \
+                                == [fe.embedding for fe in want.certificate]
+                        assert covered == (not f_isolated(g, f)[1])
+                        statuses.add(res.status)
+        assert statuses == {"found", "none", "budget"}
+        assert staggered > 0
+
+    def test_set_keys_follow_the_first_copy_present(self):
+        """At p = 0.35 a live vertex set's first copy present is not its
+        first copy at the top of the grid, and the two frozensets iterate
+        in different orders. The search re-inserts a released set's
+        vertices in that order, which moves later pivots: keyed by the
+        top copy, this search expands 26 nodes, not 28."""
+        f = pattern_preset("k4me")
+        us = rng_for(1, STREAM_EDGES).random(16 * 15 // 2)
+        ps = [0.35, 0.6]
+        for p, (res, _) in zip(ps, trial_searches(f, 16, us, ps, BUDGET)):
+            assert res == find_f_factor(graph_from_uniforms(16, us, p), f,
+                                        budget=BUDGET)
+        assert trial_searches(f, 16, us, ps, BUDGET)[0][0].nodes_expanded \
+            == 28
 
 
 class TestWorkers:
