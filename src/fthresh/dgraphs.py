@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -220,13 +220,36 @@ def _relabellings(cycle: FGraph) -> np.ndarray:
     return np.argsort(order, axis=1)
 
 
-def _type_rows(f: Pattern, cycle: FGraph, n_labels: int) -> np.ndarray:
+def _vertex_sets(n_labels: int, v: int,
+                 fresh_from: Optional[int]) -> list[tuple[int, ...]]:
+    """The v-subsets of 0..n_labels-1; with fresh_from, only those whose
+    labels from fresh_from on are the least ones, fresh_from..fresh_from+j-1
+    for some j."""
+    if fresh_from is None:
+        return list(itertools.combinations(range(n_labels), v))
+    return [base + tuple(range(fresh_from, fresh_from + j))
+            for j in range(min(v, n_labels - fresh_from) + 1)
+            for base in itertools.combinations(range(fresh_from), v - j)]
+
+
+def _prefix_count(cycle: FGraph, n_labels: int, fresh_from: int) -> int:
+    """The placements _vertex_sets(..., fresh_from) gives one cycle type:
+    per vertex set, count_copies(cycle, v) relabellings."""
+    v = cycle.v()
+    return count_copies(cycle, v) * sum(
+        math.comb(fresh_from, v - j)
+        for j in range(min(v, n_labels - fresh_from) + 1))
+
+
+def _type_rows(f: Pattern, cycle: FGraph, n_labels: int,
+               fresh_from: Optional[int] = None) -> np.ndarray:
     """Every placement of one cycle type on the labels 0..n_labels-1 as
     its copy ids, in cycle order: the representative under each distinct
-    relabelling, carried monotonically onto each v-subset of the labels.
-    A monotone map keeps each copy's shape index within its vertex set, so
-    a copy's id is the lexicographic rank of its vertex set times the
-    copies per vertex set, plus that index."""
+    relabelling, carried monotonically onto each v-subset of the labels
+    (with fresh_from, each of _vertex_sets' subsets). A monotone map keeps
+    each copy's shape index within its vertex set, so a copy's id is the
+    lexicographic rank of its vertex set times the copies per vertex set,
+    plus that index."""
     r, v = f.r, cycle.v()
     fes = (list(cycle.fedges) if cycle.e() == 2
            else _clean_cycle_order(cycle)[0])
@@ -234,7 +257,7 @@ def _type_rows(f: Pattern, cycle: FGraph, n_labels: int) -> np.ndarray:
     shape_of = {fe: i for i, fe in
                 enumerate(copies_on_vertex_set(f, range(r)))}
     pverts = sorted(f.graph.vertices)
-    subsets = np.array(list(itertools.combinations(range(n_labels), v)),
+    subsets = np.array(_vertex_sets(n_labels, v, fresh_from),
                        dtype=np.int32).reshape(-1, v)
     # the rank of a sorted r-set c of [N] is C(N, r) - 1 minus the sum of
     # the terms C(N - 1 - c_i, r - i)
@@ -259,7 +282,8 @@ def _type_rows(f: Pattern, cycle: FGraph, n_labels: int) -> np.ndarray:
 
 
 def cycle_placements(f: Pattern, labels: Iterable[int], max_len: int,
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> CycleRows:
+                     cap: int = DEFAULT_ENUMERATION_CAP,
+                     fresh_from: Optional[int] = None) -> CycleRows:
     """All clean-cycle placements of length 2..max_len on the given labels,
     each row the sorted ids of its copies in potential_copies_on(f,
     labels), built by relabelling the clean_cycle_types representatives.
@@ -268,13 +292,20 @@ def cycle_placements(f: Pattern, labels: Iterable[int], max_len: int,
     its copy sequence read from its least copy id towards the smaller
     neighbour, lexicographically with a prefix before its extensions. More
     than cap placements, counted from the type orbits, raise
-    ResourceLimitError before any is built."""
+    ResourceLimitError before any is built.
+
+    With fresh_from, the labels from position fresh_from on are taken as
+    interchangeable, and only the placements using the least j of them,
+    for each j, are kept: a subsequence of the full rows, with the same
+    copy ids and in the same order."""
     n_labels = len(set(labels))
     # a clean k-cycle has k * (r - 1) vertices, so larger types are skipped
     types = [(k, cycle) for k in range(2, max_len + 1)
              if k * (f.r - 1) <= n_labels
              for cycle, _sig in clean_cycle_types(f, k)]
-    total = sum(count_copies(cycle, n_labels) for _k, cycle in types)
+    total = sum(count_copies(cycle, n_labels) if fresh_from is None
+                else _prefix_count(cycle, n_labels, fresh_from)
+                for _k, cycle in types)
     if total > cap:
         raise ResourceLimitError(f"{total} cycle placements exceed cap {cap}")
     if not types:
@@ -283,7 +314,7 @@ def cycle_placements(f: Pattern, labels: Iterable[int], max_len: int,
     width = max(k for k, _cycle in types)
     seqs, lengths, sparse = [], [], []
     for k, cycle in types:
-        rows = _type_rows(f, cycle, n_labels)
+        rows = _type_rows(f, cycle, n_labels, fresh_from)
         # read each cycle from its least id towards the smaller neighbour
         at = np.arange(len(rows))[:, None]
         start = rows.argmin(axis=1)[:, None]

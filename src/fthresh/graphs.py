@@ -281,17 +281,20 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     order = _placement_order(pattern)
     at = [pverts.index(u) for u in order]
     hverts, nbr = _neighbour_masks(host)
-    for emb in _embedding_images(pattern, hverts, nbr, cap, automorphisms):
+    for emb in _embedding_images(pattern, hverts, nbr, cap, automorphisms,
+                                 order):
         yield {u: emb[i] for u, i in zip(order, at)}
 
 
 def _embedding_images(pattern: Graph, hverts: Sequence[int], nbr: list[int],
                       cap: int = DEFAULT_ENUMERATION_CAP,
-                      automorphisms: Iterable[tuple[int, ...]] = ()
+                      automorphisms: Iterable[tuple[int, ...]] = (),
+                      order: Optional[list[int]] = None
                       ) -> Iterator[tuple[int, ...]]:
     """The embeddings of enumerate_embeddings, in the same order, each as
     the tuple of images of the sorted pattern vertices; the host is given
-    as _neighbour_masks returns it.
+    as _neighbour_masks returns it, and order, if given, is
+    _placement_order(pattern).
 
     The symmetry check reduces, per automorphism, to one pair of pattern
     vertices (the first vertex x it moves, and its image y) with
@@ -308,7 +311,8 @@ def _embedding_images(pattern: Graph, hverts: Sequence[int], nbr: list[int],
         yield ()
         return
     padj = pattern.adjacency()
-    order = _placement_order(pattern)
+    if order is None:
+        order = _placement_order(pattern)
     # per position: the host vertices of at least its degree, the earlier
     # positions it must be adjacent to, and those whose images it must
     # exceed (above) or stay below (below), from the automorphisms' pairs

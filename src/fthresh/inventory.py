@@ -4,10 +4,13 @@ The inventory counts every potential clean cycle of length up to e(F) on
 [n] from per-type orbit counts. Up to DEFAULT_PAIRWISE_LIMIT (600)
 placements it also lists them as copy-id rows of cycle_placements, and the
 bound runs pair by pair over the list; above it all sums run over
-isomorphism types with exact orbit counting. The two paths evaluate the
-same sums in different groupings and agree to rounding (about 2e-12
-relative), not bit for bit; the pairwise floats are the ones pinned byte
-for byte.
+isomorphism types with exact orbit counting, the joint moments from
+buckets around one placement of each type. Those buckets are built from
+the placements whose fresh labels are the least ones of the pool, each
+weighted by the number of fresh label sets of its size. The two paths
+evaluate the same sums in different groupings and agree to rounding
+(about 2e-12 relative), not bit for bit; the pairwise floats are the ones
+pinned byte for byte.
 """
 
 from __future__ import annotations
@@ -25,8 +28,11 @@ from .fgraphs import FGraph, count_copies, potential_copies_on
 from .patterns import Pattern
 
 DEFAULT_PAIRWISE_LIMIT = 600
-# anchor rows per pass of _pairwise_terms
-_BLOCK = 64
+# pair terms per pass of _pairwise_terms: each float64 temporary of a pass
+# stays under 128 KiB, glibc's default mmap and trim thresholds, and its
+# integer ones are int16, so the passes reuse the same heap pages instead
+# of faulting in fresh ones
+_PASS_TERMS = 16_000
 
 
 @dataclass(frozen=True)
@@ -73,14 +79,15 @@ def _word_rows(masks: list[int], n_words: int) -> np.ndarray:
 
 
 def _rows(f: Pattern, n_labels: int, lengths: Optional[frozenset[int]],
-          cap: int = 10 ** 7) -> tuple:
-    """The wanted placements on the labels 0..n_labels-1: copy ids,
-    lengths, sparse flags, and each placement's vertices and shadow edges
-    as one bit set in uint64 words, vertex u at bit u and edge (u, v) at
-    bit n_labels * (u + 1) + v."""
+          cap: int = 10 ** 7, fresh_from: Optional[int] = None) -> tuple:
+    """The wanted placements on the labels 0..n_labels-1 (with fresh_from,
+    those of cycle_placements' fresh prefix): copy ids, lengths, sparse
+    flags, and each placement's vertices and shadow edges as one bit set
+    in uint64 words, vertex u at bit u and edge (u, v) at bit
+    n_labels * (u + 1) + v."""
     wanted = _lengths(f, lengths)
     rows = cycle_placements(f, range(n_labels), max(wanted, default=0),
-                            cap=cap)
+                            cap=cap, fresh_from=fresh_from)
     keep = np.isin(rows.lengths, wanted)
     # per copy, then an all-zero mask that the -1 padding of copy ids reads
     masks = [sum(1 << u for u in fe.vertices)
@@ -89,8 +96,14 @@ def _rows(f: Pattern, n_labels: int, lengths: Optional[frozenset[int]],
     n_words = -(-n_labels * (n_labels + 1) // 64)
     words = _word_rows(masks, n_words)
     ids = rows.copy_ids[keep]
-    return (ids, rows.lengths[keep], rows.sparse[keep],
-            np.bitwise_or.reduce(words[ids], axis=1))
+    # word by word and copy by copy, so that no temporary holds more than
+    # one word per row; stored word-major, so each word of every row is
+    # contiguous
+    union = np.zeros((n_words, len(ids)), dtype=words.dtype)
+    for w, word in enumerate(words.T):
+        for column in ids.T:
+            union[w] |= word[column]
+    return ids, rows.lengths[keep], rows.sparse[keep], union.T
 
 
 def inventory_size(f: Pattern, n: int,
@@ -138,18 +151,19 @@ def _pairwise_terms(inv: CycleInventory, pi: float,
                     p: float) -> tuple[float, float]:
     """(bound_H, bound_G) by exact evaluation of every overlapping pair.
 
-    A block of rows a at a time against all rows b: the four sums take
-    their terms in (a, b) row-major order and add them one at a time
-    (np.cumsum after the running total), and every power is a Python
-    pi ** k or p ** k, so every sum is the float of the scalar loop over
-    the pairs, bit for bit.
+    A block of rows a at a time against all rows b, at most _PASS_TERMS
+    pairs (times shadow words) per block: the four sums take their terms
+    in (a, b) row-major order and add them one at a time (np.cumsum after
+    the running total), and every power is a Python pi ** k or p ** k, so
+    every sum is the float of the scalar loop over the pairs, bit for bit.
     """
     items = inv.items
     s = inv.f.s
     n_rows = len(items)
-    ks = np.array([it.k for it in items])
+    # copy and edge counts as int16, a quarter of a pass's float arrays
+    ks = np.array([it.k for it in items], dtype=np.int16)
     k_max = int(ks.max())
-    dummies = np.array([it.sparse for it in items], dtype=np.int64)
+    dummies = np.array([it.sparse for it in items], dtype=np.int16)
     verts = _word_rows([sum(1 << u for u in it.verts) for it in items],
                        -(-inv.n // 64))
     shadows = _word_rows([it.shadow_mask for it in items],
@@ -167,22 +181,27 @@ def _pairwise_terms(inv: CycleInventory, pi: float,
     pow_g = np.array([p ** k for k in range(2 * k_max * s + 3)],
                      dtype=np.float64)
     sums = np.zeros(4)
+    block = max(1, _PASS_TERMS // (n_rows * shadows.shape[1]))
 
     def add(i: int, terms: np.ndarray) -> None:
-        sums[i] = np.cumsum(np.concatenate(([sums[i]], terms)))[-1]
+        # the running total enters as the first addition, then the rest
+        # follow one at a time, in place
+        if terms.size:
+            terms[0] += sums[i]
+            sums[i] = np.cumsum(terms, out=terms)[-1]
 
-    for lo in range(0, n_rows, _BLOCK):
-        hi = min(lo + _BLOCK, n_rows)
+    for lo in range(0, n_rows, block):
+        hi = min(lo + block, n_rows)
         meet = (verts[lo:hi, None, :] & verts[None, :, :]).any(axis=2)
         add(0, (mh[lo:hi, None] * mh[None, :])[meet])
         add(1, (mg[lo:hi, None] * mg[None, :])[meet])
         meet[np.arange(hi - lo), np.arange(lo, hi)] = False
         # the incidence product, summed over the copies of each row a
-        shared = incidence[ids[lo:hi]].sum(axis=1, dtype=np.int64)
+        shared = incidence[ids[lo:hi]].sum(axis=1, dtype=np.int16)
         union_copies = ks[lo:hi, None] + ks[None, :] - shared
         union_edges = np.bitwise_count(
             shadows[lo:hi, None, :] | shadows[None, :, :]).sum(
-                axis=2, dtype=np.int64)
+                axis=2, dtype=np.int16)
         add(2, pow_h[union_copies[meet]])
         add(3, pow_g[(union_edges + dummies[lo:hi, None]
                       + dummies[None, :])[meet]])
@@ -202,38 +221,58 @@ def _pair_buckets(f: Pattern, anchor: FGraph,
     """Joint-moment buckets against one fixed placement of the anchor type.
 
     The anchor, a clean_cycle_types representative, lies on the labels
-    0..v-1. Enumerates every cycle placement meeting it on those labels
-    plus a pool of interchangeable fresh labels, and buckets by (fresh
-    vertices used, union F-edge count, union d-edge count). Scaled by
-    binomials this reproduces the exact sum over [n].
+    0..v-1, followed by a pool of fresh labels. Every cycle placement
+    meeting it on those labels is bucketed by (fresh vertices used j,
+    union F-edge count, union d-edge count), in order of first occurrence
+    among cycle_placements' rows. Scaled by binomials this reproduces the
+    exact sum over [n].
+
+    The pool labels are interchangeable, so only the placements whose
+    fresh labels are the least j of the pool are built, each weighted by
+    C(pool, j). The order-preserving relabelling of any j fresh labels
+    onto those fixes the anchor's labels and every bucket key, and is a
+    bijection between the placements on either set. It also lowers every
+    copy id and keeps their order, so each bucket's first placement is
+    one of those built, and the buckets come out in the same order.
     """
     v_anchor = anchor.v()
-    v_other_max = max(cy.v() for cy in _type_reps(f, lengths))
-    n_labels = v_anchor + v_other_max - 1
+    pool = max(cy.v() for cy in _type_reps(f, lengths)) - 1
+    n_labels = v_anchor + pool
+    # the rows first: they check the cap before anything is built
+    ids, ks, sparse, words = _rows(f, n_labels, lengths, fresh_from=v_anchor)
     copies = potential_copies_on(f, range(n_labels))
     c0 = sorted(copies.index(fe) for fe in anchor.fedges)
-    ids, ks, sparse, words = _rows(f, n_labels, lengths)
     at = np.flatnonzero((ks == len(c0))
                         & (ids[:, :len(c0)] == c0).all(axis=1))[0]
-    n_words = words.shape[1]
     vertex, inside = (1 << n_labels) - 1, (1 << v_anchor) - 1
     anchor_bits, fresh, edges = _word_rows(
         [inside, vertex - inside,
-         (1 << n_labels * (n_labels + 1)) - 1 - vertex], n_words)
-    keep = (words & anchor_bits).any(axis=1)
-    keep[at] = False
-    keys = np.column_stack((
-        np.bitwise_count(words & fresh).sum(axis=1, dtype=np.int64),
-        len(c0) + ks - np.isin(ids, c0).sum(axis=1),
-        np.bitwise_count((words | words[at]) & edges).sum(axis=1,
-                                                          dtype=np.int64)
-        + sparse[at] + sparse))[keep]
+         (1 << n_labels * (n_labels + 1)) - 1 - vertex], words.shape[1])
+    meets = np.zeros(len(ks), dtype=bool)
+    n_fresh = np.zeros(len(ks), dtype=np.int64)
+    union_edges = np.zeros(len(ks), dtype=np.int64)
+    for w in range(words.shape[1]):  # one word of every row at a time
+        meets |= (words[:, w] & anchor_bits[w]) != 0
+        n_fresh += np.bitwise_count(words[:, w] & fresh[w])
+        union_edges += np.bitwise_count((words[:, w] | words[at, w])
+                                        & edges[w])
+    del words  # the largest array; the keys need none of it
+    meets[at] = False
+    keys = (n_fresh[meets],
+            len(c0) + ks[meets] - np.isin(ids[meets], c0).sum(axis=1),
+            union_edges[meets] + sparse[at] + sparse[meets])
+    # one int64 per key, so that the bucketing is a 1-D unique
+    packed = np.ravel_multi_index(
+        keys, tuple(int(key.max(initial=0)) + 1 for key in keys))
     # in order of first occurrence, so the sums over buckets add up in the
     # order of the placements
-    uniq, first, counts = np.unique(keys, axis=0, return_index=True,
-                                    return_counts=True)
+    _, first, counts = np.unique(packed, return_index=True,
+                                 return_counts=True)
     order = np.argsort(first)
-    return dict(zip(map(tuple, uniq[order].tolist()), counts[order].tolist()))
+    return {(j, uh, ug): count * math.comb(pool, j)
+            for j, uh, ug, count in zip(
+                *(key[first[order]].tolist() for key in keys),
+                counts[order].tolist())}
 
 
 @functools.lru_cache(maxsize=8)

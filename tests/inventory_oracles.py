@@ -1,10 +1,20 @@
-"""The Chen-Stein pair sums as a scalar loop over every ordered pair.
+"""References for the Chen-Stein sums.
 
+The pair sums as a scalar loop over every ordered pair:
 `inventory._pairwise_terms` computes the same four sums as blocked array
-passes; this loop is the reference its floats must equal bit for bit.
+passes, and its floats must equal the loop's bit for bit. The joint-moment
+buckets from every placement on the anchor's labels plus the whole fresh
+pool: `inventory._pair_buckets` enumerates only the least fresh labels of
+each size, and its dict must equal this one, items and order.
 """
 
-from fthresh.inventory import CycleInventory
+from typing import Optional
+
+import numpy as np
+
+from fthresh.fgraphs import FGraph, potential_copies_on
+from fthresh.inventory import CycleInventory, _rows, _type_reps, _word_rows
+from fthresh.patterns import Pattern
 
 
 def pairwise_terms_loop(inv: CycleInventory, pi: float,
@@ -29,3 +39,41 @@ def pairwise_terms_loop(inv: CycleInventory, pi: float,
             th2 += pi ** union_copies
             tg2 += p ** (union_edges + union_dummies)
     return 4.0 * (th1 + th2), 4.0 * (tg1 + tg2)
+
+
+def pair_buckets_full(f: Pattern, anchor: FGraph,
+                      lengths: Optional[frozenset[int]] = None
+                      ) -> dict[tuple[int, int, int], int]:
+    """Joint-moment buckets against one fixed placement of the anchor type.
+
+    The anchor, a clean_cycle_types representative, lies on the labels
+    0..v-1. Enumerates every cycle placement meeting it on those labels
+    plus a pool of interchangeable fresh labels, and buckets by (fresh
+    vertices used, union F-edge count, union d-edge count), in order of
+    first occurrence.
+    """
+    v_anchor = anchor.v()
+    v_other_max = max(cy.v() for cy in _type_reps(f, lengths))
+    n_labels = v_anchor + v_other_max - 1
+    copies = potential_copies_on(f, range(n_labels))
+    c0 = sorted(copies.index(fe) for fe in anchor.fedges)
+    ids, ks, sparse, words = _rows(f, n_labels, lengths)
+    at = np.flatnonzero((ks == len(c0))
+                        & (ids[:, :len(c0)] == c0).all(axis=1))[0]
+    n_words = words.shape[1]
+    vertex, inside = (1 << n_labels) - 1, (1 << v_anchor) - 1
+    anchor_bits, fresh, edges = _word_rows(
+        [inside, vertex - inside,
+         (1 << n_labels * (n_labels + 1)) - 1 - vertex], n_words)
+    keep = (words & anchor_bits).any(axis=1)
+    keep[at] = False
+    keys = np.column_stack((
+        np.bitwise_count(words & fresh).sum(axis=1, dtype=np.int64),
+        len(c0) + ks - np.isin(ids, c0).sum(axis=1),
+        np.bitwise_count((words | words[at]) & edges).sum(axis=1,
+                                                          dtype=np.int64)
+        + sparse[at] + sparse))[keep]
+    uniq, first, counts = np.unique(keys, axis=0, return_index=True,
+                                    return_counts=True)
+    order = np.argsort(first)
+    return dict(zip(map(tuple, uniq[order].tolist()), counts[order].tolist()))

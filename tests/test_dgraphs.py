@@ -211,6 +211,35 @@ class TestPlacements:
         assert len(cycle_placements(K3, range(8), 3, cap=3_780).lengths) \
             == 3_780
 
+    @pytest.mark.parametrize("name,n,max_len,fresh_from",
+                             [("k3", 9, 3, 4), ("k3", 11, 3, 6),
+                              ("c4", 10, 2, 5)])
+    def test_fresh_prefix_keeps_a_subsequence(self, name, n, max_len,
+                                              fresh_from):
+        """With fresh_from the rows are exactly the full rows whose labels
+        from fresh_from on are the least ones, with the same copy ids and
+        in the same order; the cap is checked against their exact count."""
+        f = pattern_preset(name)
+        copies = potential_copies_on(f, range(n))
+        full = cycle_placements(f, range(n), max_len)
+
+        def prefix(ids):
+            fresh = sorted({u for c in ids for u in copies[c].vertices
+                            if u >= fresh_from})
+            return fresh == list(range(fresh_from, fresh_from + len(fresh)))
+
+        keep = [prefix(ids) for ids in rows_of(full)]
+        want = len(full.lengths[keep])
+        assert 0 < want < len(full.lengths)
+        with pytest.raises(ResourceLimitError):
+            cycle_placements(f, range(n), max_len, cap=want - 1,
+                             fresh_from=fresh_from)
+        got = cycle_placements(f, range(n), max_len, cap=want,
+                               fresh_from=fresh_from)
+        for column in ("copy_ids", "lengths", "sparse"):
+            assert np.array_equal(getattr(got, column),
+                                  getattr(full, column)[keep])
+
     def test_nine_vertex_types(self):
         """The four length-3 types of C4 have nine vertices and nontrivial
         automorphism groups; each relabelling is built once, as a coset

@@ -1,16 +1,18 @@
 """Cycle inventories and Poisson-approximation bounds."""
 
 import hashlib
+import tracemalloc
 
 import pytest
-from inventory_oracles import pairwise_terms_loop
+from inventory_oracles import pair_buckets_full, pairwise_terms_loop
 
 from fthresh.cli import main
-from fthresh.errors import DomainError
+from fthresh.errors import DomainError, ResourceLimitError
 from fthresh.fgraphs import FGraph, classify, potential_copies_on, shadow
 from fthresh.graphs import Graph
-from fthresh.inventory import (DEFAULT_PAIRWISE_LIMIT, build_inventory,
-                               chen_stein_bound, inventory_size)
+from fthresh.inventory import (DEFAULT_PAIRWISE_LIMIT, _pair_buckets,
+                               _type_reps, build_inventory, chen_stein_bound,
+                               inventory_size)
 from fthresh.patterns import analyze_pattern, pattern_preset
 
 K3 = pattern_preset("k3")
@@ -139,6 +141,52 @@ class TestChenStein:
         inv = build_inventory(K3, 3)
         assert inv.total_count == 0
         assert chen_stein_bound(inv, 0.5, 0.5) == (0.0, 0.0)
+
+
+class TestPairBuckets:
+    """The buckets from the least fresh labels of each size against the
+    buckets from the whole fresh pool: the same keys, counts and order."""
+
+    @pytest.mark.parametrize("name,lengths,anchors", [
+        ("k3", frozenset({2}), None), ("k3", frozenset({3}), None),
+        ("k3", None, None), ("c4", frozenset({2}), None),
+        ("k4me", frozenset({2}), 1)])
+    def test_equal_to_the_full_pool(self, name, lengths, anchors):
+        f = pattern_preset(name)
+        for anchor in _type_reps(f, lengths)[:anchors]:
+            got = _pair_buckets(f, anchor, lengths)
+            assert list(got.items()) == \
+                list(pair_buckets_full(f, anchor, lengths).items())
+
+    def test_k3_aggregated_bounds(self):
+        """The type-aggregated K3 bounds as float hex, pinned before the
+        buckets were built from the least fresh labels."""
+        digest = hashlib.sha256()
+        for lengths in ({2}, {3}, None):
+            for n in range(4, 21):
+                inv = build_inventory(K3, n, lengths=lengths)
+                for pi, p in [(0.07, 0.3), (0.01, 0.2), (0.5, 0.5),
+                              (0.003, 0.11)]:
+                    for b in chen_stein_bound(inv, pi, p, pairwise_limit=0):
+                        digest.update(b.hex().encode() + b"\n")
+        assert digest.hexdigest() == \
+            "f06d219d8b86f9c45ab2557e452f8e8ecef99f48ec221a922a05a35afe907c12"
+
+    def test_cap_is_checked_before_any_row(self):
+        """C4's length-3 buckets need 104,305,320 least-fresh 3-cycles (and
+        188,730 2-cycles, built alongside) around each anchor; the cap
+        refuses them from the type orbits before an array is allocated."""
+        c4 = pattern_preset("c4")
+        lengths = frozenset({3})
+        anchor = _type_reps(c4, frozenset({2, 3}))[-1]  # builds both types
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="^104494050 "):
+                _pair_buckets(c4, anchor, lengths)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24
 
 
 class TestPairwiseKernel:
