@@ -221,12 +221,10 @@ def _relabellings(cycle: FGraph) -> np.ndarray:
 
 
 def _vertex_sets(n_labels: int, v: int,
-                 fresh_from: Optional[int]) -> list[tuple[int, ...]]:
-    """The v-subsets of 0..n_labels-1; with fresh_from, only those whose
-    labels from fresh_from on are the least ones, fresh_from..fresh_from+j-1
-    for some j."""
-    if fresh_from is None:
-        return list(itertools.combinations(range(n_labels), v))
+                 fresh_from: int) -> list[tuple[int, ...]]:
+    """The v-subsets of 0..n_labels-1 whose labels from fresh_from on are
+    the least ones, fresh_from..fresh_from+j-1 for some j, by j and then
+    lexicographically; fresh_from = n_labels gives every v-subset."""
     return [base + tuple(range(fresh_from, fresh_from + j))
             for j in range(min(v, n_labels - fresh_from) + 1)
             for base in itertools.combinations(range(fresh_from), v - j)]
@@ -242,11 +240,11 @@ def _prefix_count(cycle: FGraph, n_labels: int, fresh_from: int) -> int:
 
 
 def _type_rows(f: Pattern, cycle: FGraph, n_labels: int,
-               fresh_from: Optional[int] = None) -> np.ndarray:
+               fresh_from: int) -> np.ndarray:
     """Every placement of one cycle type on the labels 0..n_labels-1 as
     its copy ids, in cycle order: the representative under each distinct
-    relabelling, carried monotonically onto each v-subset of the labels
-    (with fresh_from, each of _vertex_sets' subsets). A monotone map keeps
+    relabelling, carried monotonically onto each of _vertex_sets' v-subsets
+    of the labels. A monotone map keeps
     each copy's shape index within its vertex set, so a copy's id is the
     lexicographic rank of its vertex set times the copies per vertex set,
     plus that index."""
@@ -299,12 +297,12 @@ def cycle_placements(f: Pattern, labels: Iterable[int], max_len: int,
     for each j, are kept: a subsequence of the full rows, with the same
     copy ids and in the same order."""
     n_labels = len(set(labels))
+    fresh_from = n_labels if fresh_from is None else fresh_from
     # a clean k-cycle has k * (r - 1) vertices, so larger types are skipped
     types = [(k, cycle) for k in range(2, max_len + 1)
              if k * (f.r - 1) <= n_labels
              for cycle, _sig in clean_cycle_types(f, k)]
-    total = sum(count_copies(cycle, n_labels) if fresh_from is None
-                else _prefix_count(cycle, n_labels, fresh_from)
+    total = sum(_prefix_count(cycle, n_labels, fresh_from)
                 for _k, cycle in types)
     if total > cap:
         raise ResourceLimitError(f"{total} cycle placements exceed cap {cap}")
