@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .coupling import params_as_jsonable, run_coupling
-from .errors import DomainError, FThreshError
+from .errors import DomainError, FThreshError, ResourceLimitError
 from .exponents import (certify, constants_of, dcycle_report_csv,
                         exponent_audit_csv, select_constants,
                         verify_clean_dcycles_strictly_balanced)
@@ -337,6 +337,7 @@ def cmd_chen_stein(args) -> int:
               "delta": delta, "eps": eps}
     lines = [_csv_header(config),
              "n,lengths,count,pi,p,bound_H,bound_G"]
+    bounded = 0
     for n in args.n:
         params = derive_params(f, n, delta, eps, pi=args.pi)
         pi = params.pi
@@ -344,10 +345,19 @@ def cmd_chen_stein(args) -> int:
         classes = [frozenset({k}) for k in range(2, f.s + 1)] + [None]
         for lengths in classes:
             inv = build_inventory(f, n, lengths=lengths)
-            bh, bg = chen_stein_bound(inv, pi, p)
             label = ("all" if lengths is None
                      else ";".join(map(str, sorted(lengths))))
+            try:
+                bh, bg = chen_stein_bound(inv, pi, p)
+            except ResourceLimitError as exc:
+                refused = exc
+                lines.append(f"# refused n={n} lengths={label} "
+                             f"count={inv.total_count}: {exc}")
+                continue
+            bounded += 1
             lines.append(f"{n},{label},{inv.total_count},{pi},{p},{bh},{bg}")
+    if not bounded:
+        raise refused
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -38,9 +38,8 @@ _MAX_PRECOUPLE_PROPOSALS = 200_000
 
 # -- relative-error report ---------------------------------------------------
 
-def _q_report(tab: Placements, j: int, c1: frozenset[int],
-              nprime: set[int], r_bits: int, h0: set[int],
-              p: float) -> dict:
+def _q_report(tab: Placements, j: int, nprime: set[int], r_bits: int,
+              h0: set[int], p: float) -> dict:
     """Exact evaluation of the union-bound error term for step j, as the
     step's q record: split into cycle/edge and bad/good contributions, and
     each bad contributor, one fully covered by the present edges, with a
@@ -48,7 +47,9 @@ def _q_report(tab: Placements, j: int, c1: frozenset[int],
 
     The copy half loops over N'; the cycle half comes from _cycle_half,
     which the trials of one (F, n, p) share. Only contributors of exponent
-    0 need witnesses, and only they build H0 plus copy j as an F-graph."""
+    0 need witnesses, and only they build H0 plus copy j as an F-graph.
+    No C1 cycle contributes: the present edges hold H0's edges, and H0
+    holds C1's copies."""
     f = tab.f
     mj = tab.copy_bits[j]
     ej_free = mj & ~r_bits
@@ -66,7 +67,7 @@ def _q_report(tab: Placements, j: int, c1: frozenset[int],
         else:
             q_eg += p ** expo
 
-    q_cg, n_rows, bad_cycles = _cycle_half(f, tab.n, c1, j, r_bits, p)
+    q_cg, n_rows, bad_cycles = _cycle_half(f, tab.n, j, r_bits, p)
 
     bad: list[dict] = []
     if bad_copies or bad_cycles:
@@ -98,21 +99,19 @@ def _q_report(tab: Placements, j: int, c1: frozenset[int],
 # 4,096 holds every K3 copy up to n = 30, so the common states of one
 # (F, n, p), swept in copy order, stay cached from trial to trial
 @functools.lru_cache(maxsize=4096)
-def _cycle_half(f: Pattern, n: int, c1: frozenset[int], j: int,
-                r_bits: int, p: float) -> tuple[float, int, tuple[int, ...]]:
+def _cycle_half(f: Pattern, n: int, j: int, r_bits: int,
+                p: float) -> tuple[float, int, tuple[int, ...]]:
     """The cycle half of step j's error term: q_cg, the number of cycle
     contributors, and the bad (fully covered) cycle rows in cycle order.
 
-    One pass over the shadow words of every cycle outside C1 that meets
-    copy j's free edges. It depends only on its arguments, and the key is
+    One pass over the shadow words of every cycle that meets copy j's free
+    edges; none in C1 does, since the present edges hold H0's edges and H0
+    holds C1's copies. It depends only on its arguments, and the key is
     the labelled template, never the table, so the cache keeps alive no
     table that placements has dropped."""
     tab = placements(f, n)
     mj = tab.copy_bits[j]
-    hit = tab.meets(mj & ~r_bits)
-    if c1:
-        hit[list(c1)] = False
-    rows = np.flatnonzero(hit)
+    rows = np.flatnonzero(tab.meets(mj & ~r_bits))
     expos = tab.edges_outside(rows, mj | r_bits) + tab.sparse[rows]
     zero = expos == 0
     good = expos[~zero]
@@ -324,8 +323,6 @@ class _BoundLaw:
         self.params = params
         self.rng = rng
         self.pre = _precouple_shared(f, params, rng, self.tab)
-        self._c1_rows = np.zeros(self.tab.n_cycles, dtype=bool)
-        self._c1_rows[list(self.pre.c1)] = True
 
     def b3_structures(self) -> tuple[FGraph, DGraph]:
         n, pi, p = self.tab.n, self.params.pi, self.params.p
@@ -334,13 +331,13 @@ class _BoundLaw:
 
     def _pi_prime(self, j: int, h0: set[int]) -> float:
         """Copy j is certain once in H0, impossible once it would close a
-        cycle outside C1, and otherwise has its unconditional rate."""
+        cycle, and otherwise has its unconditional rate. No C1 cycle runs
+        through a j outside H0: H0 holds C1's copies."""
         if j in h0:
             return 1.0
         if not h0:  # every cycle has two or more copies, so none can close
             return self.params.pi
-        rows = self.tab.rows_with(j)
-        members = self.tab.copy_ids[rows[~self._c1_rows[rows]]]
+        members = self.tab.copy_ids[self.tab.rows_with(j)]
         closed = self.tab.copy_flags(h0)[members] | (members == j)
         return 0.0 if closed.all(axis=1).any() else self.params.pi
 
@@ -377,9 +374,11 @@ class _BoundLaw:
         edges = {e for idx, e in enumerate(tab.pairs)
                  if r_bits >> idx & 1 or rng.random() < p}
         # one draw per sparse cycle outside C1, in cycle order
-        free = np.flatnonzero(tab.sparse & ~self._c1_rows)
+        c1_rows = np.zeros(tab.n_cycles, dtype=bool)
+        c1_rows[list(c1)] = True
+        free = np.flatnonzero(tab.sparse & ~c1_rows)
         drawn = free[rng.random(len(free)) < p]
-        kept = np.flatnonzero(tab.sparse & self._c1_rows)
+        kept = np.flatnonzero(tab.sparse & c1_rows)
         dummies = tab.dummy_keys(np.concatenate((kept, drawn)))
         g = DGraph(base=Graph.from_edges(edges, vertices=range(tab.n)),
                    dummies=frozenset(dummies))
@@ -471,7 +470,7 @@ def run_coupling(f: Pattern, n: int, params: ThresholdParams, seed: int,
                            "degree": cand_max, "Delta": params.Delta}
                 break
 
-            q = _q_report(tab, j, c1, nprime, r_bits, h0, params.p)
+            q = _q_report(tab, j, nprime, r_bits, h0, params.p)
             pi_j, pi_prime_j = law.probs(j, q, h0, r_bits)
             step = {"j": j + 1, "pi_j": pi_j, "pi_prime_j": pi_prime_j,
                     "coin": None, "decision_H": None, "decision_G": None,

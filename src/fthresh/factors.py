@@ -135,21 +135,17 @@ class CoverIndex:
         return "found", chosen, expanded
 
 
-def find_f_factor(g: Graph, f: Pattern, budget: int = 10 ** 6,
-                  copies: Optional[list[FEdge]] = None) -> FactorResult:
+def find_f_factor(g: Graph, f: Pattern,
+                  budget: int = 10 ** 6) -> FactorResult:
     """Search for vertex-disjoint copies covering every vertex.
 
     Exact cover over the distinct copy vertex sets, in tuple(sorted(vs))
     order, by CoverIndex.search with every set live; the copy chosen per
     set is the first in copy order, since a factor only constrains vertex
-    sets. A caller that already holds the copies of g, as enumerate_copies
-    orders them, passes them as copies and the search skips the
-    enumeration; g is then read only through vertices, v() and has_edge.
-    """
+    sets."""
     if budget <= 0:
         raise DomainError("budget must be positive")
-    if copies is None:
-        copies = enumerate_copies(g, f)
+    copies = enumerate_copies(g, f)
     if g.v() % f.r != 0:
         return FactorResult(status="divisibility", certificate=None,
                             nodes_expanded=0, n_copies=len(copies))

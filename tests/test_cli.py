@@ -6,6 +6,7 @@ import json
 import pytest
 
 from fthresh.cli import auto_grid, crossing_estimate, main
+from fthresh.inventory import build_inventory, chen_stein_bound
 from fthresh.patterns import p_star, pattern_preset
 
 K3 = pattern_preset("k3")
@@ -201,6 +202,45 @@ class TestChenStein:
     def test_requires_n(self):
         with pytest.raises(SystemExit):
             main(["chen-stein", "--pattern", "k3"])
+
+    def test_refused_class_keeps_the_rest(self, capsys):
+        """C4 at n = 8: only the combined class exceeds the placement cap,
+        so the length classes are still bounded and printed."""
+        assert main(["chen-stein", "--pattern", "c4", "--n", "8"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        rows = [ln.split(",") for ln in out if not ln.startswith("#")][1:]
+        assert [r[:3] for r in rows] == [["8", "2", "11340"],
+                                         ["8", "3", "0"], ["8", "4", "0"]]
+        n, _label, _count, pi, p, bh, bg = rows[0]
+        inv = build_inventory(pattern_preset("c4"), 8, frozenset({2}))
+        assert (bh, bg) == tuple(map(str, chen_stein_bound(inv, float(pi),
+                                                           float(p))))
+        refused = [ln for ln in out if ln.startswith("# refused")]
+        assert refused == ["# refused n=8 lengths=all count=11340: "
+                           "19109536200 cycle placements exceed cap 10000000"]
+
+    def test_refused_lines_in_place(self, capsys):
+        """Each refused class takes its row's place, in class order."""
+        assert main(["chen-stein", "--pattern", "c4", "--n", "12"]) == 0
+        tail = capsys.readouterr().out.splitlines()[-4:]
+        assert tail[0].startswith("12,2,374220,")
+        assert [ln.split(":")[0] for ln in tail[1:]] == [
+            "# refused n=12 lengths=3 count=44906400",
+            "# refused n=12 lengths=4 count=303118200",
+            "# refused n=12 lengths=all count=348398820"]
+
+    def test_error_only_when_nothing_is_bounded(self, capsys):
+        """C5's length-2 class needs 10,281,600 placements per anchor, over
+        the cap. At n = 8 the longer classes are empty, so bounded by 0; at
+        n = 20 none is, and every class is refused."""
+        assert main(["chen-stein", "--pattern", "c5", "--n", "8"]) == 0
+        captured = capsys.readouterr()
+        assert "# refused n=8 lengths=2 count=40320: " in captured.out
+        assert captured.err == ""
+        assert main(["chen-stein", "--pattern", "c5", "--n", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestFlags:

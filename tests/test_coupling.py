@@ -331,7 +331,7 @@ class TestVectorisedSteps:
             h0, r_bits, c1, nprime = random_state(tab, cycles, rng)
             # step j is undecided, so never in N'
             j = int(rng.choice(sorted(set(range(len(tab.copies))) - nprime)))
-            q = _q_report(tab, j, frozenset(c1), nprime, r_bits, h0, 0.3)
+            q = _q_report(tab, j, nprime, r_bits, h0, 0.3)
             assert (q["cb"], q["cg"], q["eb"], q["eg"], q["n_contributors"],
                     [w["index"] for w in q["bad"]]) == \
                 scalar_q(tab, cycles, j, c1, nprime, r_bits, 0.3)
@@ -345,8 +345,10 @@ class TestVectorisedSteps:
         cycles = scalar_cycles(laws[0].tab)
         rng = np.random.default_rng(1)
         for law in laws:
+            c1_copies = {c for i in law.pre.c1 for c in cycles[i][0]}
             for _ in range(5):
-                h0 = random_state(law.tab, cycles, rng)[0]
+                # a run starts H0 with every C1 copy
+                h0 = random_state(law.tab, cycles, rng)[0] | c1_copies
                 for j in range(len(law.tab.copies)):
                     assert law._pi_prime(j, h0) == scalar_pi_prime(
                         cycles, law.pre.c1, j, h0, params.pi)
@@ -364,6 +366,10 @@ class TestVectorisedSteps:
                     cycles, law.pre.c1, j, set(), law.params.pi)
 
 
+# exact K3 runs at n = 6, pi = 0.02 with |C1| = 1 and no B3 that take steps
+C1_STEP_SEEDS = (22, 162)
+
+
 class TestCycleHalfMemo:
     """Trials of one (F, n, p) share the cycle half of the error term
     through an LRU cache; what it returns must not depend on what ran
@@ -377,16 +383,20 @@ class TestCycleHalfMemo:
         # seeds 0..19 never reach a step with C1 non-empty: a C1 cycle puts
         # two vertices at F-degree 2, so B1 ends the run at the first copy
         # through them; exact seeds 22 and 162 take steps before that
+        params = small_params(6, 0.02)
+        for seed in C1_STEP_SEEDS:
+            c1, _c2, b3 = precouple_cycles(K3, 6, params, seed)
+            assert len(c1) == 1 and not b3
         runs = ([(K3, 8, small_params(8, 0.001), "bound", s)
                  for s in range(20)]
                 + [(c4, 6, c4_params, "bound", s) for s in range(20)]
-                + [(K3, 6, small_params(6, 0.02), "exact", s)
-                   for s in list(range(20)) + [22, 162]])
+                + [(K3, 6, params, "exact", s)
+                   for s in list(range(20)) + list(C1_STEP_SEEDS)])
         keys = []
 
-        def spy(f, n, c1, j, r_bits, p):
-            keys.append((c1, r_bits))
-            return _cycle_half(f, n, c1, j, r_bits, p)
+        def spy(f, n, j, r_bits, p):
+            keys.append(r_bits)
+            return _cycle_half(f, n, j, r_bits, p)
 
         monkeypatch.setattr(coupling, "_cycle_half", spy)
 
@@ -400,12 +410,38 @@ class TestCycleHalfMemo:
             return out
 
         cold = transcripts(runs, cold=True)
-        assert any(c1 for c1, _ in keys)
-        assert any(r_bits for _, r_bits in keys)
+        assert all('"kind": "step"' in cold[(K3.graph.edges, 6, "exact", s)]
+                   for s in C1_STEP_SEEDS)
+        assert any(keys)
         before = _cycle_half.cache_info().hits
         assert transcripts(runs, cold=False) == cold
         assert transcripts(runs[::-1], cold=False) == cold
         assert _cycle_half.cache_info().hits > before
+
+    def test_c1_never_meets_free_edges(self, monkeypatch):
+        """Why the cycle half needs no C1 exclusion: at every step, no C1
+        cycle's shadow meets copy j's free edges, since the present edges
+        start as H0's and H0 starts with C1's copies. In seeds 275 and 285
+        copy j shares an edge with the C1 cycle, so only that start keeps
+        the cycle out."""
+        params = small_params(6, 0.02)
+        shares = []
+        for seed in C1_STEP_SEEDS + (275, 285):
+            c1 = sorted(_law(K3, 6, params, seed, "exact").pre.c1)
+            met = []
+
+            def spy(f, n, j, r_bits, p):
+                tab = placements(f, n)
+                shares.append(bool(tab.meets(tab.copy_bits[j])[c1].any()))
+                met.append(bool(tab.meets(tab.copy_bits[j] & ~r_bits)[c1]
+                                .any()))
+                return _cycle_half(f, n, j, r_bits, p)
+
+            monkeypatch.setattr(coupling, "_cycle_half", spy)
+            steps = run_coupling(K3, 6, params, seed).steps
+            assert c1 and len(met) == len(steps) > 0
+            assert not any(met)
+        assert any(shares)
 
     def test_memo_holds_no_table(self):
         assert _cycle_half.cache_info().maxsize is not None

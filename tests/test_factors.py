@@ -99,7 +99,7 @@ class TestEarlyExit:
             n = f.r * (4 + seed % 3)
             g = sample_gnp(n, 0.15 + 0.3 * (seed % 7) / 6, seed)
             copies = enumerate_copies(g, f)
-            res = find_f_factor(g, f, copies=copies)
+            res = find_f_factor(g, f)
             status, expanded, cert = recount_factor_search(g, f, copies,
                                                            10 ** 6)
             assert (res.status, res.nodes_expanded) == (status, expanded)
@@ -121,7 +121,7 @@ class TestEarlyExit:
             copies = enumerate_copies(g, K3)
             assert not g.vertices <= set().union(*(fe.vertices
                                                     for fe in copies))
-            res = find_f_factor(g, K3, copies=copies)
+            res = find_f_factor(g, K3)
             assert (res.status, res.nodes_expanded) == ("divisibility", 0)
             assert res.certificate is None
 
@@ -185,7 +185,7 @@ class TestOracles:
             g = sample_gnp(n, rng.uniform(0.2, 0.6), seed)
             copies = enumerate_copies(g, f)
             budget = rng.choice([3, 10 ** 5])
-            res = find_f_factor(g, f, budget=budget, copies=copies)
+            res = find_f_factor(g, f, budget=budget)
             status, expanded, cert = recount_factor_search(g, f, copies,
                                                            budget)
             assert (res.status, res.nodes_expanded) == (status, expanded)
