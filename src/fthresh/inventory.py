@@ -1,16 +1,13 @@
 """Potential clean-cycle placements and Chen-Stein total-variation bounds.
 
-The inventory counts every potential clean cycle of length up to e(F) on
-[n] from per-type orbit counts. Up to DEFAULT_PAIRWISE_LIMIT (600)
-placements it also lists them as copy-id rows of cycle_placements, and the
-bound runs pair by pair over the list; above it all sums run over
-isomorphism types with exact orbit counting, the joint moments from
-buckets around one placement of each type. Those buckets are built from
-the placements whose fresh labels are the least ones of the pool, each
-weighted by the number of fresh label sets of its size. The two paths
-evaluate the same sums in different groupings and agree to rounding
-(about 2e-12 relative), not bit for bit; the pairwise floats are the ones
-pinned byte for byte.
+The inventory is the exact number of potential clean cycles of the wanted
+lengths on [n], from per-type orbit counts; no placement is listed. The
+bound sums over isomorphism types with exact orbit counting, the joint
+moments from buckets around one placement of each type. Those buckets are
+built from the placements whose fresh labels are the least ones of the
+pool, each weighted by the number of fresh label sets of its size. Only
+the wanted lengths k whose cycles fit on [n], k * (r - 1) <= n, are
+summed and bucketed, so the pool is no larger than those types need.
 """
 
 from __future__ import annotations
@@ -27,48 +24,34 @@ from .errors import DomainError
 from .fgraphs import FGraph, count_copies, potential_copies_on
 from .patterns import Pattern
 
-DEFAULT_PAIRWISE_LIMIT = 600
-# pair terms per pass of _pairwise_terms: each float64 temporary of a pass
-# stays under 128 KiB, glibc's default mmap and trim thresholds, and its
-# integer ones are int16, so the passes reuse the same heap pages instead
-# of faulting in fresh ones
-_PASS_TERMS = 16_000
-
-
-@dataclass(frozen=True)
-class InventoryItem:
-    copy_ids: tuple[int, ...]
-    """Sorted ids of the cycle's copies in potential_copies_on(f, range(n))."""
-    k: int
-    sparse: bool
-    verts: frozenset[int]
-    shadow_mask: int
-    """The shadow's edges as a bitmask, edge (u, v) at bit u * n + v."""
-
-    def exponent_h(self) -> int:
-        """F-edges of the cycle; E[X_C] = pi ** this."""
-        return self.k
-
-    def exponent_g(self, s: int) -> int:
-        """Edges of the d-cycle incl. dummy; E[X'_C] = p ** this."""
-        return self.k * s
-
 
 @dataclass(frozen=True)
 class CycleInventory:
     f: Pattern
     n: int
-    items: Optional[tuple[InventoryItem, ...]]
     total_count: int
     lengths: Optional[frozenset[int]] = None
     """Restrict to these cycle lengths; None means 2..e(F). The coupling
     propositions treat each length class separately, so class-restricted
     inventories are first-class citizens."""
 
+    @property
+    def items(self) -> None:
+        """Always None: no placement is listed. Kept only because the
+        benchmark scripts in perfbench/ read it; to be dropped with them."""
+        return None
+
 
 def _lengths(f: Pattern, lengths: Optional[frozenset[int]]) -> list[int]:
     """The wanted cycle lengths, in increasing order."""
     return [k for k in range(2, f.s + 1) if lengths is None or k in lengths]
+
+
+def _fitting(f: Pattern, n: int,
+             lengths: Optional[frozenset[int]]) -> frozenset[int]:
+    """The wanted lengths whose cycles fit on [n]: a clean k-cycle has
+    k * (r - 1) vertices, so the longer ones have no placement."""
+    return frozenset(k for k in _lengths(f, lengths) if k * (f.r - 1) <= n)
 
 
 def _word_rows(masks: list[int], n_words: int) -> np.ndarray:
@@ -79,7 +62,7 @@ def _word_rows(masks: list[int], n_words: int) -> np.ndarray:
 
 
 def _rows(f: Pattern, n_labels: int, lengths: Optional[frozenset[int]],
-          cap: int = 10 ** 7, fresh_from: Optional[int] = None) -> tuple:
+          fresh_from: Optional[int] = None) -> tuple:
     """The wanted placements on the labels 0..n_labels-1 (with fresh_from,
     those of cycle_placements' fresh prefix): copy ids, lengths, sparse
     flags, and each placement's vertices and shadow edges as one bit set
@@ -87,7 +70,7 @@ def _rows(f: Pattern, n_labels: int, lengths: Optional[frozenset[int]],
     n_labels * (u + 1) + v."""
     wanted = _lengths(f, lengths)
     rows = cycle_placements(f, range(n_labels), max(wanted, default=0),
-                            cap=cap, fresh_from=fresh_from)
+                            fresh_from=fresh_from)
     keep = np.isin(rows.lengths, wanted)
     # per copy, then an all-zero mask that the -1 padding of copy ids reads
     masks = [sum(1 << u for u in fe.vertices)
@@ -109,35 +92,17 @@ def _rows(f: Pattern, n_labels: int, lengths: Optional[frozenset[int]],
 def inventory_size(f: Pattern, n: int,
                    lengths: Optional[frozenset[int]] = None) -> int:
     """Exact number of placements, from per-type orbit counts."""
-    return sum(_safe_count(rep, n) for rep in _type_reps(f, lengths))
+    return sum(_safe_count(rep, n)
+               for rep in _type_reps(f, _fitting(f, n, lengths)))
 
 
 def build_inventory(f: Pattern, n: int,
-                    lengths: Optional[frozenset[int]] = None,
-                    cap: int = 10 ** 7) -> CycleInventory:
-    """Exact placement count, with the placements listed when there are at
-    most DEFAULT_PAIRWISE_LIMIT of them; only such lists are ever summed
-    pair by pair."""
+                    lengths: Optional[frozenset[int]] = None
+                    ) -> CycleInventory:
+    """The exact placement count of the wanted lengths on [n]."""
     if lengths is not None:
         lengths = frozenset(lengths)
-    total = inventory_size(f, n, lengths)
-    if total > DEFAULT_PAIRWISE_LIMIT:
-        return CycleInventory(f=f, n=n, items=None, total_count=total,
-                              lengths=lengths)
-    items = []
-    for ids, k, sparse, words in zip(*_rows(f, n, lengths, cap)):
-        bits = int.from_bytes(words.astype("<u8").tobytes(), "little")
-        items.append(InventoryItem(
-            copy_ids=tuple(ids[:k].tolist()), k=int(k), sparse=bool(sparse),
-            verts=frozenset(u for u in range(n) if bits >> u & 1),
-            shadow_mask=bits >> n))
-    # copy ids follow FEdge.sort_key, so this orders the cycles by their
-    # sorted copies
-    items.sort(key=lambda it: it.copy_ids)
-    if len(items) != total:
-        raise DomainError(
-            f"placement enumeration found {len(items)}, expected {total}")
-    return CycleInventory(f=f, n=n, items=tuple(items), total_count=total,
+    return CycleInventory(f=f, n=n, total_count=inventory_size(f, n, lengths),
                           lengths=lengths)
 
 
@@ -145,68 +110,6 @@ def build_inventory(f: Pattern, n: int,
 
 def _safe_count(shape: FGraph, n: int) -> int:
     return count_copies(shape, n) if n >= shape.v() else 0
-
-
-def _pairwise_terms(inv: CycleInventory, pi: float,
-                    p: float) -> tuple[float, float]:
-    """(bound_H, bound_G) by exact evaluation of every overlapping pair.
-
-    A block of rows a at a time against all rows b, at most _PASS_TERMS
-    pairs (times shadow words) per block: the four sums take their terms
-    in (a, b) row-major order and add them one at a time (np.cumsum after
-    the running total), and every power is a Python pi ** k or p ** k, so
-    every sum is the float of the scalar loop over the pairs, bit for bit.
-    """
-    items = inv.items
-    s = inv.f.s
-    n_rows = len(items)
-    # copy and edge counts as int16, a quarter of a pass's float arrays
-    ks = np.array([it.k for it in items], dtype=np.int16)
-    k_max = int(ks.max())
-    dummies = np.array([it.sparse for it in items], dtype=np.int16)
-    verts = _word_rows([sum(1 << u for u in it.verts) for it in items],
-                       -(-inv.n // 64))
-    shadows = _word_rows([it.shadow_mask for it in items],
-                         -(-inv.n * inv.n // 64))
-    # copy-by-row incidence; the -1 padding of ids reads the last, zero row
-    ids = np.array([it.copy_ids + (-1,) * (k_max - it.k) for it in items])
-    incidence = np.zeros((int(ids.max()) + 2, n_rows), dtype=np.int8)
-    incidence[ids, np.arange(n_rows)[:, None]] = 1
-    incidence[-1] = 0
-    mh = np.array([pi ** it.exponent_h() for it in items], dtype=np.float64)
-    mg = np.array([p ** it.exponent_g(s) for it in items], dtype=np.float64)
-    # exponents up to two cycles' copies, and their d-edges with dummies
-    pow_h = np.array([pi ** k for k in range(2 * k_max + 1)],
-                     dtype=np.float64)
-    pow_g = np.array([p ** k for k in range(2 * k_max * s + 3)],
-                     dtype=np.float64)
-    sums = np.zeros(4)
-    block = max(1, _PASS_TERMS // (n_rows * shadows.shape[1]))
-
-    def add(i: int, terms: np.ndarray) -> None:
-        # the running total enters as the first addition, then the rest
-        # follow one at a time, in place
-        if terms.size:
-            terms[0] += sums[i]
-            sums[i] = np.cumsum(terms, out=terms)[-1]
-
-    for lo in range(0, n_rows, block):
-        hi = min(lo + block, n_rows)
-        meet = (verts[lo:hi, None, :] & verts[None, :, :]).any(axis=2)
-        add(0, (mh[lo:hi, None] * mh[None, :])[meet])
-        add(1, (mg[lo:hi, None] * mg[None, :])[meet])
-        meet[np.arange(hi - lo), np.arange(lo, hi)] = False
-        # the incidence product, summed over the copies of each row a
-        shared = incidence[ids[lo:hi]].sum(axis=1, dtype=np.int16)
-        union_copies = ks[lo:hi, None] + ks[None, :] - shared
-        union_edges = np.bitwise_count(
-            shadows[lo:hi, None, :] | shadows[None, :, :]).sum(
-                axis=2, dtype=np.int16)
-        add(2, pow_h[union_copies[meet]])
-        add(3, pow_g[(union_edges + dummies[lo:hi, None]
-                      + dummies[None, :])[meet]])
-    th1, tg1, th2, tg2 = sums.tolist()
-    return 4.0 * (th1 + th2), 4.0 * (tg1 + tg2)
 
 
 def _type_reps(f: Pattern,
@@ -288,10 +191,18 @@ def _all_buckets(f: Pattern,
 def _aggregate_terms(f: Pattern, n: int, pi: float, p: float,
                      lengths: Optional[frozenset[int]] = None
                      ) -> tuple[float, float]:
-    """(bound_H, bound_G) from per-type orbit counts; exact for any n."""
-    reps = _type_reps(f, lengths)
+    """(bound_H, bound_G) from per-type orbit counts; exact for any n.
+
+    Only the fitting lengths are summed and bucketed. Every placement of
+    a longer one that meets an anchor of v_a labels uses more than
+    n - v_a fresh labels, so its bucket would be skipped, and a bucket's
+    scale cnt * C(n - v_a, j) / C(pool, j) is an exact integer ratio that
+    does not depend on the pool."""
+    fit = _fitting(f, n, lengths)
+    reps = _type_reps(f, fit)
     s = f.s
-    all_buckets = _all_buckets(f, lengths)
+    all_buckets = _all_buckets(f, fit)
+    pool = max(cy.v() for cy in reps) - 1
 
     th1 = tg1 = th2 = tg2 = 0.0
     counts = [_safe_count(rep, n) for rep in reps]
@@ -307,8 +218,6 @@ def _aggregate_terms(f: Pattern, n: int, pi: float, p: float,
             th1 += overlapping * mh_a * pi ** kb
             tg1 += overlapping * mg_a * p ** (kb * s)
         # joint term: bucketed relative placements around one anchor
-        v_other_max = max(cy.v() for cy in reps)
-        pool = v_other_max - 1
         sh = sg = 0.0
         for (j, uh, ug), cnt in all_buckets[a].items():
             if n - va < j:
@@ -322,21 +231,21 @@ def _aggregate_terms(f: Pattern, n: int, pi: float, p: float,
 
 
 def chen_stein_bound(inv: CycleInventory, pi: float, p: float,
-                     pairwise_limit: int = DEFAULT_PAIRWISE_LIMIT
+                     pairwise_limit: Optional[int] = None
                      ) -> tuple[float, float]:
     """Total-variation bounds for the Poisson approximation of the cycle
     counts of H (first) and the d-cycle counts of G* (second).
 
     4 * (sum of E[X_C]E[X_C'] over pairs sharing a vertex, C' = C allowed,
-    plus sum of E[X_C X_C'] over distinct such pairs). Small inventories are
-    evaluated pair by pair; otherwise the type-aggregated form is used. The
-    two agree to rounding, not bit for bit; the pairwise path is the one
-    whose floats are pinned byte for byte.
+    plus sum of E[X_C X_C'] over distinct such pairs), summed over cycle
+    types with exact orbit counts. Joint-moment buckets that need more
+    placements per anchor than the enumeration cap raise
+    ResourceLimitError. pairwise_limit is accepted and ignored; it is
+    kept only because the benchmark scripts in perfbench/ pass it, and
+    goes with them.
     """
     if not 0.0 <= pi <= 1.0 or not 0.0 <= p <= 1.0:
         raise DomainError("pi and p must lie in [0, 1]")
     if inv.total_count == 0:
         return 0.0, 0.0
-    if inv.items is not None and inv.total_count <= pairwise_limit:
-        return _pairwise_terms(inv, pi, p)
     return _aggregate_terms(inv.f, inv.n, pi, p, inv.lengths)

@@ -1,13 +1,15 @@
 """References for the Chen-Stein sums.
 
-The pair sums as a scalar loop over every ordered pair:
-`inventory._pairwise_terms` computes the same four sums as blocked array
-passes, and its floats must equal the loop's bit for bit. The joint-moment
-buckets from every placement on the anchor's labels plus the whole fresh
-pool: `inventory._pair_buckets` enumerates only the least fresh labels of
-each size, and its dict must equal this one, items and order.
+The pair sums as a scalar loop over every ordered pair of listed
+placements: `inventory.chen_stein_bound` sums the same four terms over
+cycle types with orbit counts, and must agree with the loop to rounding.
+The joint-moment buckets from every placement on the anchor's labels plus
+the whole fresh pool: `inventory._pair_buckets` enumerates only the least
+fresh labels of each size, and its dict must equal this one, items and
+order.
 """
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,10 +19,35 @@ from fthresh.inventory import CycleInventory, _rows, _type_reps, _word_rows
 from fthresh.patterns import Pattern
 
 
+@dataclass(frozen=True)
+class Item:
+    """One placement on [n]."""
+    copy_ids: tuple[int, ...]
+    """Sorted ids of the cycle's copies in potential_copies_on(f, range(n))."""
+    k: int
+    sparse: bool
+    verts: frozenset[int]
+    shadow_mask: int
+    """The shadow's edges as a bitmask, edge (u, v) at bit u * n + v."""
+
+
+def inventory_items(f: Pattern, n: int,
+                    lengths: Optional[frozenset[int]] = None) -> list[Item]:
+    """Every placement of the wanted lengths on [n], from inventory._rows."""
+    items = []
+    for ids, k, sparse, words in zip(*_rows(f, n, lengths)):
+        bits = int.from_bytes(words.astype("<u8").tobytes(), "little")
+        items.append(Item(
+            copy_ids=tuple(ids[:k].tolist()), k=int(k), sparse=bool(sparse),
+            verts=frozenset(u for u in range(n) if bits >> u & 1),
+            shadow_mask=bits >> n))
+    return items
+
+
 def pairwise_terms_loop(inv: CycleInventory, pi: float,
                         p: float) -> tuple[float, float]:
     """(bound_H, bound_G) by exact evaluation of every overlapping pair."""
-    items = inv.items
+    items = inventory_items(inv.f, inv.n, inv.lengths)
     s = inv.f.s
     th1 = tg1 = th2 = tg2 = 0.0
     for a in items:
@@ -29,8 +56,8 @@ def pairwise_terms_loop(inv: CycleInventory, pi: float,
         for b in items:
             if not (a.verts & b.verts):
                 continue
-            th1 += pi ** a.exponent_h() * pi ** b.exponent_h()
-            tg1 += p ** a.exponent_g(s) * p ** b.exponent_g(s)
+            th1 += pi ** a.k * pi ** b.k
+            tg1 += p ** (a.k * s) * p ** (b.k * s)
             if b is a:
                 continue
             union_copies = len(copies_a.union(b.copy_ids))

@@ -204,20 +204,22 @@ class TestChenStein:
             main(["chen-stein", "--pattern", "k3"])
 
     def test_refused_class_keeps_the_rest(self, capsys):
-        """C4 at n = 8: only the combined class exceeds the placement cap,
-        so the length classes are still bounded and printed."""
+        """C4 at n = 8: the 3- and 4-cycles need 9 and 12 vertices, so the
+        combined class is bucketed on the 2-cycles alone, within the
+        placement cap. Every class is bounded and printed, none refused,
+        and the combined row equals the length-2 row."""
         assert main(["chen-stein", "--pattern", "c4", "--n", "8"]) == 0
         out = capsys.readouterr().out.splitlines()
         rows = [ln.split(",") for ln in out if not ln.startswith("#")][1:]
         assert [r[:3] for r in rows] == [["8", "2", "11340"],
-                                         ["8", "3", "0"], ["8", "4", "0"]]
+                                         ["8", "3", "0"], ["8", "4", "0"],
+                                         ["8", "all", "11340"]]
         n, _label, _count, pi, p, bh, bg = rows[0]
         inv = build_inventory(pattern_preset("c4"), 8, frozenset({2}))
         assert (bh, bg) == tuple(map(str, chen_stein_bound(inv, float(pi),
                                                            float(p))))
-        refused = [ln for ln in out if ln.startswith("# refused")]
-        assert refused == ["# refused n=8 lengths=all count=11340: "
-                           "19109536200 cycle placements exceed cap 10000000"]
+        assert rows[3][3:] == rows[0][3:]
+        assert not [ln for ln in out if ln.startswith("# refused")]
 
     def test_refused_lines_in_place(self, capsys):
         """Each refused class takes its row's place, in class order."""

@@ -4,79 +4,70 @@ import hashlib
 import tracemalloc
 
 import pytest
-from inventory_oracles import pair_buckets_full, pairwise_terms_loop
+from inventory_oracles import (inventory_items, pair_buckets_full,
+                               pairwise_terms_loop)
 
 from fthresh.cli import main
 from fthresh.errors import DomainError, ResourceLimitError
 from fthresh.fgraphs import FGraph, classify, potential_copies_on, shadow
 from fthresh.graphs import Graph
-from fthresh.inventory import (DEFAULT_PAIRWISE_LIMIT, _pair_buckets,
-                               _type_reps, build_inventory, chen_stein_bound,
-                               inventory_size)
+from fthresh.inventory import (_pair_buckets, _type_reps, build_inventory,
+                               chen_stein_bound, inventory_size)
 from fthresh.patterns import analyze_pattern, pattern_preset
 
 K3 = pattern_preset("k3")
 
-# (pi, p) pairs for the bit-for-bit checks, including both ends of [0, 1]
+# (pi, p) pairs for the checks against the loop, both ends of [0, 1] too
 PI_P = [(0.07, 0.3), (0.01, 0.2), (0.5, 0.5), (0, 1), (1, 0)]
 
 # chen-stein arguments -> sha256 of stdout; moves with any bound's last bit
 CHEN_STEIN_GOLDEN = {
     ("--pattern", "k3", "--n", "6", "7", "8"):
-        "a5c1f0403bc9e24118f9022cd0c30bce90085b824dccdacf306b91b7d91f2ce6",
+        "027184b1992fd6ea51285743b815d292fba5fe85eaed1eef31946ef9c028cf1b",
     ("--pattern", "c4", "--n", "6"):
-        "4ca79f2e5a5417048817003febb3623012af14f5eec11a260e76f187af8535bf",
+        "3013f52ca80b9296136f4724a0c1d60663d0fe610596e1565f586ee00871d5a1",
     ("--pattern", "k3", "--n", "5", "--pi", "0.01"):
-        "06cc32e98962efeb6e4184fd7fcae49567e94a6f32de97e9617cc2361917e986",
+        "945f1fc405586a8b873b13ab282b03d3d9b5cdc89a4afbec0894c793b3ae21e1",
 }
 
 
 class TestInventory:
     def test_counts_match_size(self):
+        # the orbit counts against the listed placements
         for n in (5, 6):
             inv = build_inventory(K3, n)
-            assert inv.items is not None
-            assert len(inv.items) == inv.total_count
+            assert len(inventory_items(K3, n)) == inv.total_count
             assert inv.total_count == inventory_size(K3, n)
-        # past the pairwise limit only the count is kept
-        inv = build_inventory(K3, 7)
-        assert inv.items is None
-        assert inv.total_count == inventory_size(K3, 7) == 1050
+        assert build_inventory(K3, 7).total_count == 1050
 
     def test_lengths_filter(self):
         inv = build_inventory(K3, 6, lengths={2})
-        assert all(it.k == 2 for it in inv.items)
         assert inv.total_count == 90
+        assert [it.k for it in inventory_items(K3, 6, {2})] == [2] * 90
 
     def test_lengths_beyond_the_template_are_empty(self):
         inv = build_inventory(K3, 6, lengths={5})
-        assert (inv.items, inv.total_count) == ((), 0)
+        assert inv.total_count == 0
         assert chen_stein_bound(inv, 0.1, 0.5) == (0.0, 0.0)
 
     def test_lengths_filter_avoids_full_enumeration(self):
-        # restricting to length 2 must not enumerate longer cycles: the
-        # cap counts placements, 420 2-cycles against 3,780 of all lengths
-        inv = build_inventory(K3, 8, lengths={2}, cap=2_000)
-        assert len(inv.items) == inv.total_count == inventory_size(
-            K3, 8, frozenset({2}))
+        # the length-2 count comes from the 2-cycle orbits alone: 420 of
+        # the 3,780 placements of all lengths
+        assert build_inventory(K3, 8, lengths={2}).total_count == \
+            inventory_size(K3, 8, frozenset({2})) == 420
 
     def test_aggregate_fallback(self):
         inv = build_inventory(K3, 8)
-        assert inv.total_count > DEFAULT_PAIRWISE_LIMIT
-        assert inv.items is None
-        assert inv.total_count == inventory_size(K3, 8)
+        assert inv.total_count == inventory_size(K3, 8) == 3780
 
     def test_item_shape(self):
-        inv = build_inventory(K3, 5)
         copies = potential_copies_on(K3, range(5))
-        for it in inv.items:
+        for it in inventory_items(K3, 5):
             cycle = FGraph.from_fedges(copies[c] for c in it.copy_ids)
             cls = classify(cycle)
             assert cls.kind == "clean_cycle"
             assert it.k == cls.length == len(it.copy_ids)
             assert it.sparse == (cls.sparsity == "sparse")
-            assert it.exponent_h() == it.k
-            assert it.exponent_g(K3.s) == it.k * K3.s
             assert it.verts == cycle.vertices
             assert it.shadow_mask == sum(1 << (u * 5 + v)
                                          for u, v in shadow(cycle).edges)
@@ -93,32 +84,25 @@ class TestChenStein:
             assert bh == pytest.approx(4 * (42 * pi ** 4 + 24 * pi ** 3),
                                        rel=1e-12)
 
-    def test_pairwise_vs_aggregate(self):
-        for n in (5, 6):
-            inv = build_inventory(K3, n)
-            pi, p = 0.07, 0.3
-            pw = chen_stein_bound(inv, pi, p, pairwise_limit=10 ** 6)
-            ag = chen_stein_bound(inv, pi, p, pairwise_limit=0)
-            assert pw[0] == pytest.approx(ag[0], rel=1e-9)
-            assert pw[1] == pytest.approx(ag[1], rel=1e-9)
-
-    def test_pairwise_vs_aggregate_restricted(self):
-        inv = build_inventory(K3, 6, lengths={2})
-        pw = chen_stein_bound(inv, 0.1, 0.4, pairwise_limit=10 ** 6)
-        ag = chen_stein_bound(inv, 0.1, 0.4, pairwise_limit=0)
-        assert pw[0] == pytest.approx(ag[0], rel=1e-9)
-        assert pw[1] == pytest.approx(ag[1], rel=1e-9)
-
     def test_aggregate_enumerates_requested_lengths_only(self):
         """The C4 buckets of length 2 come from 2-cycles alone; chaining
         3- and 4-cycles on the 11-label pool would exceed the cap."""
-        c4 = pattern_preset("c4")
-        inv = build_inventory(c4, 6, lengths={2})
-        pw = chen_stein_bound(inv, 0.01, 0.2)
-        ag = chen_stein_bound(inv, 0.01, 0.2, pairwise_limit=0)
-        assert pw == pytest.approx((0.067635, 0.0083960), rel=1e-4)
-        assert ag[0] == pytest.approx(pw[0], rel=1e-9)
-        assert ag[1] == pytest.approx(pw[1], rel=1e-9)
+        inv = build_inventory(pattern_preset("c4"), 6, lengths={2})
+        assert chen_stein_bound(inv, 0.01, 0.2) == pytest.approx(
+            (0.067635, 0.0083960), rel=1e-4)
+
+    @pytest.mark.parametrize("name,ns", [("c4", (6, 7, 8)), ("k4", (6, 7, 8)),
+                                         ("k4me", (8,))])
+    def test_lengths_that_do_not_fit_add_nothing(self, name, ns):
+        """A clean k-cycle has k * (r - 1) vertices, so on at most 8
+        vertices these templates have 2-cycles alone: the combined class
+        is bounded, and as its length-2 class, float for float."""
+        f = pattern_preset(name)
+        for n in ns:
+            for pi, p in PI_P:
+                got = chen_stein_bound(build_inventory(f, n), pi, p)
+                want = chen_stein_bound(build_inventory(f, n, {2}), pi, p)
+                assert [b.hex() for b in got] == [b.hex() for b in want]
 
     def test_aggregate_buckets_follow_the_labelling(self):
         """Which cycle type sits at which index depends on F's labelling,
@@ -127,8 +111,8 @@ class TestChenStein:
                       [(0, 2), (1, 2), (1, 3), (0, 3)]):
             f = analyze_pattern(Graph.from_edges(edges))
             inv = build_inventory(f, 6, lengths={2})
-            ag = chen_stein_bound(inv, 0.01, 0.2, pairwise_limit=0)
-            assert ag == pytest.approx((0.067635, 0.0083960), rel=1e-4)
+            assert chen_stein_bound(inv, 0.01, 0.2) == pytest.approx(
+                (0.067635, 0.0083960), rel=1e-4)
 
     def test_domain(self):
         inv = build_inventory(K3, 4)
@@ -192,27 +176,32 @@ class TestPairBuckets:
 
 
 class TestPairwiseKernel:
-    """The blocked pair sums against the scalar loop, as float hex."""
+    """The type-aggregated sums against the scalar loop over every ordered
+    pair of placements, and the CLI table as a whole."""
 
     CASES = ([("k3", n, lengths) for n in range(3, 9)
               for lengths in (None, {2}, {3})]
-             + [("c4", n, {2}) for n in (5, 6, 7)])
+             + [("c4", n, {2}) for n in (5, 6, 7)]
+             + [("c4", 6, None), ("k4", 6, None), ("k4", 7, None)])
+    # the loop is quadratic in the placements
+    LOOP_LIMIT = 600
 
-    def test_equals_the_loop_bit_for_bit(self):
-        listed = 0
+    def test_equals_the_loop(self):
+        looped = 0
         for name, n, lengths in self.CASES:
             inv = build_inventory(pattern_preset(name), n, lengths=lengths)
-            if not inv.items:
+            if not 0 < inv.total_count <= self.LOOP_LIMIT:
                 continue
-            listed += 1
+            looped += 1
             for pi, p in PI_P:
                 got = chen_stein_bound(inv, pi, p)
-                want = pairwise_terms_loop(inv, pi, p)
                 assert all(type(b) is float for b in got)
-                assert [b.hex() for b in got] == [b.hex() for b in want], \
+                assert got == pytest.approx(
+                    pairwise_terms_loop(inv, pi, p), rel=1e-9), \
                     (name, n, lengths, pi, p)
-        # K3: 4 and 5 all and {2}, 6 all, {2} and {3}, 7 and 8 {2}; C4: 6
-        assert listed == 10
+        # K3: 4 and 5 all and {2}, 6 all, {2} and {3}, 7 and 8 {2};
+        # C4: 6 {2} and all; K4: 6 and 7 all
+        assert looped == 13
 
     @pytest.mark.parametrize("args", sorted(CHEN_STEIN_GOLDEN))
     def test_cli_golden(self, args, capsys):
