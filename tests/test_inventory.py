@@ -84,6 +84,22 @@ class TestChenStein:
             assert bh == pytest.approx(4 * (42 * pi ** 4 + 24 * pi ** 3),
                                        rel=1e-12)
 
+    def test_pairwise_vs_aggregate(self):
+        for n in (5, 6):
+            inv = build_inventory(K3, n)
+            pi, p = 0.07, 0.3
+            pw = pairwise_terms_loop(inv, pi, p)
+            ag = chen_stein_bound(inv, pi, p)
+            assert pw[0] == pytest.approx(ag[0], rel=1e-9)
+            assert pw[1] == pytest.approx(ag[1], rel=1e-9)
+
+    def test_pairwise_vs_aggregate_restricted(self):
+        inv = build_inventory(K3, 6, lengths={2})
+        pw = pairwise_terms_loop(inv, 0.1, 0.4)
+        ag = chen_stein_bound(inv, 0.1, 0.4)
+        assert pw[0] == pytest.approx(ag[0], rel=1e-9)
+        assert pw[1] == pytest.approx(ag[1], rel=1e-9)
+
     def test_aggregate_enumerates_requested_lengths_only(self):
         """The C4 buckets of length 2 come from 2-cycles alone; chaining
         3- and 4-cycles on the 11-label pool would exceed the cap."""
@@ -186,22 +202,37 @@ class TestPairwiseKernel:
     # the loop is quadratic in the placements
     LOOP_LIMIT = 600
 
-    def test_equals_the_loop(self):
-        looped = 0
+    def listable(self):
+        """The cases of CASES with 1 to LOOP_LIMIT placements."""
         for name, n, lengths in self.CASES:
             inv = build_inventory(pattern_preset(name), n, lengths=lengths)
-            if not 0 < inv.total_count <= self.LOOP_LIMIT:
-                continue
+            if 0 < inv.total_count <= self.LOOP_LIMIT:
+                yield (name, n, lengths), inv
+
+    def test_equals_the_loop(self):
+        looped = 0
+        for case, inv in self.listable():
             looped += 1
             for pi, p in PI_P:
                 got = chen_stein_bound(inv, pi, p)
                 assert all(type(b) is float for b in got)
                 assert got == pytest.approx(
                     pairwise_terms_loop(inv, pi, p), rel=1e-9), \
-                    (name, n, lengths, pi, p)
+                    (case, pi, p)
         # K3: 4 and 5 all and {2}, 6 all, {2} and {3}, 7 and 8 {2};
         # C4: 6 {2} and all; K4: 6 and 7 all
         assert looped == 13
+
+    def test_equals_the_loop_bit_for_bit(self):
+        """With pi and p in {0, 1} every term is 0 or 1, so both sums are
+        exact integer counts of overlapping pairs: the aggregated bound
+        must equal the loop's float for float."""
+        for case, inv in self.listable():
+            for pi, p in [(0, 1), (1, 0), (1, 1), (0, 0)]:
+                got = chen_stein_bound(inv, pi, p)
+                want = pairwise_terms_loop(inv, pi, p)
+                assert [b.hex() for b in got] == [b.hex() for b in want], \
+                    (case, pi, p)
 
     @pytest.mark.parametrize("args", sorted(CHEN_STEIN_GOLDEN))
     def test_cli_golden(self, args, capsys):
