@@ -88,7 +88,7 @@ def cmd_analyze(args) -> int:
     print(f"automorphisms = {f.aut}")
     print(f"density d1 = {f.d1}")
     print(f"strictly 1-balanced: {f.strictly_1_balanced}")
-    if args.n:
+    if args.n is not None:
         delta, eps = _constants(f, args)
         params = derive_params(f, args.n, delta, eps, pi=args.pi)
         for k, v in dataclasses.asdict(params).items():
@@ -98,7 +98,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_params(args) -> int:
     f = _resolve_pattern(args)
-    if not args.n:
+    if args.n is None:
         raise SystemExit("params requires --n")
     delta, eps = _constants(f, args)
     params = derive_params(f, args.n, delta, eps, pi=args.pi)
@@ -108,7 +108,7 @@ def cmd_params(args) -> int:
 
 def cmd_verify(args) -> int:
     f = _resolve_pattern(args)
-    max_len = args.max_len if args.max_len else min(f.s, 4)
+    max_len = args.max_len if args.max_len is not None else min(f.s, 4)
     name = args.pattern or "pattern"
     cert = certify(f, max_len)
     rows = verify_clean_dcycles_strictly_balanced(cert)
@@ -275,7 +275,7 @@ def crossing_estimate(rows: list[dict],
 
 def cmd_scan(args) -> int:
     f = _resolve_pattern(args)
-    if not args.n:
+    if args.n is None:
         raise SystemExit("scan requires --n")
     if args.p is not None and not 0.0 <= args.p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
@@ -302,7 +302,7 @@ def cmd_scan(args) -> int:
 
 def cmd_couple(args) -> int:
     f = _resolve_pattern(args)
-    if not args.n:
+    if args.n is None:
         raise SystemExit("couple requires --n")
     if args.trials < 1:
         raise DomainError("trials must be positive")
@@ -330,7 +330,7 @@ def cmd_couple(args) -> int:
 
 def cmd_chen_stein(args) -> int:
     f = _resolve_pattern(args)
-    if not args.n:
+    if args.n is None:
         raise SystemExit("chen-stein requires --n")
     delta, eps = _constants(f, args)
     config = {"command": "chen-stein", "pattern": args.pattern or "file",

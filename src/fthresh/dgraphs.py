@@ -22,8 +22,7 @@ from .errors import (InternalInconsistencyError, NotACleanCycleError,
 from .graphs import DEFAULT_ENUMERATION_CAP, Graph, canonical_form
 from .fgraphs import (FEdge, FGraph, _clean_cycle_order,
                       all_potential_copies, classify, copies_on_vertex_set,
-                      count_copies, fgraph_automorphisms,
-                      potential_copies_on, shadow)
+                      count_copies, fgraph_automorphisms, shadow)
 from .patterns import Pattern
 
 
@@ -198,8 +197,9 @@ class CycleRows(NamedTuple):
 
 def _relabellings(cycle: FGraph) -> np.ndarray:
     """Per distinct relabelling of a cycle on 0..v-1, the least permutation
-    of its coset of Aut: each vertex b is labelled before the rest of its
-    orbit under the automorphisms fixing 0..b-1. Labels go out in turn to
+    of its coset of Aut, whose elements, as the images of 0..v-1, map b to
+    a[b]: each vertex b is labelled before the rest of its orbit under the
+    automorphisms fixing 0..b-1. Labels go out in turn to
     vertices whose predecessors are labelled, so no v! pass is made."""
     v = cycle.v()
     group = fgraph_automorphisms(cycle)
@@ -279,27 +279,28 @@ def _type_rows(f: Pattern, cycle: FGraph, n_labels: int,
     return out.reshape(-1, len(fes))
 
 
-def cycle_placements(f: Pattern, labels: Iterable[int], max_len: int,
+def cycle_placements(f: Pattern, n_labels: int, lengths: Iterable[int],
                      cap: int = DEFAULT_ENUMERATION_CAP,
                      fresh_from: Optional[int] = None) -> CycleRows:
-    """All clean-cycle placements of length 2..max_len on the given labels,
-    each row the sorted ids of its copies in potential_copies_on(f,
-    labels), built by relabelling the clean_cycle_types representatives.
+    """All clean-cycle placements of the given distinct lengths on the
+    labels 0..n_labels-1, each row the sorted ids of its copies in
+    potential_copies_on(f, range(n_labels)), built by relabelling the
+    clean_cycle_types representatives. A clean k-cycle has k * (r - 1)
+    vertices, so only the lengths with k * (r - 1) <= n_labels are built;
+    the others have no placement.
 
     Every 2-cycle comes first, by its copy ids; then every longer cycle by
     its copy sequence read from its least copy id towards the smaller
     neighbour, lexicographically with a prefix before its extensions. More
-    than cap placements, counted from the type orbits, raise
-    ResourceLimitError before any is built.
+    than cap placements of the built lengths, counted from the type
+    orbits, raise ResourceLimitError before any is built.
 
-    With fresh_from, the labels from position fresh_from on are taken as
+    With fresh_from, the labels from fresh_from on are taken as
     interchangeable, and only the placements using the least j of them,
     for each j, are kept: a subsequence of the full rows, with the same
     copy ids and in the same order."""
-    n_labels = len(set(labels))
     fresh_from = n_labels if fresh_from is None else fresh_from
-    # a clean k-cycle has k * (r - 1) vertices, so larger types are skipped
-    types = [(k, cycle) for k in range(2, max_len + 1)
+    types = [(k, cycle) for k in lengths
              if k * (f.r - 1) <= n_labels
              for cycle, _sig in clean_cycle_types(f, k)]
     total = sum(_prefix_count(cycle, n_labels, fresh_from)
@@ -345,17 +346,13 @@ def dummy_order(f: Pattern, copies: Sequence[FEdge],
     return np.lexsort((*pairs.T[::-1], *shared.T[::-1]))
 
 
-def sparse_cycle_placements(f: Pattern,
-                            labels: Iterable[int]) -> list[frozenset[FEdge]]:
-    """Every sparse clean 2-cycle on the given labels, as unordered copy
-    pairs in dummy_order. These key the dummy edges; on [n] they hold the
-    objects of all_potential_copies(f, n), which every other reader of
-    (f, n) holds too."""
-    labels = sorted(labels)
-    copies = (all_potential_copies(f, len(labels))
-              if labels == list(range(len(labels)))
-              else potential_copies_on(f, labels))
-    rows = cycle_placements(f, labels, 2)
+def sparse_cycle_placements(f: Pattern, n: int) -> list[frozenset[FEdge]]:
+    """Every sparse clean 2-cycle on [n], as unordered copy pairs in
+    dummy_order. These key the dummy edges; they hold the objects of
+    all_potential_copies(f, n), which every other reader of (f, n) holds
+    too."""
+    copies = all_potential_copies(f, n)
+    rows = cycle_placements(f, n, (2,))
     pairs = rows.copy_ids[rows.sparse, :2].reshape(-1, 2)
     pairs = pairs[dummy_order(f, copies, pairs)]
     return [frozenset((copies[a], copies[b])) for a, b in pairs.tolist()]

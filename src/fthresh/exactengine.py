@@ -24,7 +24,7 @@ from .errors import InternalInconsistencyError, ResourceLimitError
 from .fgraphs import FEdge, FGraph, all_potential_copies
 from .graphs import Graph
 from .patterns import Pattern
-from .sampling import dummy_slots, edge_order, edge_slots
+from .sampling import dummy_slots, edge_order, slots_of
 
 DEFAULT_OUTCOME_CAP = 2 ** 24
 _WORD = 2 ** 64 - 1
@@ -51,7 +51,6 @@ class Placements:
         self.f = f
         self.n = n
         self.pairs = edge_order(n)
-        self.edge_index = edge_slots(n)
         self.copies = all_potential_copies(f, n)
         # keyed by copy identity as a plain tuple, which hashes faster than
         # the FEdge itself
@@ -61,7 +60,7 @@ class Placements:
                                for fe in self.copies)
         # the rows index potential_copies_on(f, range(n)), i.e. self.copies
         self.copy_ids, self.lengths, self.sparse = cycle_placements(
-            f, range(n), f.s)
+            f, n, range(2, f.s + 1))
         self.n_cycles = len(self.lengths)
         sparse_rows = np.flatnonzero(self.sparse)
         order = dummy_order(f, self.copies,
@@ -108,7 +107,7 @@ class Placements:
         return self.copy_index[(fe.vertices, fe.edge_set)]
 
     def edge_mask(self, edges) -> int:
-        return sum(1 << self.edge_index[e] for e in edges)
+        return sum(1 << slots_of(u, v, self.n) for u, v in edges)
 
     def words(self, mask: int) -> list[np.uint64]:
         """An edge mask as the n_words 64-bit words of a shadow_words row."""

@@ -12,8 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .errors import ResourceLimitError, WitnessNotFoundError
 from .graphs import (DEFAULT_ENUMERATION_CAP, Edge, Graph,
@@ -287,15 +286,17 @@ def find_avoidable(h: FGraph, max_fedges: int) -> Optional[FGraph]:
 
 
 @functools.lru_cache(maxsize=4096)
-def fgraph_automorphisms(shape: FGraph) -> tuple[Mapping[int, int], ...]:
-    """Vertex permutations preserving the F-edge set (shadow auts filtered).
+def fgraph_automorphisms(shape: FGraph) -> tuple[tuple[int, ...], ...]:
+    """Vertex permutations preserving the F-edge set (shadow auts filtered),
+    each as the images of the sorted vertices, in automorphisms order.
 
-    Memoised per F-graph, so every reader of one shape shares one group,
-    whose permutations are read only."""
+    Memoised per F-graph, so every reader of one shape shares one group."""
+    pos = {u: i for i, u in enumerate(sorted(shape.vertices))}
     copies = {(fe.vertices, fe.edge_set) for fe in shape.fedges}
-    return tuple(MappingProxyType(a) for a in automorphisms(shadow(shape))
-                 if {(frozenset(a[u] for u in vs),
-                      frozenset(_norm_edge(a[u], a[v]) for u, v in es))
+    return tuple(a for a in automorphisms(shadow(shape))
+                 if {(frozenset(a[pos[u]] for u in vs),
+                      frozenset(_norm_edge(a[pos[u]], a[pos[v]])
+                                for u, v in es))
                      for vs, es in copies} == copies)
 
 

@@ -152,11 +152,12 @@ def strictly_1_balanced_violation(g: Graph) -> Optional[Graph]:
     return g.induced(verts[i] for i in sub)
 
 
-def automorphisms(g: Graph) -> Iterator[dict[int, int]]:
-    """All adjacency-preserving vertex permutations, in no promised order:
-    the embeddings of g into itself, since an injective self-map of a
-    finite graph that keeps every edge keeps the edge set."""
-    yield from enumerate_embeddings(g, g)
+def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All adjacency-preserving vertex permutations, each as the images of
+    the sorted vertices, in _embedding_images order: the embeddings of g
+    into itself, since an injective self-map of a finite graph that keeps
+    every edge keeps the edge set."""
+    return tuple(_embedding_images(g, *_neighbour_masks(g)))
 
 
 # -- canonical labeling ------------------------------------------------------
@@ -261,40 +262,20 @@ def _neighbour_masks(host: Graph) -> tuple[list[int], list[int]]:
     return hverts, nbr
 
 
-def enumerate_embeddings(pattern: Graph, host: Graph,
-                         cap: int = DEFAULT_ENUMERATION_CAP,
-                         automorphisms: Iterable[tuple[int, ...]] = ()
-                         ) -> Iterator[dict[int, int]]:
-    """Injective maps of pattern into host preserving pattern edges.
-
-    Copies are not required to be induced; host edges outside the image are
-    ignored. With no automorphisms every raw embedding is yielded. Given
-    pattern automorphisms, each as the images of the sorted pattern
-    vertices, only the embeddings m whose image tuple (m[v] for v sorted)
-    is lexicographically no larger than under any of them survive; given
-    the whole of Aut(pattern), that is one embedding per copy, the least
-    of its class. Each map is a dict view on the tuples of
-    _embedding_images, keyed in the order the search places the pattern
-    vertices. More than cap yielded embeddings raise ResourceLimitError.
-    """
-    pverts = sorted(pattern.vertices)
-    order = _placement_order(pattern)
-    at = [pverts.index(u) for u in order]
-    hverts, nbr = _neighbour_masks(host)
-    for emb in _embedding_images(pattern, hverts, nbr, cap, automorphisms,
-                                 order):
-        yield {u: emb[i] for u, i in zip(order, at)}
-
-
 def _embedding_images(pattern: Graph, hverts: Sequence[int], nbr: list[int],
                       cap: int = DEFAULT_ENUMERATION_CAP,
-                      automorphisms: Iterable[tuple[int, ...]] = (),
-                      order: Optional[list[int]] = None
+                      automorphisms: Iterable[tuple[int, ...]] = ()
                       ) -> Iterator[tuple[int, ...]]:
-    """The embeddings of enumerate_embeddings, in the same order, each as
-    the tuple of images of the sorted pattern vertices; the host is given
-    as _neighbour_masks returns it, and order, if given, is
-    _placement_order(pattern).
+    """Injective maps of pattern into host preserving pattern edges, each
+    as the tuple of images of the sorted pattern vertices; the host is
+    given as _neighbour_masks returns it.
+
+    Copies are not required to be induced; host edges outside the image
+    are ignored. With no automorphisms every raw embedding is yielded.
+    Given pattern automorphisms, each as the images of the sorted pattern
+    vertices, only the embeddings whose image tuple is lexicographically
+    no larger than under any of them survive; given the whole of
+    Aut(pattern), that is one embedding per copy, the least of its class.
 
     The symmetry check reduces, per automorphism, to one pair of pattern
     vertices (the first vertex x it moves, and its image y) with
@@ -311,8 +292,7 @@ def _embedding_images(pattern: Graph, hverts: Sequence[int], nbr: list[int],
         yield ()
         return
     padj = pattern.adjacency()
-    if order is None:
-        order = _placement_order(pattern)
+    order = _placement_order(pattern)
     # per position: the host vertices of at least its degree, the earlier
     # positions it must be adjacent to, and those whose images it must
     # exceed (above) or stay below (below), from the automorphisms' pairs

@@ -68,17 +68,14 @@ def _rows(f: Pattern, n_labels: int, lengths: Optional[frozenset[int]],
     flags, and each placement's vertices and shadow edges as one bit set
     in uint64 words, vertex u at bit u and edge (u, v) at bit
     n_labels * (u + 1) + v."""
-    wanted = _lengths(f, lengths)
-    rows = cycle_placements(f, range(n_labels), max(wanted, default=0),
-                            fresh_from=fresh_from)
-    keep = np.isin(rows.lengths, wanted)
+    ids, ks, sparse = cycle_placements(f, n_labels, _lengths(f, lengths),
+                                       fresh_from=fresh_from)
     # per copy, then an all-zero mask that the -1 padding of copy ids reads
     masks = [sum(1 << u for u in fe.vertices)
              | sum(1 << n_labels * (u + 1) + v for u, v in fe.edge_set)
              for fe in potential_copies_on(f, range(n_labels))] + [0]
     n_words = -(-n_labels * (n_labels + 1) // 64)
     words = _word_rows(masks, n_words)
-    ids = rows.copy_ids[keep]
     # word by word and copy by copy, so that no temporary holds more than
     # one word per row; stored word-major, so each word of every row is
     # contiguous
@@ -86,7 +83,7 @@ def _rows(f: Pattern, n_labels: int, lengths: Optional[frozenset[int]],
     for w, word in enumerate(words.T):
         for column in ids.T:
             union[w] |= word[column]
-    return ids, rows.lengths[keep], rows.sparse[keep], union.T
+    return ids, ks, sparse, union.T
 
 
 def inventory_size(f: Pattern, n: int,

@@ -107,8 +107,7 @@ def analyze_pattern(g: Graph) -> Pattern:
         raise InternalInconsistencyError(
             "strictly 1-balanced template on >= 3 vertices must be "
             "2-vertex-connected")
-    pverts = sorted(g.vertices)
-    auts = tuple(tuple(a[u] for u in pverts) for a in automorphisms(g))
+    auts = automorphisms(g)
     return Pattern(graph=g, r=g.v(), s=g.e(), d1=one_density(g),
                    strictly_1_balanced=True, automorphisms=auts,
                    canonical_copies=_canonical_copies(g, auts))

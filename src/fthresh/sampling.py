@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from types import MappingProxyType
-from typing import Mapping
-
 import numpy as np
 
 from .dgraphs import DGraph, sparse_cycle_placements
@@ -42,16 +39,10 @@ def edge_order(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
-@functools.lru_cache(maxsize=64)
-def edge_slots(n: int) -> Mapping[tuple[int, int], int]:
-    """Each potential edge's position in edge_order(n), read only since
-    every caller shares it."""
-    return MappingProxyType({e: i for i, e in enumerate(edge_order(n))})
-
-
 def slots_of(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """edge_slots(n)[(lo, hi)] elementwise, in closed form, for lo < hi:
-    the rows before lo hold n-1, n-2, ..., n-lo edges."""
+    """The position of the edge (lo, hi) in edge_order(n), in closed form,
+    for lo < hi, on ints or elementwise on arrays: the rows before lo hold
+    n-1, n-2, ..., n-lo edges."""
     return lo * n - lo * (lo + 1) // 2 + hi - lo - 1
 
 
@@ -85,14 +76,14 @@ class GraphAt:
 
     def __init__(self, n: int, us: np.ndarray, p: float):
         self.vertices = frozenset(range(n))
-        self._us, self._p, self._slot = us, p, edge_slots(n)
+        self._us, self._p, self._n = us, p, n
 
     def v(self) -> int:
         return len(self.vertices)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._us[self._slot[(u, v) if u < v else (v, u)]]
-                    < self._p)
+        lo, hi = (u, v) if u < v else (v, u)
+        return bool(self._us[slots_of(lo, hi, self._n)] < self._p)
 
 
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
@@ -113,7 +104,7 @@ def dummy_slots(f: Pattern, n: int) -> tuple[frozenset, ...]:
     """The sparse 2-cycles on [n] that key the dummy edges, in their fixed
     order; keyed by the labelled template, whose labelling the copies
     carry."""
-    return tuple(sparse_cycle_placements(f, range(n)))
+    return tuple(sparse_cycle_placements(f, n))
 
 
 def sample_gstar(f: Pattern, n: int, p: float, seed: int) -> DGraph:

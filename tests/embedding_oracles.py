@@ -1,9 +1,10 @@
 """Reference subgraph-embedding enumeration, kept as it was before the
 bit-mask candidate sets.
 
-set_embeddings walks Python sets of host vertices, sorted per position;
-fthresh.graphs.enumerate_embeddings must yield the same dicts in the same
-order, and raise at the same count when capped.
+set_embeddings walks Python sets of host vertices, sorted per position,
+and yields each embedding as a dict; fthresh.graphs._embedding_images must
+yield the same maps, as the images of the sorted pattern vertices, in the
+same order, and raise at the same count when capped.
 """
 
 import math

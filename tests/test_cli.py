@@ -10,6 +10,8 @@ from fthresh.inventory import build_inventory, chen_stein_bound
 from fthresh.patterns import p_star, pattern_preset
 
 K3 = pattern_preset("k3")
+# what a command that reads --n says to --n 0, for K3
+N_ZERO_ERROR = "error: need n > r, got n=0, r=3\n"
 
 
 class TestAnalyze:
@@ -22,6 +24,14 @@ class TestAnalyze:
         assert main(["analyze", "--pattern", "k3", "--n", "30"]) == 0
         out = capsys.readouterr().out
         assert "p_star" in out
+
+    def test_n_zero_is_an_error(self, capsys):
+        """--n 0 is a size, not an absent flag: its parameter block is
+        refused, not dropped."""
+        assert main(["analyze", "--pattern", "k3", "--n", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "p_star" not in captured.out
+        assert captured.err == N_ZERO_ERROR
 
     def test_unbalanced_pattern_fails(self, tmp_path, capsys):
         path = tmp_path / "path4.txt"
@@ -69,6 +79,13 @@ class TestVerify:
         assert main(["verify", "--pattern", "k3", "--max-len", "1"]) == 1
         assert "error: max_len must be >= 2" in capsys.readouterr().err
 
+    def test_max_len_zero_is_an_error(self, capsys):
+        """--max-len 0 is refused, not read as the default 2..min(e, 4)."""
+        assert main(["verify", "--pattern", "k3", "--max-len", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_len must be >= 2\n"
+
     def test_csv_out(self, tmp_path):
         dest = tmp_path / "verify.csv"
         assert main(["verify", "--pattern", "k3", "--max-len", "3",
@@ -99,6 +116,10 @@ class TestParams:
         assert payload["n"] == 40
         assert 0 < payload["pi"] < 1
         assert payload["p"] > payload["pi"]
+
+    def test_n_zero_is_an_error(self, capsys):
+        assert main(["params", "--pattern", "k3", "--n", "0"]) == 1
+        assert capsys.readouterr().err == N_ZERO_ERROR
 
 
 class TestScan:
@@ -141,6 +162,14 @@ class TestScan:
         assert "error: FTHRESH_WORKERS must be a positive integer" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [(), ("--p", "0.5")])
+    def test_n_zero_is_an_error(self, capsys, extra):
+        assert main(["scan", "--pattern", "k3", "--n", "0", "--trials", "1",
+                     *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == N_ZERO_ERROR
+
     def test_auto_grid(self):
         grid = auto_grid(K3, 30)
         base = p_star(K3, 30)
@@ -157,6 +186,11 @@ class TestScan:
 
 
 class TestCouple:
+    def test_n_zero_is_an_error(self, capsys):
+        assert main(["couple", "--pattern", "k3", "--n", "0",
+                     "--trials", "1"]) == 1
+        assert capsys.readouterr().err == N_ZERO_ERROR
+
     def test_exact_with_transcripts(self, tmp_path, capsys):
         dest = tmp_path / "runs.jsonl"
         assert main(["couple", "--pattern", "k3", "--n", "6",

@@ -168,7 +168,7 @@ class TestPlacements:
         n = 7
         copies = all_potential_copies(K3, n)
         got = {frozenset(copies[c] for c in ids)
-               for ids in rows_of(cycle_placements(K3, range(n), 3))}
+               for ids in rows_of(cycle_placements(K3, n, (2, 3)))}
         want = self.brute_placements(n, 3)
         assert got == want
 
@@ -178,7 +178,7 @@ class TestPlacements:
         over the copies finds, in the same order; the enumerator trusts
         clean_cycle_types to be complete, and this checks it."""
         f = pattern_preset(name)
-        rows = cycle_placements(f, range(n), f.s)
+        rows = cycle_placements(f, n, range(2, f.s + 1))
         assert rows_of(rows) == chain_cycle_placements(f, range(n), f.s)
         assert rows.copy_ids.dtype == np.int32
         assert rows.copy_ids.flags.c_contiguous
@@ -187,28 +187,29 @@ class TestPlacements:
                                         if key[1] <= 8])
     def test_sparse_placements_match_the_pair_loop(self, name, n):
         f = pattern_preset(name)
-        assert sparse_cycle_placements(f, range(n)) == \
+        assert sparse_cycle_placements(f, n) == \
             by_pair_sparse_placements(f, range(n))
 
     def test_labels_are_interchangeable(self):
-        """Copy ids index potential_copies_on(f, labels), whatever the
-        labels are."""
+        """Copy ids on n labels index potential_copies_on(f, labels),
+        whatever the n labels are."""
         labels = (3, 5, 8, 9, 11, 20, 21)
         copies = potential_copies_on(K3, labels)
-        got = {frozenset(copies[c] for c in ids)
-               for ids in rows_of(cycle_placements(K3, labels, 3))}
+        rows = cycle_placements(K3, len(labels), (2, 3))
+        got = {frozenset(copies[c] for c in ids) for ids in rows_of(rows)}
         assert len(got) == 1050
         assert all(classify(FGraph.from_fedges(cyc)).kind == "clean_cycle"
                    for cyc in got)
-        assert sparse_cycle_placements(K3, labels) == \
-            by_pair_sparse_placements(K3, labels)
+        sparse = rows.copy_ids[rows.sparse, :2].tolist()
+        assert {frozenset((copies[a], copies[b])) for a, b in sparse} == \
+            set(by_pair_sparse_placements(K3, labels))
 
     def test_cap_counts_placements(self):
         """K3 has 420 2-cycles and 3,360 3-cycles on 8 labels; the cap is
         checked against that exact count before any row is built."""
         with pytest.raises(ResourceLimitError):
-            cycle_placements(K3, range(8), 3, cap=3_779)
-        assert len(cycle_placements(K3, range(8), 3, cap=3_780).lengths) \
+            cycle_placements(K3, 8, (2, 3), cap=3_779)
+        assert len(cycle_placements(K3, 8, (2, 3), cap=3_780).lengths) \
             == 3_780
 
     @pytest.mark.parametrize("name,n,max_len,fresh_from",
@@ -221,7 +222,8 @@ class TestPlacements:
         in the same order; the cap is checked against their exact count."""
         f = pattern_preset(name)
         copies = potential_copies_on(f, range(n))
-        full = cycle_placements(f, range(n), max_len)
+        lengths = range(2, max_len + 1)
+        full = cycle_placements(f, n, lengths)
 
         def prefix(ids):
             fresh = sorted({u for c in ids for u in copies[c].vertices
@@ -232,9 +234,9 @@ class TestPlacements:
         want = len(full.lengths[keep])
         assert 0 < want < len(full.lengths)
         with pytest.raises(ResourceLimitError):
-            cycle_placements(f, range(n), max_len, cap=want - 1,
+            cycle_placements(f, n, lengths, cap=want - 1,
                              fresh_from=fresh_from)
-        got = cycle_placements(f, range(n), max_len, cap=want,
+        got = cycle_placements(f, n, lengths, cap=want,
                                fresh_from=fresh_from)
         for column in ("copy_ids", "lengths", "sparse"):
             assert np.array_equal(getattr(got, column),
@@ -246,7 +248,7 @@ class TestPlacements:
         representative. (K4 on 9 labels is held to the chain recursion
         above; for C4 there it takes 7 s.)"""
         c4 = pattern_preset("c4")
-        rows = cycle_placements(c4, range(9), 3)
+        rows = cycle_placements(c4, 9, (2, 3))
         ids = rows.copy_ids[rows.lengths == 3]
         want = sum(count_copies(cyc, 9)
                    for cyc, _sig in clean_cycle_types(c4, 3))
@@ -258,9 +260,9 @@ class TestPlacements:
 
     def test_sparse_placements_count(self):
         # one sparse pair per (edge, apex pair): 15 * C(4, 2) at n = 6
-        assert len(sparse_cycle_placements(K3, range(6))) == 90
+        assert len(sparse_cycle_placements(K3, 6)) == 90
 
     def test_sparse_slots_deterministic(self):
-        a = sparse_cycle_placements(K3, range(6))
-        b = sparse_cycle_placements(K3, range(6))
+        a = sparse_cycle_placements(K3, 6)
+        b = sparse_cycle_placements(K3, 6)
         assert a == b

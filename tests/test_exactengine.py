@@ -277,7 +277,7 @@ class TestPlacementRows:
         tab = Placements(f, n)
         copies = potential_copies_on(f, range(n))
         assert tuple(copies) == tab.copies
-        rows = cycle_placements(f, range(n), f.s)
+        rows = cycle_placements(f, n, range(2, f.s + 1))
         assert len(rows.lengths) == tab.n_cycles
         for i, (ids, k) in enumerate(zip(rows.copy_ids.tolist(),
                                          rows.lengths.tolist())):

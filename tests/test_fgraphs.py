@@ -86,7 +86,7 @@ class TestCopies:
         n = 6
         from fthresh.dgraphs import cycle_placements
         copies = potential_copies_on(K3, range(n))
-        rows = cycle_placements(K3, range(n), 2)
+        rows = cycle_placements(K3, n, (2,))
         explicit = sum(
             1 for ids in rows.copy_ids.tolist()
             if classify(FGraph.from_fedges(copies[c] for c in ids)).sparsity

@@ -1,7 +1,6 @@
 """Graph primitives against brute-force and third-party oracles."""
 
 import hashlib
-import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -15,8 +14,7 @@ from hypothesis import strategies as st
 
 from fthresh.errors import ResourceLimitError, UndefinedDensityError
 from fthresh.graphs import (Graph, _embedding_images, _neighbour_masks,
-                            automorphisms, canonical_form,
-                            components, enumerate_embeddings,
+                            automorphisms, canonical_form, components,
                             format_edge_list, one_density, parse_edge_list,
                             strictly_1_balanced_violation)
 from fthresh.patterns import analyze_pattern, pattern_preset
@@ -46,7 +44,20 @@ def labelled_graphs(max_n: int):
 
 
 def automorphism_count(g: Graph) -> int:
-    return sum(1 for _ in automorphisms(g))
+    return len(automorphisms(g))
+
+
+def images(pattern: Graph, host: Graph, **kw) -> list[tuple[int, ...]]:
+    """The embeddings of pattern into host, as _embedding_images yields
+    them."""
+    return list(_embedding_images(pattern, *_neighbour_masks(host), **kw))
+
+
+def as_images(pattern: Graph, maps) -> list[tuple[int, ...]]:
+    """set_embeddings' dicts as image tuples over the sorted pattern
+    vertices."""
+    pverts = sorted(pattern.vertices)
+    return [tuple(m[u] for u in pverts) for m in maps]
 
 
 def all_graphs(max_n: int):
@@ -56,6 +67,24 @@ def all_graphs(max_n: int):
             edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
             yield Graph.from_edges(edges)
 
+
+PRESETS = ("k2", "k3", "k4", "c4", "c5", "k4me")
+# C4 labelled 0-2-1-3: its sorted vertices do not follow the cycle
+C4_RELABELLED = analyze_pattern(
+    Graph.from_edges([(0, 2), (1, 2), (1, 3), (0, 3)]))
+
+# template -> sha256 of repr(Pattern.automorphisms)
+PATTERN_AUTOMORPHISMS = {
+    "k2": "a0e10c7a00c7e25d546e124a2f6fbc687ecbbb1b2cb4a95dd2ec09a0d05e7461",
+    "k3": "0e1345e946a8e40b96626aa4c129ddcf07551697a4fd31581a6f6da386fe02ff",
+    "k4": "82698645cc51c6bff1a2376eabfbbe736daf84a1bff9502bac3e86d821bca63b",
+    "c4": "9bf1553d045a752edced8c15e8f722106e5309268407b8296c423a637b82b8ce",
+    "c5": "82c6c5145bb46838535e165860103359314becfac1acbe12be492fdcdb2f2f9d",
+    "k4me":
+        "b5a172434d296d117b4c47f44a3af43aa659c114d9f2c67d8758cdc9754a3b67",
+    "c4-relabelled":
+        "83a00348394ed63ec6ce7b545e5b2d486fb28ec92cc258b9c8ebc9dd857bf5d7",
+}
 
 # sha256 of strictly_1_balanced_violation's witnesses over labelled_graphs(5)
 WITNESS_DIGEST = \
@@ -165,8 +194,25 @@ class TestAutomorphisms:
         assert automorphism_count(empty(3)) == 6
         assert automorphism_count(empty(0)) == 1
 
-    def test_is_a_generator_function(self):
-        assert inspect.isgeneratorfunction(automorphisms)
+    def test_image_tuples_in_the_reference_order(self):
+        """Each automorphism as the images of the sorted vertices, in the
+        order the set-based reference finds them, for every graph on 2..5
+        labelled vertices and every preset."""
+        graphs = list(labelled_graphs(5)) + [
+            pattern_preset(name).graph for name in PRESETS]
+        for g in graphs:
+            got = automorphisms(g)
+            assert isinstance(got, tuple)
+            assert list(got) == as_images(g, set_embeddings(g, g))
+
+    @pytest.mark.parametrize("name", list(PATTERN_AUTOMORPHISMS))
+    def test_pattern_automorphisms_are_pinned(self, name):
+        """Pattern.automorphisms, hashed as it was when automorphisms built
+        a dict per embedding."""
+        f = (C4_RELABELLED if name == "c4-relabelled"
+             else pattern_preset(name))
+        assert hashlib.sha256(repr(f.automorphisms).encode()).hexdigest() \
+            == PATTERN_AUTOMORPHISMS[name]
 
     def test_against_networkx(self):
         import random
@@ -185,9 +231,7 @@ class TestAutomorphisms:
 
 class TestEmbeddings:
     def test_triangle_in_k5(self):
-        found = list(enumerate_embeddings(Graph.complete(3),
-                                          Graph.complete(5)))
-        assert len(found) == 5 * 4 * 3
+        assert len(images(Graph.complete(3), Graph.complete(5))) == 5 * 4 * 3
 
     @pytest.mark.parametrize("pattern", [
         Graph.complete(3), Graph.cycle(4),
@@ -197,28 +241,24 @@ class TestEmbeddings:
     def test_automorphisms_leave_the_least_embedding_per_copy(self,
                                                              pattern):
         pverts = sorted(pattern.vertices)
-        auts = [tuple(a[u] for u in pverts) for a in automorphisms(pattern)]
+        auts = automorphisms(pattern)
         host = Graph.from_edges(
             [e for i, e in enumerate(itertools.combinations(range(8), 2))
              if i % 3 != 1], vertices=range(8))
         least = set()
-        for m in enumerate_embeddings(pattern, host):
+        for emb in images(pattern, host):
+            m = dict(zip(pverts, emb))
             least.add(min(tuple(m[x] for x in a) for a in auts))
-        found = [tuple(m[u] for u in pverts) for m in enumerate_embeddings(
-            pattern, host, automorphisms=auts)]
+        found = images(pattern, host, automorphisms=auts)
         assert len(found) == len(set(found))
         assert set(found) == least
 
     def test_no_triangle_in_tree(self):
-        assert not list(enumerate_embeddings(Graph.complete(3),
-                                             path(5)))
+        assert not images(Graph.complete(3), path(5))
 
 
 def _oracle_templates():
-    return [pattern_preset(name)
-            for name in ("k2", "k3", "k4", "c4", "c5", "k4me")] + [
-        # C4 labelled 0-2-1-3: its sorted vertices do not follow the cycle
-        analyze_pattern(Graph.from_edges([(0, 2), (1, 2), (1, 3), (0, 3)]))]
+    return [pattern_preset(name) for name in PRESETS] + [C4_RELABELLED]
 
 
 def _drain(it) -> tuple[list, bool]:
@@ -233,8 +273,8 @@ def _drain(it) -> tuple[list, bool]:
 
 
 class TestEmbeddingOracle:
-    """The bit-mask enumerator yields the set-based reference's dicts, in
-    its order and with its key order, and stops at the same cap."""
+    """The bit-mask enumerator yields the set-based reference's maps as
+    image tuples, in its order, and stops at the same cap."""
 
     @pytest.mark.parametrize("f", _oracle_templates(), ids=[
         "k2", "k3", "k4", "c4", "c5", "k4me", "c4-relabelled"])
@@ -251,12 +291,9 @@ class TestEmbeddingOracle:
                  if rng.random() < p], vertices=labels)
             isolated += sum(not a for a in host.adjacency().values())
             for auts in ((), f.automorphisms):
-                got = list(enumerate_embeddings(f.graph, host,
-                                                automorphisms=auts))
-                want = list(set_embeddings(f.graph, host,
-                                           automorphisms=auts))
-                assert got == want
-                assert [list(m) for m in got] == [list(m) for m in want]
+                got = images(f.graph, host, automorphisms=auts)
+                assert got == as_images(f.graph, set_embeddings(
+                    f.graph, host, automorphisms=auts))
                 total += len(got)
         assert total > 0 and isolated > 0
 
@@ -270,36 +307,29 @@ class TestEmbeddingOracle:
             full = len(list(set_embeddings(f.graph, host,
                                            automorphisms=auts)))
             for cap in (0, 1, full // 2, full - 1, full):
-                got = _drain(enumerate_embeddings(f.graph, host, cap=cap,
+                got = _drain(_embedding_images(
+                    f.graph, *_neighbour_masks(host), cap=cap,
+                    automorphisms=auts))
+                maps, hit = _drain(set_embeddings(f.graph, host, cap=cap,
                                                   automorphisms=auts))
-                want = _drain(set_embeddings(f.graph, host, cap=cap,
-                                             automorphisms=auts))
-                assert got == want
+                assert got == (as_images(f.graph, maps), hit)
                 assert got[1] == (cap < full)
 
 
 def _image_core_templates():
     """Every preset and one disconnected pattern, with their automorphisms."""
     out = [(f.graph, f.automorphisms) for f in
-           (pattern_preset(name)
-            for name in ("k2", "k3", "k4", "c4", "c5", "k4me"))]
+           (pattern_preset(name) for name in PRESETS)]
     # a triangle and a disjoint edge, placed out of label order
     g = Graph.from_edges([(4, 0), (0, 2), (2, 4), (1, 3)])
-    pverts = sorted(g.vertices)
-    out.append((g, tuple(tuple(a[u] for u in pverts)
-                         for a in automorphisms(g))))
+    out.append((g, automorphisms(g)))
     return out
 
 
-def _as_images(pattern, maps) -> list[tuple[int, ...]]:
-    pverts = sorted(pattern.vertices)
-    return [tuple(m[u] for u in pverts) for m in maps]
-
-
 class TestImageCore:
-    """The search core yields enumerate_embeddings' maps as image tuples
-    over the sorted pattern vertices, in the same order, and stops at the
-    same cap."""
+    """The search core yields the set-based reference's maps as image
+    tuples over the sorted pattern vertices, in the same order, and stops
+    at the same cap, on patterns with and without isolated parts."""
 
     @pytest.mark.parametrize("pattern,auts", _image_core_templates(), ids=[
         "k2", "k3", "k4", "c4", "c5", "k4me", "disconnected"])
@@ -313,11 +343,8 @@ class TestImageCore:
                 [e for e in itertools.combinations(labels, 2)
                  if rng.random() < p], vertices=labels)
             for a in ((), auts):
-                got = list(_embedding_images(pattern, *_neighbour_masks(host),
-                                             automorphisms=a))
-                assert got == _as_images(pattern, enumerate_embeddings(
-                    pattern, host, automorphisms=a))
-                assert got == _as_images(pattern, set_embeddings(
+                got = images(pattern, host, automorphisms=a)
+                assert got == as_images(pattern, set_embeddings(
                     pattern, host, automorphisms=a))
                 total += len(got)
         assert total > 0
@@ -328,16 +355,15 @@ class TestImageCore:
         host = Graph.from_edges(
             [e for i, e in enumerate(itertools.combinations(range(9), 2))
              if i % 4 != 1], vertices=range(9))
-        full = len(list(enumerate_embeddings(pattern, host,
-                                             automorphisms=auts)))
+        full = len(images(pattern, host, automorphisms=auts))
         assert full > 0
         for cap in (0, 1, full // 2, full - 1, full):
-            images, hit = _drain(_embedding_images(
+            got, hit = _drain(_embedding_images(
                 pattern, *_neighbour_masks(host), cap=cap,
                 automorphisms=auts))
-            maps, want_hit = _drain(enumerate_embeddings(
+            maps, want_hit = _drain(set_embeddings(
                 pattern, host, cap=cap, automorphisms=auts))
-            assert (images, hit) == (_as_images(pattern, maps), want_hit)
+            assert (got, hit) == (as_images(pattern, maps), want_hit)
             assert hit == (cap < full)
 
 

@@ -7,6 +7,7 @@ import pytest
 from inventory_oracles import (inventory_items, pair_buckets_full,
                                pairwise_terms_loop)
 
+from fthresh import dgraphs
 from fthresh.cli import main
 from fthresh.errors import DomainError, ResourceLimitError
 from fthresh.fgraphs import FGraph, classify, potential_copies_on, shadow
@@ -175,7 +176,7 @@ class TestPairBuckets:
     def test_cap_is_checked_before_any_row(self):
         """C4's length-3 buckets need 104,305,320 least-fresh 3-cycles
         around each anchor; the cap refuses them from the type orbits
-        before an array is allocated."""
+        before an array is allocated, counting no 2-cycle."""
         c4 = pattern_preset("c4")
         lengths = frozenset({3})
         anchor = _type_reps(c4, frozenset({2, 3}))[-1]  # builds both types
@@ -187,8 +188,24 @@ class TestPairBuckets:
             _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert int(str(refused.value).split()[0]) >= 104_305_320
+        assert int(str(refused.value).split()[0]) == 104_305_320
         assert peak < 2 ** 24
+
+    def test_k3_length_3_requests_no_2_cycles(self, monkeypatch):
+        """The {3} buckets are built from 3-cycles alone: no 2-cycle type
+        is relabelled, then dropped."""
+        built = []
+        type_rows = dgraphs._type_rows
+
+        def recording(f, cycle, n_labels, fresh_from):
+            built.append(cycle.e())
+            return type_rows(f, cycle, n_labels, fresh_from)
+
+        monkeypatch.setattr(dgraphs, "_type_rows", recording)
+        lengths = frozenset({3})
+        for anchor in _type_reps(K3, lengths):
+            assert _pair_buckets(K3, anchor, lengths)
+        assert built and set(built) == {3}
 
 
 class TestPairwiseKernel:

@@ -14,7 +14,7 @@ from fthresh.fgraphs import FGraph, classify
 from fthresh.graphs import _neighbour_masks
 from fthresh.patterns import pattern_preset, pi_prime
 from fthresh.sampling import (STREAM_COPIES, STREAM_DUMMIES, STREAM_EDGES,
-                              GraphAt, dummy_slots, edge_order, edge_slots,
+                              GraphAt, dummy_slots, edge_order,
                               edge_uniforms, graph_from_uniforms,
                               neighbour_masks_at, rng_for, sample_gnp,
                               sample_gstar, sample_hf, slots_of, uniforms)
@@ -141,10 +141,9 @@ class TestDummySlots:
     def test_built_once_per_key(self, monkeypatch):
         calls = collections.Counter()
 
-        def counting(f, labels):
-            labels = tuple(labels)
-            calls[(f, len(labels))] += 1
-            return sparse_cycle_placements(f, labels)
+        def counting(f, n):
+            calls[(f, n)] += 1
+            return sparse_cycle_placements(f, n)
 
         monkeypatch.setattr(sampling, "sparse_cycle_placements", counting)
         dummy_slots.cache_clear()
@@ -177,16 +176,16 @@ def test_edge_order_is_lexicographic():
 
 
 def test_edge_slots_index_edge_order():
+    """slots_of on ints, as GraphAt.has_edge calls it, gives each edge's
+    position in edge_order."""
     assert edge_order(7) is edge_order(7)
-    assert edge_slots(7) is edge_slots(7)
-    assert [edge_slots(7)[e] for e in edge_order(7)] == list(range(21))
+    assert [slots_of(u, v, 7) for u, v in edge_order(7)] == list(range(21))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 60])
 def test_slots_of_is_edge_slots_in_closed_form(n):
     lo, hi = np.array(edge_order(n)).T
-    assert slots_of(lo, hi, n).tolist() == [edge_slots(n)[e]
-                                            for e in edge_order(n)]
+    assert slots_of(lo, hi, n).tolist() == list(range(n * (n - 1) // 2))
 
 
 def test_rng_for_reproducible():

@@ -9,8 +9,8 @@ import pytest
 from fthresh.cli import auto_grid, run_scan, trial_searches
 from fthresh.factors import enumerate_copies, f_isolated, find_f_factor
 from fthresh.patterns import pattern_preset
-from fthresh.sampling import (STREAM_EDGES, edge_slots, graph_from_uniforms,
-                              rng_for)
+from fthresh.sampling import (STREAM_EDGES, graph_from_uniforms, rng_for,
+                              slots_of)
 
 BUDGET = 100_000
 
@@ -128,10 +128,9 @@ class TestReference:
 def _staggered_sets(f, n, us, ps) -> int:
     """Vertex sets of the graph at the top of the grid holding copies
     present at different grid points."""
-    slot = edge_slots(n)
     first = {}
     for fe in enumerate_copies(graph_from_uniforms(n, us, max(ps)), f):
-        born = max(us[slot[e]] for e in fe.edge_set)
+        born = max(us[slots_of(u, v, n)] for u, v in fe.edge_set)
         first.setdefault(fe.vertices, set()).add(
             min(p for p in ps if born < p))
     return sum(len(points) > 1 for points in first.values())
