@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -24,14 +23,12 @@ from .errors import DomainError, FThreshError, ResourceLimitError
 from .exponents import (certify, constants_of, dcycle_report_csv,
                         exponent_audit_csv, select_constants,
                         verify_clean_dcycles_strictly_balanced)
-from .factors import CoverIndex, FactorResult, verify_factor
-from .fgraphs import FEdge, edge_positions
-from .graphs import _embedding_images, format_edge_list
+from .factors import FactorResult, nested_searches
+from .graphs import format_edge_list
 from .inventory import build_inventory, chen_stein_bound
 from .patterns import (Pattern, derive_params, p_star, pattern_from_file,
                        pattern_preset)
-from .sampling import (STREAM_EDGES, GraphAt, neighbour_masks_at, rng_for,
-                       slots_of)
+from .sampling import STREAM_EDGES, GraphAt, neighbour_masks_at, rng_for
 
 GRID_POINTS = 9
 GRID_LO = 0.6
@@ -135,90 +132,17 @@ def auto_grid(f: Pattern, n: int) -> list[float]:
     return [lo * ratio ** i for i in range(GRID_POINTS)]
 
 
-def _copies_at(f: Pattern, n: int, us: np.ndarray, p: float
-               ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """The copies of graph_from_uniforms(n, us, p) as image tuples, in
-    enumerate_copies order; their birth times, the largest uniform among
-    their edges; and their sorted vertex rows. No Graph or F-edge is built.
-    """
-    found = list(_embedding_images(f.graph, range(n),
-                                   neighbour_masks_at(n, us, p),
-                                   automorphisms=f.automorphisms))
-    imgs = np.fromiter(itertools.chain.from_iterable(found), np.intp,
-                       len(found) * f.r).reshape(-1, f.r)
-    ends = imgs[:, edge_positions(f)]
-    slots = np.sort(slots_of(ends.min(axis=2), ends.max(axis=2), n), axis=1)
-    verts = np.sort(imgs, axis=1)
-    # FEdge.sort_key: sorted vertices, then sorted edges, whose order slot
-    # order follows; lexsort's primary key is its last row
-    order = np.lexsort(np.hstack([verts, slots]).T[::-1])
-    return ([found[k] for k in order.tolist()],
-            us[slots[order]].max(axis=1), verts[order])
-
-
 def trial_searches(f: Pattern, n: int, us: np.ndarray, ps: list[float],
                    budget: int) -> list[tuple[FactorResult, bool]]:
     """Per grid point of one trial, the factor search of the graph at p,
     equal to find_f_factor(graph_from_uniforms(n, us, p), f, budget) with
-    the same certificate, and whether every vertex lies in a copy.
-
-    The copies are enumerated once, in the graph at the top of the grid,
-    each with its birth time; those present at p are those born below p,
-    the same test that puts an edge in the graph at p. Copies with one
-    vertex set are adjacent in copy order, so the trial builds one
-    CoverIndex over their sets, and each grid point searches it with live
-    the sets that have a copy born below p; the same mask's cover test is
-    the isolation indicator. F-edges are built only for a certificate,
-    from the first copy of each chosen set born below p, and checked
-    against the graph at p.
-    """
+    the same certificate, and whether every vertex lies in a copy: the
+    nested searches over the copies of the graph at the top of the grid,
+    each born at the largest uniform among its edges."""
     if not ps:
         return []
-    if budget <= 0:
-        raise DomainError("budget must be positive")
-    embs, births, verts = _copies_at(f, n, us, max(ps))
-    born = births.tolist()
-    # set i holds the copies bounds[i] to bounds[i + 1] - 1
-    change = np.ones(len(embs) + 1, dtype=bool)
-    change[1:-1] = (verts[1:] != verts[:-1]).any(axis=1)
-    bounds = np.flatnonzero(change)
-    multi = np.flatnonzero(np.diff(bounds) > 1).tolist()
-    bounds = bounds.tolist()
-    first_birth = np.minimum.reduceat(births, bounds[:-1])
-
-    def first_present(i: int, p: float) -> int:
-        """The first copy of set i, in copy order, born below p."""
-        return next(k for k in range(bounds[i], bounds[i + 1])
-                    if born[k] < p)
-
-    # keys built as FEdge.vertices is, frozenset(embedding): pivots follow
-    index = CoverIndex(frozenset(range(n)),
-                       [frozenset(embs[k]) for k in bounds[:-1]])
-    edges = edge_positions(f)
-    out = []
-    for p in ps:
-        live = int.from_bytes(np.packbits(first_birth < p,
-                                          bitorder="little").tobytes(),
-                              "little")
-        covered = index.covers(live)
-        n_copies = int(np.count_nonzero(births < p))
-        if n % f.r:
-            out.append((FactorResult("divisibility", None, 0, n_copies),
-                        covered))
-            continue
-        # find_f_factor keys a set by its first copy present, and two
-        # copies of one set can give keys that iterate in different orders
-        for i in multi:
-            if live >> i & 1:
-                index.sets[i] = frozenset(embs[first_present(i, p)])
-        status, chosen, expanded = index.search(live, budget)
-        cert = None
-        if status == "found":
-            cert = tuple(FEdge.from_images(embs[first_present(i, p)], edges)
-                         for i in chosen)
-            assert verify_factor(GraphAt(n, us, p), f, cert)
-        out.append((FactorResult(status, cert, expanded, n_copies), covered))
-    return out
+    return nested_searches(f, neighbour_masks_at(n, us, max(ps)), us, ps,
+                           budget, lambda p: GraphAt(n, us, p))
 
 
 def _scan_trial(payload) -> list[tuple]:
@@ -279,12 +203,13 @@ def cmd_scan(args) -> int:
         raise SystemExit("scan requires --n")
     if args.p is not None and not 0.0 <= args.p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
-    ps = [args.p] if args.p is not None else auto_grid(f, args.n)
-    rows = run_scan(f, args.n, ps, args.trials, args.seed, args.budget,
-                    workers=_worker_count())
+    # p_star refuses n <= r before any trial runs
     config = {"command": "scan", "pattern": args.pattern or "file",
               "n": args.n, "trials": args.trials, "seed": args.seed,
               "budget": args.budget, "p_star": p_star(f, args.n)}
+    ps = [args.p] if args.p is not None else auto_grid(f, args.n)
+    rows = run_scan(f, args.n, ps, args.trials, args.seed, args.budget,
+                    workers=_worker_count())
     lines = [_csv_header(config),
              "p,trials,frac_factor,frac_no_isolated,frac_budget_exhausted,"
              "mean_copies"]

@@ -333,6 +333,24 @@ def cycle_placements(f: Pattern, n_labels: int, lengths: Iterable[int],
     return CycleRows(ids, lengths[order], np.concatenate(sparse)[order])
 
 
+def row_words(masks: Sequence[int], ids: np.ndarray,
+              n_words: int) -> np.ndarray:
+    """Per row of ids, the OR of the int bit masks it lists, as n_words
+    uint64 words, low word first; an id of -1 lists nothing. Built word
+    by word and id column by id column, so that no temporary holds more
+    than one word per row; stored word-major, so each word of every row
+    is contiguous."""
+    # one row per mask, then an all-zero row that the -1 ids read
+    words = np.frombuffer(b"".join(m.to_bytes(8 * n_words, "little")
+                                   for m in masks) + bytes(8 * n_words),
+                          dtype="<u8").reshape(len(masks) + 1, n_words)
+    union = np.zeros((n_words, len(ids)), dtype=words.dtype)
+    for w, word in enumerate(words.T):
+        for column in ids.T:
+            union[w] |= word[column]
+    return union.T
+
+
 def dummy_order(f: Pattern, copies: Sequence[FEdge],
                 pairs: np.ndarray) -> np.ndarray:
     """The order of the sparse 2-cycles given as rows of two ascending ids

@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .dgraphs import DGraph, cycle_placements, dummy_order
+from .dgraphs import DGraph, cycle_placements, dummy_order, row_words
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .fgraphs import FEdge, FGraph, all_potential_copies
 from .graphs import Graph
@@ -78,12 +78,9 @@ class Placements:
         self.row_start = np.zeros(len(self.copies) + 1, dtype=np.int32)
         np.cumsum(counts[1:], out=self.row_start[1:])
         self.n_words = max(1, -(-len(self.pairs) // 64))
-        # a last all-zero row, which the -1 padding of copy_ids indexes
-        copy_words = np.array([self.words(b) for b in self.copy_bits + (0,)],
-                              dtype=np.uint64)
         # column-major: the scans below read one word of every cycle at once
-        self.shadow_words = np.asfortranarray(
-            np.bitwise_or.reduce(copy_words[self.copy_ids], axis=1))
+        self.shadow_words = row_words(self.copy_bits, self.copy_ids,
+                                      self.n_words)
 
     def ids(self, i: int) -> list[int]:
         """The sorted copy ids of cycle i."""

@@ -1,21 +1,19 @@
-"""Perfect template factors: copy enumeration, isolated vertices, and a
-budgeted exact-cover search for a factor certificate."""
+"""Perfect template factors: isolated vertices, the copy index of a host,
+and a budgeted exact-cover search for a factor certificate."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError
-from .fgraphs import FEdge, copies_in
-from .graphs import DEFAULT_ENUMERATION_CAP, Graph
+from .fgraphs import FEdge, copies_in, edge_positions
+from .graphs import Graph, _embedding_images, _neighbour_masks
 from .patterns import Pattern
-
-
-def enumerate_copies(g: Graph, f: Pattern,
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> list[FEdge]:
-    """All copies of the template in g, deterministically ordered."""
-    return sorted(copies_in(g, f, cap=cap), key=lambda fe: fe.sort_key())
+from .sampling import slots_of
 
 
 def f_isolated(g: Graph,
@@ -57,23 +55,18 @@ def verify_factor(g: Graph, f: Pattern, parts: tuple[FEdge, ...]) -> bool:
 
 
 class CoverIndex:
-    """Exact-cover index over distinct copy vertex sets, searched under a
-    live mask.
+    """Exact-cover index over distinct copy vertex sets on the positions
+    0..n-1, searched under a live mask.
 
-    sets are the vertex sets, ids by position; through[u] is the int bit
-    mask of the sets holding u. A caller that holds the copies of several
-    nested graphs on one vertex set builds the index once, over the
-    largest, and searches each graph with live the mask of its sets. The
-    search re-inserts a released set's vertices in the set's iteration
-    order, so a caller may swap sets[i] for an equal frozenset built in
-    another order between searches; through stays valid.
+    sets are the vertex sets, ids by position in the list; through[u] is
+    the int bit mask of the sets holding u. A caller that holds the copies
+    of several nested graphs on one vertex set builds the index once, over
+    the largest, and searches each graph with live the mask of its sets.
     """
 
-    def __init__(self, vertices: frozenset[int],
-                 sets: list[frozenset[int]]):
-        self.vertices = vertices
+    def __init__(self, n: int, sets: list[tuple[int, ...]]):
         self.sets = sets
-        through = {u: 0 for u in vertices}
+        through = [0] * n
         for i, vs in enumerate(sets):
             for u in vs:
                 through[u] |= 1 << i
@@ -82,20 +75,19 @@ class CoverIndex:
     def covers(self, live: int) -> bool:
         """Every vertex lies in a live set; otherwise a vertex is in no
         copy and no factor exists."""
-        return all(t & live for t in self.through.values())
+        return all(t & live for t in self.through)
 
     def search(self, live: int, budget: int) -> tuple[str, list[int], int]:
         """(status, chosen set ids, expansions) of the exact cover by live
         sets, status "found", "none" or "budget".
 
-        Branches on the uncovered vertex with fewest live sets. A set is
-        live while all its vertices are uncovered, so a count is
-        (live & through[u]).bit_count(), and choosing a set clears from
-        live the through masks of its vertices. Every search node keeps
-        its own live mask, so a release only puts the set's vertices back.
-        The candidates are the pivot's live sets in ascending id order,
-        and ties for the pivot go to the first vertex in the uncovered
-        set's iteration order. The search runs on an explicit stack, so a
+        Branches on the uncovered vertex with fewest live sets, ties to
+        the least vertex. A set is live while all its vertices are
+        uncovered, so a count is (live & through[u]).bit_count(), and
+        choosing a set clears from live the through masks of its vertices.
+        Every search node keeps its own live mask, so a release only puts
+        the set's vertices back. The candidates are the pivot's live sets
+        in ascending id order. The search runs on an explicit stack, so a
         factor of any size fits. A vertex in no live set ends the search
         at the root, as the pivot with no candidates would. Stops with
         status "budget" once the expansion budget is spent, so a miss
@@ -104,7 +96,11 @@ class CoverIndex:
         if not self.covers(live):
             return "none", [], 1
         sets, through = self.sets, self.through
-        uncovered = set(self.vertices)
+        # a pivot key is the count above the vertex, so min breaks ties
+        # by the least vertex
+        shift = len(through).bit_length()
+        vertex = (1 << shift) - 1
+        uncovered = set(range(len(through)))
         chosen: list[int] = []
         frames: list[list[int]] = []  # [untried candidates, live] per node
         expanded = 0
@@ -112,9 +108,8 @@ class CoverIndex:
             expanded += 1
             if expanded > budget:
                 return "budget", [], expanded
-            us = list(uncovered)
-            counts = [(live & through[u]).bit_count() for u in us]
-            pivot = us[counts.index(min(counts))]
+            pivot = min([(live & through[u]).bit_count() << shift | u
+                         for u in uncovered]) & vertex
             frames.append([live & through[pivot], live])
             while frames:
                 cands, live = frames[-1]
@@ -135,29 +130,98 @@ class CoverIndex:
         return "found", chosen, expanded
 
 
+def _host_copies(f: Pattern, nbr: list[int]
+                 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """The copies of the host on the positions 0..n-1 whose neighbour
+    masks are nbr, as the image tuples of their least embeddings in copy
+    order (FEdge.sort_key); per copy, the slots of its edges in
+    edge_order(n), ascending; and its sorted vertices. No F-edge is built.
+    """
+    n = len(nbr)
+    found = list(_embedding_images(f.graph, range(n), nbr,
+                                   automorphisms=f.automorphisms))
+    imgs = np.fromiter(itertools.chain.from_iterable(found), np.intp,
+                       len(found) * f.r).reshape(-1, f.r)
+    ends = imgs[:, edge_positions(f)]
+    slots = np.sort(slots_of(ends.min(axis=2), ends.max(axis=2), n), axis=1)
+    verts = np.sort(imgs, axis=1)
+    # FEdge.sort_key: sorted vertices, then sorted edges, whose order slot
+    # order follows; lexsort's primary key is its last row
+    order = np.lexsort(np.hstack([verts, slots]).T[::-1])
+    return [found[k] for k in order.tolist()], slots[order], verts[order]
+
+
+def nested_searches(f: Pattern, nbr: list[int], us: Optional[np.ndarray],
+                    ps: Sequence[float], budget: int,
+                    host_at: Callable[[float], Graph]
+                    ) -> list[tuple[FactorResult, bool]]:
+    """Per p in ps, the factor search of host_at(p), and whether every
+    vertex lies in a copy of it.
+
+    The copies are those of the host nbr, listed once by _host_copies,
+    each born at the largest of the edge uniforms us among its edges, or
+    at 0 with no us; the copies of host_at(p) are those born below p. Copies
+    with one vertex set are adjacent in copy order, so one CoverIndex
+    holds their sets, and each p searches it with live the sets that have
+    a copy born below p; the same mask's cover test is the isolation
+    indicator. F-edges are built only for a certificate, from the first
+    copy of each chosen set born below p, with the positions mapped to
+    the sorted vertices of host_at(p), and checked against it.
+    """
+    if budget <= 0:
+        raise DomainError("budget must be positive")
+    n = len(nbr)
+    embs, slots, verts = _host_copies(f, nbr)
+    births = (us[slots].max(axis=1) if us is not None
+              else np.zeros(len(embs)))
+    born = births.tolist()
+    # set i holds the copies bounds[i] to bounds[i + 1] - 1
+    change = np.ones(len(embs) + 1, dtype=bool)
+    change[1:-1] = (verts[1:] != verts[:-1]).any(axis=1)
+    bounds = np.flatnonzero(change)
+    first_birth = np.minimum.reduceat(births, bounds[:-1])
+    bounds = bounds.tolist()
+
+    def first_present(i: int, p: float) -> tuple[int, ...]:
+        """The first copy of set i, in copy order, born below p."""
+        return embs[next(k for k in range(bounds[i], bounds[i + 1])
+                         if born[k] < p)]
+
+    index = CoverIndex(n, [embs[k] for k in bounds[:-1]])
+    edges = edge_positions(f)
+    out = []
+    for p in ps:
+        live = int.from_bytes(np.packbits(first_birth < p,
+                                          bitorder="little").tobytes(),
+                              "little")
+        covered = index.covers(live)
+        n_copies = int(np.count_nonzero(births < p))
+        if n % f.r:
+            out.append((FactorResult("divisibility", None, 0, n_copies),
+                        covered))
+            continue
+        status, chosen, expanded = index.search(live, budget)
+        cert = None
+        if status == "found":
+            host = host_at(p)
+            labels = sorted(host.vertices)
+            cert = tuple(FEdge.from_images(
+                tuple([labels[u] for u in first_present(i, p)]), edges)
+                for i in chosen)
+            assert verify_factor(host, f, cert)
+        out.append((FactorResult(status, cert, expanded, n_copies), covered))
+    return out
+
+
 def find_f_factor(g: Graph, f: Pattern,
                   budget: int = 10 ** 6) -> FactorResult:
     """Search for vertex-disjoint copies covering every vertex.
 
-    Exact cover over the distinct copy vertex sets, in tuple(sorted(vs))
-    order, by CoverIndex.search with every set live; the copy chosen per
-    set is the first in copy order, since a factor only constrains vertex
-    sets."""
-    if budget <= 0:
-        raise DomainError("budget must be positive")
-    copies = enumerate_copies(g, f)
-    if g.v() % f.r != 0:
-        return FactorResult(status="divisibility", certificate=None,
-                            nodes_expanded=0, n_copies=len(copies))
-    rep: dict[frozenset[int], FEdge] = {}
-    for fe in copies:
-        rep.setdefault(fe.vertices, fe)
-    sets = sorted(rep, key=lambda vs: tuple(sorted(vs)))
-    status, chosen, expanded = CoverIndex(g.vertices, sets).search(
-        (1 << len(sets)) - 1, budget)
-    cert = None
-    if status == "found":
-        cert = tuple(rep[sets[i]] for i in chosen)
-        assert verify_factor(g, f, cert)
-    return FactorResult(status=status, certificate=cert,
-                        nodes_expanded=expanded, n_copies=len(copies))
+    nested_searches at one point, where every copy of g is present, over
+    the positions of g's sorted vertices: exact cover over the distinct
+    copy vertex sets, in sorted-vertex order, by CoverIndex.search with
+    every set live; the copy chosen per set is the first in copy order,
+    since a factor only constrains vertex sets."""
+    [(res, _covered)] = nested_searches(f, _neighbour_masks(g)[1], None,
+                                        [1.0], budget, lambda p: g)
+    return res

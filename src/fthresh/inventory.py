@@ -19,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dgraphs import clean_cycle_types, cycle_placements
+from .dgraphs import clean_cycle_types, cycle_placements, row_words
 from .errors import DomainError
 from .fgraphs import FGraph, count_copies, potential_copies_on
 from .patterns import Pattern
+from .sampling import slots_of
 
 
 @dataclass(frozen=True)
@@ -54,36 +55,23 @@ def _fitting(f: Pattern, n: int,
     return frozenset(k for k in _lengths(f, lengths) if k * (f.r - 1) <= n)
 
 
-def _word_rows(masks: list[int], n_words: int) -> np.ndarray:
-    """Each bit mask as a row of n_words uint64 words, low word first."""
-    return np.frombuffer(b"".join(m.to_bytes(8 * n_words, "little")
-                                  for m in masks),
-                         dtype="<u8").reshape(len(masks), n_words)
-
-
 def _rows(f: Pattern, n_labels: int, lengths: Optional[frozenset[int]],
           fresh_from: Optional[int] = None) -> tuple:
     """The wanted placements on the labels 0..n_labels-1 (with fresh_from,
-    those of cycle_placements' fresh prefix): copy ids, lengths, sparse
-    flags, and each placement's vertices and shadow edges as one bit set
-    in uint64 words, vertex u at bit u and edge (u, v) at bit
-    n_labels * (u + 1) + v."""
+    those of cycle_placements' fresh prefix): the potential copies their
+    ids index, copy ids, lengths, sparse flags, and each placement's
+    vertices and shadow edges as one bit set in uint64 words, vertex u at
+    bit u and edge (u, v) at bit n_labels + slots_of(u, v, n_labels), past
+    the vertices in edge_order(n_labels)."""
     ids, ks, sparse = cycle_placements(f, n_labels, _lengths(f, lengths),
                                        fresh_from=fresh_from)
-    # per copy, then an all-zero mask that the -1 padding of copy ids reads
+    copies = potential_copies_on(f, range(n_labels))
     masks = [sum(1 << u for u in fe.vertices)
-             | sum(1 << n_labels * (u + 1) + v for u, v in fe.edge_set)
-             for fe in potential_copies_on(f, range(n_labels))] + [0]
-    n_words = -(-n_labels * (n_labels + 1) // 64)
-    words = _word_rows(masks, n_words)
-    # word by word and copy by copy, so that no temporary holds more than
-    # one word per row; stored word-major, so each word of every row is
-    # contiguous
-    union = np.zeros((n_words, len(ids)), dtype=words.dtype)
-    for w, word in enumerate(words.T):
-        for column in ids.T:
-            union[w] |= word[column]
-    return ids, ks, sparse, union.T
+             | sum(1 << n_labels + slots_of(u, v, n_labels)
+                   for u, v in fe.edge_set)
+             for fe in copies]
+    n_words = -(-(n_labels + n_labels * (n_labels - 1) // 2) // 64)
+    return copies, ids, ks, sparse, row_words(masks, ids, n_words)
 
 
 def inventory_size(f: Pattern, n: int,
@@ -139,15 +127,17 @@ def _pair_buckets(f: Pattern, anchor: FGraph,
     pool = max(cy.v() for cy in _type_reps(f, lengths)) - 1
     n_labels = v_anchor + pool
     # the rows first: they check the cap before anything is built
-    ids, ks, sparse, words = _rows(f, n_labels, lengths, fresh_from=v_anchor)
-    copies = potential_copies_on(f, range(n_labels))
-    c0 = sorted(copies.index(fe) for fe in anchor.fedges)
+    copies, ids, ks, sparse, words = _rows(f, n_labels, lengths,
+                                           fresh_from=v_anchor)
+    c0 = [c for c, fe in enumerate(copies) if fe in anchor.fedges]
     at = np.flatnonzero((ks == len(c0))
                         & (ids[:, :len(c0)] == c0).all(axis=1))[0]
     vertex, inside = (1 << n_labels) - 1, (1 << v_anchor) - 1
-    anchor_bits, fresh, edges = _word_rows(
-        [inside, vertex - inside,
-         (1 << n_labels * (n_labels + 1)) - 1 - vertex], words.shape[1])
+    edge_bits = ((1 << n_labels * (n_labels - 1) // 2) - 1) << n_labels
+    # each mask as its own row
+    anchor_bits, fresh, edges = row_words(
+        [inside, vertex - inside, edge_bits], np.arange(3)[:, None],
+        words.shape[1])
     meets = np.zeros(len(ks), dtype=bool)
     n_fresh = np.zeros(len(ks), dtype=np.int64)
     union_edges = np.zeros(len(ks), dtype=np.int64)

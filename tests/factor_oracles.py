@@ -8,14 +8,21 @@ recount_factor_search recounts, at every expansion, the candidate sets of
 every uncovered vertex.
 fthresh must agree with both exactly: the same copies with the same
 embeddings, and the same status, expansions and certificate.
+enumerate_copies lists fthresh's own copies in copy order, the order the
+search numbers their vertex sets in.
 """
 
 from typing import Optional
 
 from embedding_oracles import set_embeddings
 
-from fthresh.fgraphs import FEdge
+from fthresh.fgraphs import FEdge, copies_in
 from fthresh.graphs import DEFAULT_ENUMERATION_CAP
+
+
+def enumerate_copies(g, f, cap=DEFAULT_ENUMERATION_CAP) -> list:
+    """All copies of the template in g, in copy order (FEdge.sort_key)."""
+    return sorted(copies_in(g, f, cap=cap), key=lambda fe: fe.sort_key())
 
 
 def copies_by_embedding(g, f, cap=DEFAULT_ENUMERATION_CAP) -> set:
@@ -32,7 +39,8 @@ def recount_factor_search(g, f, copies, budget: int
                           ) -> tuple[str, int, Optional[tuple]]:
     """(status, nodes expanded, certificate) of the exact cover over the
     copies' vertex sets, pivoting on the uncovered vertex with fewest sets
-    inside the uncovered vertices, recounted at every expansion."""
+    inside the uncovered vertices, recounted at every expansion, ties to
+    the least label."""
     if g.v() % f.r != 0:
         return "divisibility", 0, None
     rep = {}
@@ -56,8 +64,8 @@ def recount_factor_search(g, f, copies, budget: int
         if expanded > budget:
             return "budget"
         pivot = min(uncovered,
-                    key=lambda u: sum(1 for i in by_vertex[u]
-                                      if sets[i] <= uncovered))
+                    key=lambda u: (sum(1 for i in by_vertex[u]
+                                       if sets[i] <= uncovered), u))
         cands = [i for i in by_vertex[pivot] if sets[i] <= uncovered]
         for i in cands:
             uncovered.difference_update(sets[i])

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from fthresh.fgraphs import FGraph, potential_copies_on
-from fthresh.inventory import CycleInventory, _rows, _type_reps, _word_rows
+from fthresh.fgraphs import FGraph
+from fthresh.inventory import CycleInventory, _rows, _type_reps
 from fthresh.patterns import Pattern
 
 
@@ -28,14 +28,15 @@ class Item:
     sparse: bool
     verts: frozenset[int]
     shadow_mask: int
-    """The shadow's edges as a bitmask, edge (u, v) at bit u * n + v."""
+    """The shadow's edges as a bitmask, edge (u, v) at bit
+    slots_of(u, v, n), its position in edge_order(n)."""
 
 
 def inventory_items(f: Pattern, n: int,
                     lengths: Optional[frozenset[int]] = None) -> list[Item]:
     """Every placement of the wanted lengths on [n], from inventory._rows."""
     items = []
-    for ids, k, sparse, words in zip(*_rows(f, n, lengths)):
+    for ids, k, sparse, words in zip(*_rows(f, n, lengths)[1:]):
         bits = int.from_bytes(words.astype("<u8").tobytes(), "little")
         items.append(Item(
             copy_ids=tuple(ids[:k].tolist()), k=int(k), sparse=bool(sparse),
@@ -82,16 +83,16 @@ def pair_buckets_full(f: Pattern, anchor: FGraph,
     v_anchor = anchor.v()
     v_other_max = max(cy.v() for cy in _type_reps(f, lengths))
     n_labels = v_anchor + v_other_max - 1
-    copies = potential_copies_on(f, range(n_labels))
+    copies, ids, ks, sparse, words = _rows(f, n_labels, lengths)
     c0 = sorted(copies.index(fe) for fe in anchor.fedges)
-    ids, ks, sparse, words = _rows(f, n_labels, lengths)
     at = np.flatnonzero((ks == len(c0))
                         & (ids[:, :len(c0)] == c0).all(axis=1))[0]
     n_words = words.shape[1]
     vertex, inside = (1 << n_labels) - 1, (1 << v_anchor) - 1
-    anchor_bits, fresh, edges = _word_rows(
-        [inside, vertex - inside,
-         (1 << n_labels * (n_labels + 1)) - 1 - vertex], n_words)
+    anchor_bits, fresh, edges = (
+        np.frombuffer(mask.to_bytes(8 * n_words, "little"), dtype="<u8")
+        for mask in (inside, vertex - inside,
+                     (1 << 64 * n_words) - 1 - vertex))
     keep = (words & anchor_bits).any(axis=1)
     keep[at] = False
     keys = np.column_stack((

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from fthresh import cli
 from fthresh.cli import auto_grid, crossing_estimate, main
 from fthresh.inventory import build_inventory, chen_stein_bound
 from fthresh.patterns import p_star, pattern_preset
@@ -169,6 +170,22 @@ class TestScan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == N_ZERO_ERROR
+
+    @pytest.mark.parametrize("n", ["-3", "2", "3"])
+    def test_n_up_to_r_is_refused_before_any_trial(self, monkeypatch,
+                                                   capsys, n):
+        """The header's p_star refuses n <= r before run_scan runs, so a
+        negative n is an error line, not a numpy traceback from the graph
+        build, and n = 2 runs no trial."""
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_scan was called")
+
+        monkeypatch.setattr(cli, "run_scan", no_trials)
+        assert main(["scan", "--pattern", "k3", "--n", n, "--p", "0.5",
+                     "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need n > r, got n={n}, r=3\n"
 
     def test_auto_grid(self):
         grid = auto_grid(K3, 30)

@@ -5,11 +5,11 @@ import random
 import sys
 
 import pytest
-from factor_oracles import copies_by_embedding, recount_factor_search
+from factor_oracles import (copies_by_embedding, enumerate_copies,
+                            recount_factor_search)
 
 from fthresh.errors import DomainError, ResourceLimitError
-from fthresh.factors import (enumerate_copies, f_isolated, find_f_factor,
-                             verify_factor)
+from fthresh.factors import f_isolated, find_f_factor, verify_factor
 from fthresh.fgraphs import copies_in
 from fthresh.graphs import Graph
 from fthresh.patterns import analyze_pattern, pattern_preset

@@ -258,7 +258,14 @@ class TestEmbeddings:
 
 
 def _oracle_templates():
-    return [pattern_preset(name) for name in PRESETS] + [C4_RELABELLED]
+    """Every preset, the relabelled C4 and one disconnected pattern, each
+    as its graph and its automorphisms."""
+    out = [(f.graph, f.automorphisms) for f in
+           [pattern_preset(name) for name in PRESETS] + [C4_RELABELLED]]
+    # a triangle and a disjoint edge, placed out of label order
+    g = Graph.from_edges([(4, 0), (0, 2), (2, 4), (1, 3)])
+    out.append((g, automorphisms(g)))
+    return out
 
 
 def _drain(it) -> tuple[list, bool]:
@@ -274,11 +281,13 @@ def _drain(it) -> tuple[list, bool]:
 
 class TestEmbeddingOracle:
     """The bit-mask enumerator yields the set-based reference's maps as
-    image tuples, in its order, and stops at the same cap."""
+    image tuples over the sorted pattern vertices, in its order, and stops
+    at the same cap, on patterns with and without isolated parts."""
 
-    @pytest.mark.parametrize("f", _oracle_templates(), ids=[
-        "k2", "k3", "k4", "c4", "c5", "k4me", "c4-relabelled"])
-    def test_same_embeddings_in_the_same_order(self, f):
+    @pytest.mark.parametrize("pattern,auts", _oracle_templates(), ids=[
+        "k2", "k3", "k4", "c4", "c5", "k4me", "c4-relabelled",
+        "disconnected"])
+    def test_same_embeddings_in_the_same_order(self, pattern, auts):
         rng = random.Random(17)
         total = isolated = 0
         for _ in range(25):
@@ -290,10 +299,10 @@ class TestEmbeddingOracle:
                 [e for e in itertools.combinations(labels, 2)
                  if rng.random() < p], vertices=labels)
             isolated += sum(not a for a in host.adjacency().values())
-            for auts in ((), f.automorphisms):
-                got = images(f.graph, host, automorphisms=auts)
-                assert got == as_images(f.graph, set_embeddings(
-                    f.graph, host, automorphisms=auts))
+            for a in ((), auts):
+                got = images(pattern, host, automorphisms=a)
+                assert got == as_images(pattern, set_embeddings(
+                    pattern, host, automorphisms=a))
                 total += len(got)
         assert total > 0 and isolated > 0
 
@@ -302,69 +311,19 @@ class TestEmbeddingOracle:
         host = Graph.from_edges(
             [e for i, e in enumerate(itertools.combinations(range(9), 2))
              if i % 4 != 1], vertices=range(9))
-        for f in _oracle_templates():
-            auts = f.automorphisms if with_auts else ()
-            full = len(list(set_embeddings(f.graph, host,
+        for pattern, auts in _oracle_templates():
+            auts = auts if with_auts else ()
+            full = len(list(set_embeddings(pattern, host,
                                            automorphisms=auts)))
+            assert full > 0
             for cap in (0, 1, full // 2, full - 1, full):
                 got = _drain(_embedding_images(
-                    f.graph, *_neighbour_masks(host), cap=cap,
+                    pattern, *_neighbour_masks(host), cap=cap,
                     automorphisms=auts))
-                maps, hit = _drain(set_embeddings(f.graph, host, cap=cap,
+                maps, hit = _drain(set_embeddings(pattern, host, cap=cap,
                                                   automorphisms=auts))
-                assert got == (as_images(f.graph, maps), hit)
+                assert got == (as_images(pattern, maps), hit)
                 assert got[1] == (cap < full)
-
-
-def _image_core_templates():
-    """Every preset and one disconnected pattern, with their automorphisms."""
-    out = [(f.graph, f.automorphisms) for f in
-           (pattern_preset(name) for name in PRESETS)]
-    # a triangle and a disjoint edge, placed out of label order
-    g = Graph.from_edges([(4, 0), (0, 2), (2, 4), (1, 3)])
-    out.append((g, automorphisms(g)))
-    return out
-
-
-class TestImageCore:
-    """The search core yields the set-based reference's maps as image
-    tuples over the sorted pattern vertices, in the same order, and stops
-    at the same cap, on patterns with and without isolated parts."""
-
-    @pytest.mark.parametrize("pattern,auts", _image_core_templates(), ids=[
-        "k2", "k3", "k4", "c4", "c5", "k4me", "disconnected"])
-    def test_tuples_follow_the_dicts(self, pattern, auts):
-        rng = random.Random(23)
-        total = 0
-        for _ in range(20):
-            labels = rng.sample(range(200), rng.randint(0, 12))
-            p = rng.uniform(0.2, 0.9)
-            host = Graph.from_edges(
-                [e for e in itertools.combinations(labels, 2)
-                 if rng.random() < p], vertices=labels)
-            for a in ((), auts):
-                got = images(pattern, host, automorphisms=a)
-                assert got == as_images(pattern, set_embeddings(
-                    pattern, host, automorphisms=a))
-                total += len(got)
-        assert total > 0
-
-    @pytest.mark.parametrize("pattern,auts", _image_core_templates(), ids=[
-        "k2", "k3", "k4", "c4", "c5", "k4me", "disconnected"])
-    def test_cap_raises_at_the_same_count(self, pattern, auts):
-        host = Graph.from_edges(
-            [e for i, e in enumerate(itertools.combinations(range(9), 2))
-             if i % 4 != 1], vertices=range(9))
-        full = len(images(pattern, host, automorphisms=auts))
-        assert full > 0
-        for cap in (0, 1, full // 2, full - 1, full):
-            got, hit = _drain(_embedding_images(
-                pattern, *_neighbour_masks(host), cap=cap,
-                automorphisms=auts))
-            maps, want_hit = _drain(set_embeddings(
-                pattern, host, cap=cap, automorphisms=auts))
-            assert (got, hit) == (as_images(pattern, maps), want_hit)
-            assert hit == (cap < full)
 
 
 class TestStructure:

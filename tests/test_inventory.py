@@ -15,6 +15,7 @@ from fthresh.graphs import Graph
 from fthresh.inventory import (_pair_buckets, _type_reps, build_inventory,
                                chen_stein_bound, inventory_size)
 from fthresh.patterns import analyze_pattern, pattern_preset
+from fthresh.sampling import slots_of
 
 K3 = pattern_preset("k3")
 
@@ -70,7 +71,7 @@ class TestInventory:
             assert it.k == cls.length == len(it.copy_ids)
             assert it.sparse == (cls.sparsity == "sparse")
             assert it.verts == cycle.vertices
-            assert it.shadow_mask == sum(1 << (u * 5 + v)
+            assert it.shadow_mask == sum(1 << slots_of(u, v, 5)
                                          for u, v in shadow(cycle).edges)
 
 

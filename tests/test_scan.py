@@ -6,8 +6,11 @@ import random
 
 import pytest
 
+from factor_oracles import enumerate_copies, recount_factor_search
+from graph_helpers import relabel
+
 from fthresh.cli import auto_grid, run_scan, trial_searches
-from fthresh.factors import enumerate_copies, f_isolated, find_f_factor
+from fthresh.factors import f_isolated, find_f_factor
 from fthresh.patterns import pattern_preset
 from fthresh.sampling import (STREAM_EDGES, graph_from_uniforms, rng_for,
                               slots_of)
@@ -59,8 +62,44 @@ GOLDEN_SCANS = {
 }
 
 
+# (preset, n, trials, seed) -> sha256 of search_records, budgets 100,000
+# and 20
+GOLDEN_SEARCHES = {
+    ("k3", 30, 6, 3):
+        "333e83cb0a2531ed913586a6bcdc77c3b400a8e68e78810cfa9510a43053cae8",
+    ("k3", 60, 2, 3):
+        "48f5ffb1e9c3c7534f5d24fb1f32dae03ae42ce3be067efc43f8d331bf051cbc",
+    ("c4", 20, 6, 3):
+        "0bce89c26443623416078889d197855629fc44311d0332e9ad65ecd66c9b33cf",
+    ("k4me", 16, 6, 7):
+        "76bd18baeeadbf416aa527eccb76447d36537f3fe48663e63b180d632fbf93e5",
+}
+
+
+def search_records(f, n, trials, seed) -> list:
+    """(status, nodes_expanded, certificate embeddings) of trial_searches
+    on the auto grid, then of find_f_factor on the graph at each grid
+    point with every label u renamed 3 * (n - u) + 65, per trial and
+    budget."""
+    ps = auto_grid(f, n)
+    batch = rng_for(seed, STREAM_EDGES).random((trials, n * (n - 1) // 2))
+    labels = [3 * (n - u) + 65 for u in range(n)]
+    results = []
+    for us in batch:
+        for budget in (BUDGET, 20):
+            results += [res for res, _ in trial_searches(f, n, us, ps,
+                                                         budget)]
+            results += [find_f_factor(relabel(graph_from_uniforms(n, us, p),
+                                              labels), f, budget=budget)
+                        for p in ps]
+    return [(res.status, res.nodes_expanded,
+             res.certificate and [fe.embedding for fe in res.certificate])
+            for res in results]
+
+
 class TestGolden:
-    """Scan rows are byte-identical to the recorded ones."""
+    """Scan rows and the searches behind them are byte-identical to the
+    recorded ones."""
 
     @pytest.mark.parametrize("key", list(GOLDEN_SCANS))
     def test_rows(self, key):
@@ -68,6 +107,14 @@ class TestGolden:
         f = pattern_preset(name)
         rows = run_scan(f, n, auto_grid(f, n), trials, seed, BUDGET)
         assert rows_digest(rows) == GOLDEN_SCANS[key]
+
+    @pytest.mark.parametrize("key", list(GOLDEN_SEARCHES))
+    def test_searches(self, key):
+        name, n, trials, seed = key
+        records = search_records(pattern_preset(name), n, trials, seed)
+        assert {status for status, _, _ in records} == {"found", "none",
+                                                         "budget"}
+        assert rows_digest(records) == GOLDEN_SEARCHES[key]
 
 
 def _shuffled_grid(f, n):
@@ -165,20 +212,53 @@ class TestTrialSearches:
         assert statuses == {"found", "none", "budget"}
         assert staggered > 0
 
-    def test_set_keys_follow_the_first_copy_present(self):
-        """At p = 0.35 a live vertex set's first copy present is not its
-        first copy at the top of the grid, and the two frozensets iterate
-        in different orders. The search re-inserts a released set's
-        vertices in that order, which moves later pivots: keyed by the
-        top copy, this search expands 26 nodes, not 28."""
+    def test_pivot_ties_go_to_the_least_label(self):
+        """Along the certificate, each chosen set holds the least
+        uncovered vertex with fewest sets inside the uncovered vertices,
+        the pivot at that depth, and several vertices tie for it. The
+        K4-e case at p = 0.35, where a live set's first copy present is
+        not its first copy at the top of the grid, expands 28 nodes; the
+        relabelled host, labels above 64 in another order, follows its
+        own least labels."""
         f = pattern_preset("k4me")
         us = rng_for(1, STREAM_EDGES).random(16 * 15 // 2)
         ps = [0.35, 0.6]
-        for p, (res, _) in zip(ps, trial_searches(f, 16, us, ps, BUDGET)):
-            assert res == find_f_factor(graph_from_uniforms(16, us, p), f,
-                                        budget=BUDGET)
-        assert trial_searches(f, 16, us, ps, BUDGET)[0][0].nodes_expanded \
-            == 28
+        labels = [(7 * u) % 16 * 10 + 70 for u in range(16)]
+        ties = 0
+        got = trial_searches(f, 16, us, ps, BUDGET)
+        for p, (res, _) in zip(ps, got):
+            g = graph_from_uniforms(16, us, p)
+            assert res.status == "found"
+            h = relabel(g, labels)
+            for host, want in ((g, res),
+                               (h, find_f_factor(h, f, budget=BUDGET))):
+                status, expanded, cert = recount_factor_search(
+                    host, f, enumerate_copies(host, f), BUDGET)
+                assert (want.status, want.nodes_expanded) == \
+                    (status, expanded)
+                assert [fe.embedding for fe in want.certificate] == \
+                    [fe.embedding for fe in cert]
+                ties += _tied_pivots(host, f, want.certificate)
+        assert got[0][0].nodes_expanded == 28
+        assert ties > 0
+
+
+def _tied_pivots(g, f, cert) -> int:
+    """Asserts that each set of the certificate holds the pivot of its
+    depth, the least uncovered label with fewest copy vertex sets inside
+    the uncovered labels; returns the depths where labels tie for it."""
+    sets = {fe.vertices for fe in enumerate_copies(g, f)}
+    uncovered = set(g.vertices)
+    ties = 0
+    for fe in cert:
+        live = [vs for vs in sets if vs <= uncovered]
+        count = {u: sum(u in vs for vs in live) for u in uncovered}
+        fewest = min(count.values())
+        tied = sorted(u for u in uncovered if count[u] == fewest)
+        assert tied[0] in fe.vertices
+        ties += len(tied) > 1
+        uncovered -= fe.vertices
+    return ties
 
 
 class TestWorkers:
