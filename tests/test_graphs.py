@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -268,6 +269,10 @@ def _oracle_templates():
     return out
 
 
+ORACLE_IDS = ["k2", "k3", "k4", "c4", "c5", "k4me", "c4-relabelled",
+              "disconnected"]
+
+
 def _drain(it) -> tuple[list, bool]:
     """Everything an enumeration yields, and whether it then hit its cap."""
     out = []
@@ -284,9 +289,8 @@ class TestEmbeddingOracle:
     image tuples over the sorted pattern vertices, in its order, and stops
     at the same cap, on patterns with and without isolated parts."""
 
-    @pytest.mark.parametrize("pattern,auts", _oracle_templates(), ids=[
-        "k2", "k3", "k4", "c4", "c5", "k4me", "c4-relabelled",
-        "disconnected"])
+    @pytest.mark.parametrize("pattern,auts", _oracle_templates(),
+                             ids=ORACLE_IDS)
     def test_same_embeddings_in_the_same_order(self, pattern, auts):
         rng = random.Random(17)
         total = isolated = 0
@@ -324,6 +328,42 @@ class TestEmbeddingOracle:
                                                   automorphisms=auts))
                 assert got == (as_images(pattern, maps), hit)
                 assert got[1] == (cap < full)
+
+
+class TestImageCore:
+    """The search core on hosts small enough to check in full: every
+    labelled host on two to five vertices against the set-based reference,
+    and the complete host K7 against the closed-form embedding count."""
+
+    @pytest.mark.parametrize("pattern,auts", _oracle_templates(),
+                             ids=ORACLE_IDS)
+    def test_tuples_follow_the_dicts(self, pattern, auts):
+        total = 0
+        for host in labelled_graphs(5):
+            for a in ((), auts):
+                got = images(pattern, host, automorphisms=a)
+                assert got == as_images(pattern, set_embeddings(
+                    pattern, host, automorphisms=a))
+                total += len(got)
+        assert total > 0
+
+    @pytest.mark.parametrize("pattern,auts", _oracle_templates(),
+                             ids=ORACLE_IDS)
+    def test_cap_raises_at_the_same_count(self, pattern, auts):
+        """K7 holds 7!/(7-v)! embeddings of a v-vertex pattern, one in
+        |Aut| of them the least of its copy; the core refuses every cap
+        below that count and yields the uncapped listing's prefix."""
+        host = Graph.complete(7)
+        for a in ((), auts):
+            listing = images(pattern, host, automorphisms=a)
+            full = math.perm(7, len(pattern.vertices)) // max(len(a), 1)
+            assert len(listing) == full
+            for cap in (0, 1, full // 2, full - 1, full):
+                got, hit = _drain(_embedding_images(
+                    pattern, *_neighbour_masks(host), cap=cap,
+                    automorphisms=a))
+                assert hit == (cap < full)
+                assert got == listing[:cap]
 
 
 class TestStructure:
