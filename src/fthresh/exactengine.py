@@ -22,7 +22,7 @@ import numpy as np
 from .dgraphs import DGraph, cycle_placements, dummy_order, row_words
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .fgraphs import FEdge, FGraph, all_potential_copies
-from .graphs import Graph
+from .graphs import Graph, _subset_sums
 from .patterns import Pattern
 from .sampling import dummy_slots, edge_order, slots_of
 
@@ -140,21 +140,6 @@ def placements(f: Pattern, n: int) -> Placements:
     """The placement table of (f, n), keyed by the labelled template: copy
     embeddings depend on F's labelling, not only on its isomorphism type."""
     return Placements(f, n)
-
-
-def _subset_sums(masks: np.ndarray, terms: np.ndarray,
-                 bits: int) -> np.ndarray:
-    """Per mask m on `bits` axes, the sum of terms[i] over every i whose
-    masks[i] is a subset of m: each term is scattered at its own mask, then
-    one in-place pass per bit adds every mask without the bit into the same
-    mask with it (the zeta transform of the subset lattice). Integer sums,
-    so the order of the additions does not matter."""
-    out = np.zeros(1 << bits, dtype=terms.dtype)
-    np.add.at(out, masks, terms)
-    for b in range(bits):
-        v = out.reshape(-1, 2, 1 << b)
-        v[:, 1, :] += v[:, 0, :]
-    return out
 
 
 def _supersets(base: int, bits: int) -> np.ndarray:

@@ -21,7 +21,8 @@ import numpy as np
 from .dgraphs import CleanDCycle, DGraph, clean_cycle_types, dcycle_of
 from .errors import (CounterexampleError, DomainError,
                      InternalInconsistencyError)
-from .graphs import Graph, _induced_edge_counts, components
+from .graphs import (Graph, _induced_edge_counts, _neighbour_masks,
+                     components)
 from .patterns import Pattern
 
 
@@ -130,62 +131,51 @@ def max_g1_of_dcycle(f: Pattern, d: CleanDCycle) -> tuple[Fraction, str]:
     induced subgraphs, searched exhaustively below, and g1 = f1 - 1. A
     sub-d-graph containing the dummy edge spans every vertex and is handled
     in closed form.
+
+    The search runs on one integer scale: with d1 = d1n/d1d, a piece W
+    weighs d1n * h(W) = e(W) * d1d - (|W| - 1) * d1n, where h(W) is its f1.
+    Only pieces of positive weight can raise a family; they are tried
+    heaviest first, and only the maximum becomes a Fraction.
     """
     g = d.dgraph.base
-    verts = sorted(g.vertices)
-    nv = len(verts)
-    full_mask = (1 << nv) - 1
+    _verts, nbr = _neighbour_masks(g)
+    full_mask = (1 << len(nbr)) - 1
     counts, sizes = _induced_edge_counts(g)
     d1n, d1d = f.d1.numerator, f.d1.denominator
-    # h(W) = e_ind/d1 - (|W|-1) > 0, screened in integers
-    positive = np.flatnonzero(counts * d1d > d1n * (sizes - 1))
-    adj = g.adjacency()
+    weights = counts * d1d - (sizes - 1) * d1n
 
     def connected(mask: int) -> bool:
-        members = [verts[i] for i in range(nv) if mask >> i & 1]
-        seen = {members[0]}
-        stack = [members[0]]
-        in_set = set(members)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in in_set and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(members)
-
-    pieces: list[tuple[int, Fraction]] = []
-    for m in positive:
-        m = int(m)
-        if m == 0 or not connected(m):
-            continue
-        h = Fraction(int(counts[m])) / f.d1 - (int(sizes[m]) - 1)
-        pieces.append((m, h))
-    pieces.sort(key=lambda t: -t[1])
+        seen = todo = mask & -mask
+        while todo:
+            low = todo & -todo
+            new = nbr[low.bit_length() - 1] & mask & ~seen
+            seen |= new
+            todo = (todo ^ low) | new
+        return seen == mask
 
     dense = not d.dgraph.dummies
-    usable = [(m, h) for m, h in pieces
-              if not (dense and m == full_mask)]
-    suffix = [Fraction(0)] * (len(usable) + 1)
-    for i in range(len(usable) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + usable[i][1]
+    # the full vertex set of a dense cycle is not a proper sub-d-graph
+    masks = sorted((m for m in np.flatnonzero(weights > 0).tolist()
+                    if m and not (dense and m == full_mask) and connected(m)),
+                   key=lambda m: -weights[m])
+    ws = weights[masks].tolist()
+    suffix = list(itertools.accumulate(reversed(ws), initial=0))[::-1]
 
-    best = Fraction(0)  # the empty family
+    best = 0  # the empty family
     # depth first over (next piece, vertices taken, weight so far), taking
     # piece i before leaving it out; a stack, since the pieces can outnumber
     # Python's frames
-    stack = [(0, 0, Fraction(0))]
+    stack = [(0, 0, 0)]
     while stack:
         i, taken, acc = stack.pop()
         if acc > best:
             best = acc
-        if i >= len(usable) or acc + suffix[i] <= best:
+        if i >= len(ws) or acc + suffix[i] <= best:
             continue
-        m, h = usable[i]
         stack.append((i + 1, taken, acc))
-        if not (m & taken):
-            stack.append((i + 1, taken | m, acc + h))
-    best_g1 = best - 1
+        if not (masks[i] & taken):
+            stack.append((i + 1, taken | masks[i], acc + ws[i]))
+    best_g1 = Fraction(best, d1n) - 1
     how = "family"
 
     if dense:

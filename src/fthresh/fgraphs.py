@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from .errors import ResourceLimitError, WitnessNotFoundError
 from .graphs import (DEFAULT_ENUMERATION_CAP, Edge, Graph,
                      _embedding_images, _neighbour_masks, _norm_edge,
-                     automorphisms)
+                     automorphisms, components)
 from .patterns import Pattern
 
 
@@ -100,7 +100,6 @@ def shadow(h: FGraph) -> Graph:
 
 def nullity(h: FGraph) -> int:
     """(r-1)e + c - v, with isolated vertices counting toward v and c."""
-    from .graphs import components
     if h.fedges:
         r = len(next(iter(h.fedges)).vertices)
     else:
@@ -112,39 +111,34 @@ def nullity(h: FGraph) -> int:
 def _clean_cycle_order(h: FGraph) -> Optional[tuple[list[FEdge], list[int]]]:
     """Cyclic ordering with single-vertex consecutive overlaps, or None.
 
-    Length 2 is the special two-overlap-vertices case and is handled by the
-    caller; this only finds orderings for k >= 3.
+    In a clean cycle every copy meets exactly its two neighbours, so the
+    order is walked, not searched: from the first copy in copy order
+    (sort_key) to the lesser of its two neighbours, then each step on to
+    the neighbour not just left, k copies in all. The consecutive
+    overlaps, the last copy's with the first included, must be k distinct
+    single vertices, which a walk that closes early fails: it repeats its
+    overlaps. Length 2 is the special two-overlap-vertices case and is
+    handled by the caller; this only finds orderings for k >= 3.
     """
     fes = sorted(h.fedges, key=lambda x: x.sort_key())
     k = len(fes)
     if k < 3:
         return None
-    inter = {}
-    for a, b in itertools.combinations(range(k), 2):
-        inter[(a, b)] = inter[(b, a)] = fes[a].vertices & fes[b].vertices
-    first = 0
-    for rest in itertools.permutations(range(1, k)):
-        order = (first,) + rest
-        ok = True
-        overlaps: list[int] = []
-        for i in range(k):
-            a, b = order[i], order[(i + 1) % k]
-            ov = inter[(a, b)]
-            if len(ov) != 1:
-                ok = False
-                break
-            overlaps.append(next(iter(ov)))
-        if not ok:
-            continue
-        for i, j in itertools.combinations(range(k), 2):
-            if (j - i) % k in (1, k - 1):
-                continue
-            if inter[(order[i], order[j])]:
-                ok = False
-                break
-        if ok and len(set(overlaps)) == k:
-            return [fes[i] for i in order], overlaps
-    return None
+    meets = [[b for b in range(k)
+              if b != a and fes[a].vertices & fes[b].vertices]
+             for a in range(k)]
+    if any(len(m) != 2 for m in meets):
+        return None
+    order = [0, meets[0][0]]
+    while len(order) < k:
+        a, b = meets[order[-1]]
+        order.append(b if a == order[-2] else a)
+    overlaps = [fes[a].vertices & fes[b].vertices
+                for a, b in zip(order, order[1:] + order[:1])]
+    if (any(len(ov) != 1 for ov in overlaps)
+            or len(frozenset().union(*overlaps)) != k):
+        return None
+    return [fes[i] for i in order], [min(ov) for ov in overlaps]
 
 
 def is_sparse_pair(h1: FEdge, h2: FEdge) -> bool:
@@ -159,8 +153,8 @@ def is_sparse_pair(h1: FEdge, h2: FEdge) -> bool:
 def classify(h: FGraph) -> CycleClass:
     """Avoidable configuration, clean cycle, or other.
 
-    Clean-cycle recognition is by explicit overlap-pattern search; nullity 1
-    alone does not imply cleanness.
+    Clean-cycle recognition checks the overlap pattern explicitly; nullity
+    1 alone does not imply cleanness.
     """
     nul = nullity(h)
     k = h.e()
@@ -177,7 +171,6 @@ def classify(h: FGraph) -> CycleClass:
                 frozenset().union(*(fe.vertices for fe in h.fedges))):
             return CycleClass(kind="clean_cycle", nullity=nul, length=k,
                               sparsity="dense")
-    from .graphs import components
     connected = h.v() > 0 and components(shadow(h))[0] == 1
     if connected and nul >= 2:
         return CycleClass(kind="avoidable", nullity=nul)
@@ -207,30 +200,25 @@ def copies_in(g: Graph, f: Pattern,
                                          f.automorphisms)}
 
 
-def induced_f_edges(h: FGraph, f: Pattern) -> set[FEdge]:
-    """Copies of the template present in the shadow but absent from h."""
-    return copies_in(shadow(h), f) - set(h.fedges)
-
-
 def inducing_witness(h: FGraph, f: Pattern, target: FEdge) -> FGraph:
     """Smallest sub-F-graph with <= e(F) F-edges inducing the target copy.
 
     The witness is always classified avoidable or clean cycle; an empty
-    search would falsify a structural guarantee and raises.
+    search would falsify a structural guarantee and raises. A combination
+    of copies induces a target outside h exactly when its copies cover the
+    target's edges: the template is connected, so the target's vertices
+    are ends of those edges. A copy of h itself is induced by nothing.
     """
     fes = sorted(h.fedges, key=lambda x: x.sort_key())
-    for size in range(1, f.s + 1):
-        for combo in itertools.combinations(fes, size):
-            sub = FGraph.from_fedges(combo)
-            if target in h.fedges or target in combo:
-                continue
-            if not target.edge_set <= frozenset(
-                    e for fe in combo for e in fe.edge_set):
-                continue
-            if target not in induced_f_edges(sub, f):
-                continue
-            if classify(sub).kind in ("avoidable", "clean_cycle"):
-                return sub
+    if target not in h.fedges:
+        for size in range(1, f.s + 1):
+            for combo in itertools.combinations(fes, size):
+                if not target.edge_set <= frozenset(
+                        e for fe in combo for e in fe.edge_set):
+                    continue
+                sub = FGraph.from_fedges(combo)
+                if classify(sub).kind in ("avoidable", "clean_cycle"):
+                    return sub
     raise WitnessNotFoundError(
         f"no inducing witness with <= {f.s} F-edges for {target}")
 
@@ -256,7 +244,6 @@ def find_avoidable(h: FGraph, max_fedges: int) -> Optional[FGraph]:
                                      f"{DEFAULT_ENUMERATION_CAP}")
         sub = FGraph.from_fedges(fes[i] for i in current)
         if len(current) >= 2 and nullity(sub) >= 2:
-            from .graphs import components
             if components(shadow(sub))[0] == 1:
                 return sub
         if len(current) >= max_fedges:

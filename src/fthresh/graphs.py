@@ -116,21 +116,36 @@ def one_density(g: Graph) -> Fraction:
     return Fraction(g.e(), g.v() - 1)
 
 
+def _subset_sums(masks: np.ndarray, terms: np.ndarray,
+                 bits: int) -> np.ndarray:
+    """Per mask m on `bits` axes, the sum of terms[i] over every i whose
+    masks[i] is a subset of m: each term is scattered at its own mask, then
+    one in-place pass per bit adds every mask without the bit into the same
+    mask with it (the zeta transform of the subset lattice). Integer sums,
+    so the order of the additions does not matter."""
+    out = np.zeros(1 << bits, dtype=terms.dtype)
+    np.add.at(out, masks, terms)
+    for b in range(bits):
+        v = out.reshape(-1, 2, 1 << b)
+        v[:, 1, :] += v[:, 0, :]
+    return out
+
+
 def _induced_edge_counts(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Edge count and size of the induced subgraph on every vertex subset of
-    g, indexed by its bit mask over the sorted vertices. More than
+    g, indexed by its bit mask over the sorted vertices: the subset sums of
+    one term per edge at the mask of its ends. More than
     DEFAULT_ENUMERATION_CAP subsets (24 vertices or more) raise
     ResourceLimitError before any array is built."""
     idx = {u: i for i, u in enumerate(sorted(g.vertices))}
     if 1 << len(idx) > DEFAULT_ENUMERATION_CAP:
         raise ResourceLimitError(f"{1 << len(idx)} vertex subsets exceed cap "
                                  f"{DEFAULT_ENUMERATION_CAP}")
-    masks = np.arange(1 << len(idx), dtype=np.uint32)
-    counts = np.zeros(masks.shape, dtype=np.int64)
-    for u, v in g.edges:
-        bits = np.uint32((1 << idx[u]) | (1 << idx[v]))
-        counts += (masks & bits) == bits
-    return counts, np.bitwise_count(masks).astype(np.int64)
+    ends = np.array([(1 << idx[u]) | (1 << idx[v]) for u, v in g.edges],
+                    dtype=np.intp)
+    counts = _subset_sums(ends, np.ones(len(ends), dtype=np.int64), len(idx))
+    sizes = np.bitwise_count(np.arange(1 << len(idx), dtype=np.uint32))
+    return counts, sizes.astype(np.int64)
 
 
 def strictly_1_balanced_violation(g: Graph) -> Optional[Graph]:

@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+from fgraph_oracles import induced_f_edges
 from graph_helpers import merge_to_hr
 
 from fthresh.cli import auto_grid, run_scan, crossing_estimate
@@ -20,7 +21,7 @@ from fthresh.exponents import (certify, max_proper_subgraph_density,
                                verify_clean_dcycles_strictly_balanced)
 from fthresh.factors import find_f_factor, verify_factor
 from fthresh.fgraphs import (FGraph, all_potential_copies, classify,
-                             induced_f_edges, inducing_witness)
+                             inducing_witness)
 from fthresh.graphs import Graph, components, strictly_1_balanced_violation
 from fthresh.inventory import build_inventory, chen_stein_bound
 from fthresh.patterns import (analyze_pattern, derive_params, p_star,

@@ -7,11 +7,11 @@ from engine_oracles import (brute_valid_g_dense, brute_valid_h, cycle_masks,
 
 from fthresh.dgraphs import DGraph, clean_cycle_types, cycle_placements
 from fthresh.errors import ResourceLimitError
-from fthresh.exactengine import (ExactEngine, Placements, _subset_sums,
-                                 _supersets, get_engine, weighted_index)
+from fthresh.exactengine import (ExactEngine, Placements, _supersets,
+                                 get_engine, weighted_index)
 from fthresh.fgraphs import (FEdge, FGraph, classify, potential_copies_on,
                              shadow)
-from fthresh.graphs import Graph
+from fthresh.graphs import Graph, _subset_sums
 from fthresh.patterns import pattern_preset
 from fthresh.sampling import dummy_slots, rng_for
 

@@ -47,10 +47,11 @@ class TestFExponents:
 
 
 class TestGExponents:
-    @pytest.mark.parametrize("name", ["k3", "c4"])
+    @pytest.mark.parametrize("name", sorted(CONSTANTS))
     def test_brute_force_agreement(self, name):
+        """Every preset at length 2, and K3 and C4 at length 3."""
         f = pattern_preset(name)
-        for k in (2, 3):
+        for k in (2, 3) if name in ("k3", "c4") else (2,):
             for cyc, _sig in clean_cycle_types(f, k):
                 d = dcycle_of(cyc, f)
                 got, _ = max_g1_of_dcycle(f, d)

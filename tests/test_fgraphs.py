@@ -7,11 +7,14 @@ import sys
 
 import pytest
 
-from fthresh.fgraphs import (FEdge, FGraph, all_potential_copies, classify,
-                             copies_in, copies_on_vertex_set, count_copies,
-                             fgraph_automorphisms, induced_f_edges,
-                             inducing_witness, nullity, potential_copies_on,
-                             shadow)
+from fgraph_oracles import induced_f_edges, search_clean_cycle_order
+
+from fthresh.dgraphs import clean_cycle_types
+from fthresh.fgraphs import (FEdge, FGraph, _clean_cycle_order,
+                             all_potential_copies, classify, copies_in,
+                             copies_on_vertex_set, count_copies,
+                             fgraph_automorphisms, inducing_witness, nullity,
+                             potential_copies_on, shadow)
 from fthresh.graphs import Graph
 from fthresh.patterns import analyze_pattern, pattern_preset
 
@@ -70,6 +73,76 @@ class TestClassify:
         cls = classify(h)
         assert cls.kind == "avoidable"
         assert cls.nullity >= 2
+
+
+def relabelled(f, h, mapping):
+    """h, an F-graph of the template f, with every vertex u renamed
+    mapping[u]."""
+    pverts = sorted(f.graph.vertices)
+    return FGraph.from_fedges(
+        FEdge.from_embedding(f, {x: mapping[u]
+                                 for x, u in zip(pverts, fe.embedding)})
+        for fe in h.fedges)
+
+
+class TestCleanCycleOrder:
+    """The walked order equals the first order the permutation search
+    passes, and the walk rejects what the search rejects."""
+
+    @pytest.mark.parametrize("name", ["k3", "c4", "c5", "k4", "k4me"])
+    def test_every_preset_type(self, name):
+        f = pattern_preset(name)
+        for k in (3, 4):
+            for cycle, _sig in clean_cycle_types(f, k):
+                want = search_clean_cycle_order(cycle)
+                assert want is not None
+                assert _clean_cycle_order(cycle) == want
+
+    def test_random_copy_sets(self):
+        """Random sets of triangles on 7 labels, and each clean 3- and
+        4-cycle type of three templates relabelled at random, so the walk
+        starts from every copy in turn, half of them with one copy swapped
+        for a random one on the same labels."""
+        rng = random.Random(11)
+        passed = rejected = 0
+        copies = all_potential_copies(K3, 7)
+        sets = [FGraph.from_fedges(rng.sample(copies, rng.randint(3, 5)))
+                for _ in range(1500)]
+        for name in ("k3", "c4", "k4me"):
+            f = pattern_preset(name)
+            for k in (3, 4):
+                for cycle, _sig in clean_cycle_types(f, k)[:6]:
+                    n = cycle.v() + 2
+                    pool = all_potential_copies(f, n)
+                    for _ in range(25):
+                        h = relabelled(f, cycle, rng.sample(range(n), n))
+                        if rng.random() < 0.5:
+                            fes = list(h.fedges)
+                            fes[rng.randrange(k)] = rng.choice(pool)
+                            h = FGraph.from_fedges(fes)
+                        sets.append(h)
+        for h in sets:
+            want = search_clean_cycle_order(h)
+            assert _clean_cycle_order(h) == want
+            passed += want is not None
+            rejected += want is None and h.e() >= 3
+        assert passed > 300 and rejected > 1500
+
+    @pytest.mark.parametrize("copies", [
+        # two vertex-disjoint clean 3-cycles: every copy meets two others,
+        # but the walk closes after three
+        [(0, 1, 2), (2, 3, 4), (4, 5, 0), (6, 7, 8), (8, 9, 10),
+         (10, 11, 6)],
+        # three triangles through one vertex: one overlap vertex, not three
+        [(0, 1, 2), (0, 3, 4), (0, 5, 6)],
+        # a 4-cycle whose opposite copies 0-1-2 and 4-5-1 share vertex 1
+        [(0, 1, 2), (2, 3, 4), (4, 5, 1), (5, 6, 0)],
+    ], ids=["two-3-cycles", "one-vertex", "4-cycle-chord"])
+    def test_rejections(self, copies):
+        h = FGraph.from_fedges(triangle(*c) for c in copies)
+        assert search_clean_cycle_order(h) is None
+        assert _clean_cycle_order(h) is None
+        assert classify(h).kind != "clean_cycle"
 
 
 class TestCopies:

@@ -14,7 +14,8 @@ from graph_helpers import empty, path, relabel
 from hypothesis import strategies as st
 
 from fthresh.errors import ResourceLimitError, UndefinedDensityError
-from fthresh.graphs import (Graph, _embedding_images, _neighbour_masks,
+from fthresh.graphs import (Graph, _embedding_images,
+                            _induced_edge_counts, _neighbour_masks,
                             automorphisms, canonical_form, components,
                             format_edge_list, one_density, parse_edge_list,
                             strictly_1_balanced_violation)
@@ -123,6 +124,21 @@ class TestDensity:
         w = strictly_1_balanced_violation(relabel(p4, {0: 5, 1: 9, 2: 2,
                                                        3: 7}))
         assert (w.vertices, w.edges) == ({2, 7}, {(2, 7)})
+
+    def test_induced_edge_counts(self):
+        """Per vertex-subset mask, the induced subgraph's edge count and
+        size, on random graphs with labels other than 0..n-1."""
+        rng = random.Random(3)
+        for _ in range(20):
+            labels = sorted(rng.sample(range(40), rng.randint(0, 8)))
+            g = Graph.from_edges(
+                [e for e in itertools.combinations(labels, 2)
+                 if rng.random() < 0.5], vertices=labels)
+            counts, sizes = _induced_edge_counts(g)
+            assert len(counts) == len(sizes) == 1 << len(labels)
+            for m in range(1 << len(labels)):
+                sub = g.induced(u for i, u in enumerate(labels) if m >> i & 1)
+                assert (counts[m], sizes[m]) == (sub.e(), sub.v())
 
     def test_subset_scan_is_capped(self):
         # 2^24 subsets: refused before any array is allocated

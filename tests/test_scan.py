@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from factor_oracles import enumerate_copies, recount_factor_search
+from factor_oracles import (copies_by_embedding, enumerate_copies,
+                            recount_factor_search)
 from graph_helpers import relabel
 
 from fthresh.cli import auto_grid, run_scan, trial_searches
@@ -241,6 +242,39 @@ class TestTrialSearches:
                 ties += _tied_pivots(host, f, want.certificate)
         assert got[0][0].nodes_expanded == 28
         assert ties > 0
+
+
+class TestIndependentSearch:
+    """trial_searches against a search that shares no code with its copy
+    index or its exact cover: recount_factor_search over the copies of
+    copies_by_embedding, sorted into copy order, so a fault in either
+    cannot show on both sides alike."""
+
+    def test_grid_points_match_the_recount(self):
+        """The top two auto-grid points and 1.5 times the top, five trials
+        per template, budgets 100,000 and 20."""
+        statuses = set()
+        for name, n in [("k3", 30), ("c4", 20), ("k4me", 16)]:
+            f = pattern_preset(name)
+            grid = auto_grid(f, n)
+            ps = grid[-2:] + [1.5 * grid[-1]]
+            batch = rng_for(3, STREAM_EDGES).random((5, n * (n - 1) // 2))
+            for us in batch:
+                for budget in (BUDGET, 20):
+                    got = trial_searches(f, n, us, ps, budget)
+                    for p, (res, _) in zip(ps, got, strict=True):
+                        g = graph_from_uniforms(n, us, p)
+                        copies = sorted(copies_by_embedding(g, f),
+                                        key=lambda fe: fe.sort_key())
+                        status, expanded, cert = recount_factor_search(
+                            g, f, copies, budget)
+                        assert (res.status, res.nodes_expanded) == \
+                            (status, expanded)
+                        assert (res.certificate and [
+                            fe.embedding for fe in res.certificate]) == \
+                            (cert and [fe.embedding for fe in cert])
+                        statuses.add(status)
+        assert statuses == {"found", "none", "budget"}
 
 
 def _tied_pivots(g, f, cert) -> int:
