@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -103,8 +103,11 @@ def dcycle_density(d: CleanDCycle) -> Fraction:
     return Fraction(d.dgraph.e(), d.dgraph.v())
 
 
-def max_proper_subgraph_density(dg: DGraph) -> Fraction:
-    """Largest edge density over proper subgraphs with at least one vertex.
+def max_proper_subgraph_density(
+        dg: DGraph,
+        induced: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Fraction:
+    """Largest edge density over proper subgraphs with at least one vertex;
+    induced is _induced_edge_counts(dg.base), computed here if not given.
 
     A dummy edge is incident to every vertex of its cycle, which here is the
     whole vertex set, so subgraphs on proper vertex subsets carry usual edges
@@ -113,15 +116,21 @@ def max_proper_subgraph_density(dg: DGraph) -> Fraction:
     Full-vertex-set proper subgraphs are dominated by the one missing a
     single edge.
     """
-    counts, sizes = _induced_edge_counts(dg.base)
+    counts, sizes = (induced if induced is not None
+                     else _induced_edge_counts(dg.base))
     nv = dg.v()
     return max([Fraction(dg.e() - 1, nv)]
                + [Fraction(int(counts[sizes == size].max()), size)
                   for size in range(1, nv)])
 
 
-def max_g1_of_dcycle(f: Pattern, d: CleanDCycle) -> tuple[Fraction, str]:
-    """Exact maximum of g1 over proper sub-d-graphs of one clean d-cycle.
+def max_g1_of_dcycle(
+        f: Pattern, d: CleanDCycle,
+        induced: Optional[tuple[np.ndarray, np.ndarray]] = None
+        ) -> tuple[Fraction, str]:
+    """Exact maximum of g1 over proper sub-d-graphs of one clean d-cycle;
+    induced is _induced_edge_counts(d.dgraph.base), computed here if not
+    given.
 
     Any edge subset decomposes into components; a component's f1 is at most
     that of the induced subgraph on its span (extra in-span edges raise e
@@ -140,7 +149,7 @@ def max_g1_of_dcycle(f: Pattern, d: CleanDCycle) -> tuple[Fraction, str]:
     g = d.dgraph.base
     _verts, nbr = _neighbour_masks(g)
     full_mask = (1 << len(nbr)) - 1
-    counts, sizes = _induced_edge_counts(g)
+    counts, sizes = induced if induced is not None else _induced_edge_counts(g)
     d1n, d1d = f.d1.numerator, f.d1.denominator
     weights = counts * d1d - (sizes - 1) * d1n
 
@@ -210,8 +219,9 @@ def certify(f: Pattern, max_len: int) -> Certificate:
         for cycle, sig in clean_cycle_types(f, k):
             d = dcycle_of(cycle, f)
             density = dcycle_density(d)
-            proper = max_proper_subgraph_density(d.dgraph)
-            g1, how = max_g1_of_dcycle(f, d)
+            induced = _induced_edge_counts(d.dgraph.base)
+            proper = max_proper_subgraph_density(d.dgraph, induced)
+            g1, how = max_g1_of_dcycle(f, d, induced)
             rows.append(TypeRow(
                 k=k, sparsity=d.sparsity, signature=sig, v=d.dgraph.v(),
                 density=density, max_proper_density=proper,

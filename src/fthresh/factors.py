@@ -3,7 +3,6 @@ and a budgeted exact-cover search for a factor certificate."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fgraphs import FEdge, copies_in, edge_positions
-from .graphs import Graph, _embedding_images, _neighbour_masks
+from .graphs import Graph, _adjacency_matrix, _embedding_images
 from .patterns import Pattern
 from .sampling import slots_of
 
@@ -58,19 +57,20 @@ class CoverIndex:
     """Exact-cover index over distinct copy vertex sets on the positions
     0..n-1, searched under a live mask.
 
-    sets are the vertex sets, ids by position in the list; through[u] is
-    the int bit mask of the sets holding u. A caller that holds the copies
-    of several nested graphs on one vertex set builds the index once, over
-    the largest, and searches each graph with live the mask of its sets.
+    sets are the vertex sets, the rows of an int array, ids by row;
+    through[u] is the int bit mask of the sets holding u, read off the
+    packed rows of the vertex x set incidence matrix. A caller that holds
+    the copies of several nested graphs on one vertex set builds the index
+    once, over the largest, and searches each graph with live the mask of
+    its sets.
     """
 
-    def __init__(self, n: int, sets: list[tuple[int, ...]]):
-        self.sets = sets
-        through = [0] * n
-        for i, vs in enumerate(sets):
-            for u in vs:
-                through[u] |= 1 << i
-        self.through = through
+    def __init__(self, n: int, sets: np.ndarray):
+        self.sets = sets.tolist()
+        incidence = np.zeros((n, len(sets)), dtype=bool)
+        incidence[sets, np.arange(len(sets))[:, None]] = True
+        self.through = [int.from_bytes(row.tobytes(), "little") for row in
+                        np.packbits(incidence, axis=1, bitorder="little")]
 
     def covers(self, live: int) -> bool:
         """Every vertex lies in a live set; otherwise a vertex is in no
@@ -88,13 +88,11 @@ class CoverIndex:
         Every search node keeps its own live mask, so a release only puts
         the set's vertices back. The candidates are the pivot's live sets
         in ascending id order. The search runs on an explicit stack, so a
-        factor of any size fits. A vertex in no live set ends the search
-        at the root, as the pivot with no candidates would. Stops with
-        status "budget" once the expansion budget is spent, so a miss
+        factor of any size fits. A vertex in no live set is the first
+        pivot, with no candidates, so the search ends at the root. Stops
+        with status "budget" once the expansion budget is spent, so a miss
         under budget is exhaustive.
         """
-        if not self.covers(live):
-            return "none", [], 1
         sets, through = self.sets, self.through
         # a pivot key is the count above the vertex, so min breaks ties
         # by the least vertex
@@ -130,35 +128,34 @@ class CoverIndex:
         return "found", chosen, expanded
 
 
-def _host_copies(f: Pattern, nbr: list[int]
-                 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """The copies of the host on the positions 0..n-1 whose neighbour
-    masks are nbr, as the image tuples of their least embeddings in copy
+def _host_copies(f: Pattern, adj: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The copies of the host on the positions 0..n-1 whose adjacency
+    matrix is adj, as the image rows of their least embeddings in copy
     order (FEdge.sort_key); per copy, the slots of its edges in
     edge_order(n), ascending; and its sorted vertices. No F-edge is built.
     """
-    n = len(nbr)
-    found = list(_embedding_images(f.graph, range(n), nbr,
-                                   automorphisms=f.automorphisms))
-    imgs = np.fromiter(itertools.chain.from_iterable(found), np.intp,
-                       len(found) * f.r).reshape(-1, f.r)
+    n = len(adj)
+    imgs = np.concatenate([np.zeros((0, f.r), dtype=np.intp),
+                           *_embedding_images(f.graph, np.arange(n), adj,
+                                              automorphisms=f.automorphisms)])
     ends = imgs[:, edge_positions(f)]
     slots = np.sort(slots_of(ends.min(axis=2), ends.max(axis=2), n), axis=1)
     verts = np.sort(imgs, axis=1)
     # FEdge.sort_key: sorted vertices, then sorted edges, whose order slot
     # order follows; lexsort's primary key is its last row
     order = np.lexsort(np.hstack([verts, slots]).T[::-1])
-    return [found[k] for k in order.tolist()], slots[order], verts[order]
+    return imgs[order], slots[order], verts[order]
 
 
-def nested_searches(f: Pattern, nbr: list[int], us: Optional[np.ndarray],
+def nested_searches(f: Pattern, adj: np.ndarray, us: Optional[np.ndarray],
                     ps: Sequence[float], budget: int,
                     host_at: Callable[[float], Graph]
                     ) -> list[tuple[FactorResult, bool]]:
     """Per p in ps, the factor search of host_at(p), and whether every
     vertex lies in a copy of it.
 
-    The copies are those of the host nbr, listed once by _host_copies,
+    The copies are those of the host adj, listed once by _host_copies,
     each born at the largest of the edge uniforms us among its edges, or
     at 0 with no us; the copies of host_at(p) are those born below p. Copies
     with one vertex set are adjacent in copy order, so one CoverIndex
@@ -170,8 +167,8 @@ def nested_searches(f: Pattern, nbr: list[int], us: Optional[np.ndarray],
     """
     if budget <= 0:
         raise DomainError("budget must be positive")
-    n = len(nbr)
-    embs, slots, verts = _host_copies(f, nbr)
+    n = len(adj)
+    embs, slots, verts = _host_copies(f, adj)
     births = (us[slots].max(axis=1) if us is not None
               else np.zeros(len(embs)))
     born = births.tolist()
@@ -182,12 +179,12 @@ def nested_searches(f: Pattern, nbr: list[int], us: Optional[np.ndarray],
     first_birth = np.minimum.reduceat(births, bounds[:-1])
     bounds = bounds.tolist()
 
-    def first_present(i: int, p: float) -> tuple[int, ...]:
+    def first_present(i: int, p: float) -> list[int]:
         """The first copy of set i, in copy order, born below p."""
         return embs[next(k for k in range(bounds[i], bounds[i + 1])
-                         if born[k] < p)]
+                         if born[k] < p)].tolist()
 
-    index = CoverIndex(n, [embs[k] for k in bounds[:-1]])
+    index = CoverIndex(n, verts[bounds[:-1]])
     edges = edge_positions(f)
     out = []
     for p in ps:
@@ -222,6 +219,6 @@ def find_f_factor(g: Graph, f: Pattern,
     copy vertex sets, in sorted-vertex order, by CoverIndex.search with
     every set live; the copy chosen per set is the first in copy order,
     since a factor only constrains vertex sets."""
-    [(res, _covered)] = nested_searches(f, _neighbour_masks(g)[1], None,
+    [(res, _covered)] = nested_searches(f, _adjacency_matrix(g)[1], None,
                                         [1.0], budget, lambda p: g)
     return res

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .errors import ResourceLimitError, WitnessNotFoundError
 from .graphs import (DEFAULT_ENUMERATION_CAP, Edge, Graph,
-                     _embedding_images, _neighbour_masks, _norm_edge,
+                     _adjacency_matrix, _embedding_images, _norm_edge,
                      automorphisms, components)
 from .patterns import Pattern
 
@@ -194,10 +194,11 @@ def copies_in(g: Graph, f: Pattern,
     embeddings.
     """
     edges = edge_positions(f)
-    hverts, nbr = _neighbour_masks(g)
-    return {FEdge.from_images(emb, edges)
-            for emb in _embedding_images(f.graph, hverts, nbr, cap,
-                                         f.automorphisms)}
+    hverts, adj = _adjacency_matrix(g)
+    return {FEdge.from_images(tuple(emb), edges)
+            for block in _embedding_images(f.graph, hverts, adj, cap,
+                                           f.automorphisms)
+            for emb in block.tolist()}
 
 
 def inducing_witness(h: FGraph, f: Pattern, target: FEdge) -> FGraph:

@@ -172,7 +172,9 @@ def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     the sorted vertices, in _embedding_images order: the embeddings of g
     into itself, since an injective self-map of a finite graph that keeps
     every edge keeps the edge set."""
-    return tuple(_embedding_images(g, *_neighbour_masks(g)))
+    return tuple(tuple(row) for block in
+                 _embedding_images(g, *_adjacency_matrix(g))
+                 for row in block.tolist())
 
 
 # -- canonical labeling ------------------------------------------------------
@@ -265,25 +267,39 @@ def _placement_order(pattern: Graph) -> list[int]:
     return order
 
 
+def _adjacency_matrix(host: Graph) -> tuple[list[int], np.ndarray]:
+    """The sorted host vertices, and the boolean adjacency matrix over that
+    order, the host form of _embedding_images."""
+    hverts = sorted(host.vertices)
+    idx = {u: i for i, u in enumerate(hverts)}
+    ends = np.array([(idx[u], idx[v]) for u, v in host.edges],
+                    dtype=np.intp).reshape(-1, 2)
+    adj = np.zeros((len(hverts), len(hverts)), dtype=bool)
+    adj[ends[:, 0], ends[:, 1]] = True
+    adj[ends[:, 1], ends[:, 0]] = True
+    return hverts, adj
+
+
 def _neighbour_masks(host: Graph) -> tuple[list[int], list[int]]:
     """The sorted host vertices, and per vertex the int bit mask of its
-    neighbours over that order."""
-    hverts = sorted(host.vertices)
-    bit = {u: i for i, u in enumerate(hverts)}
-    nbr = [0] * len(hverts)
-    for u, v in host.edges:
-        nbr[bit[u]] |= 1 << bit[v]
-        nbr[bit[v]] |= 1 << bit[u]
-    return hverts, nbr
+    neighbours over that order: the packed rows of _adjacency_matrix."""
+    hverts, adj = _adjacency_matrix(host)
+    return hverts, [int.from_bytes(row.tobytes(), "little") for row in
+                    np.packbits(adj, axis=1, bitorder="little")]
 
 
-def _embedding_images(pattern: Graph, hverts: Sequence[int], nbr: list[int],
+# partial embeddings extended per numpy pass; bounds each candidate matrix
+# at _JOIN_BLOCK x n booleans and each extension at _JOIN_BLOCK x n rows
+_JOIN_BLOCK = 1024
+
+
+def _embedding_images(pattern: Graph, hverts: Sequence[int], adj: np.ndarray,
                       cap: int = DEFAULT_ENUMERATION_CAP,
                       automorphisms: Iterable[tuple[int, ...]] = ()
-                      ) -> Iterator[tuple[int, ...]]:
-    """Injective maps of pattern into host preserving pattern edges, each
-    as the tuple of images of the sorted pattern vertices; the host is
-    given as _neighbour_masks returns it.
+                      ) -> Iterator[np.ndarray]:
+    """Injective maps of pattern into host preserving pattern edges, in
+    blocks: int arrays whose rows are the images of the sorted pattern
+    vertices. The host is given as _adjacency_matrix returns it.
 
     Copies are not required to be induced; host edges outside the image
     are ignored. With no automorphisms every raw embedding is yielded.
@@ -295,67 +311,76 @@ def _embedding_images(pattern: Graph, hverts: Sequence[int], nbr: list[int],
     The symmetry check reduces, per automorphism, to one pair of pattern
     vertices (the first vertex x it moves, and its image y) with
     m[x] < m[y], so partial embeddings are cut as soon as both are placed.
-    Candidate sets are int bit masks over the sorted host vertices: the
-    AND of the placed neighbours' neighbour masks and of the mask of host
-    vertices of at least the pattern vertex's degree, minus the used bits,
-    clipped above the largest and below the smallest bound; walking the
-    set bits upwards visits the candidates in ascending label order.
-    More than cap yielded embeddings raise ResourceLimitError.
+    An ordered join places the pattern vertices in _placement_order: one
+    numpy pass extends a block of at most _JOIN_BLOCK partial embeddings
+    by one position, as the AND of the adjacency rows of the placed
+    neighbours' images and of the host vertices of at least the pattern
+    vertex's degree, minus the other placed images, clipped above the
+    largest and below the smallest bound. The candidates are read out row
+    by row in ascending order, and blocks are extended depth first, so
+    rows come out in lexicographic order of the images in placement
+    order, over the sorted host vertices. Past cap embeddings, the first
+    cap are yielded and ResourceLimitError is raised.
     """
     pverts = sorted(pattern.vertices)
-    if not pverts:
-        yield ()
-        return
     padj = pattern.adjacency()
     order = _placement_order(pattern)
     # per position: the host vertices of at least its degree, the earlier
-    # positions it must be adjacent to, and those whose images it must
-    # exceed (above) or stay below (below), from the automorphisms' pairs
+    # positions it must be adjacent to, the other earlier positions, and
+    # those whose images it must exceed (above) or stay below (below),
+    # from the automorphisms' pairs
     pos_of = {u: i for i, u in enumerate(order)}
-    hdeg = [m.bit_count() for m in nbr]
-    fit = [sum(1 << i for i, d in enumerate(hdeg) if d >= len(padj[u]))
-           for u in order]
+    hdeg = adj.sum(axis=1)
+    fit = [hdeg >= len(padj[u]) for u in order]
     anchors = [[pos_of[w] for w in padj[u] if pos_of[w] < pos]
                for pos, u in enumerate(order)]
-    above: list[set[int]] = [set() for _ in order]
-    below: list[set[int]] = [set() for _ in order]
+    others = [[j for j in range(pos) if j not in anchors[pos]]
+              for pos in range(len(order))]
+    above: list[list[int]] = [[] for _ in order]
+    below: list[list[int]] = [[] for _ in order]
     for a in automorphisms:
         moved = [(x, y) for x, y in zip(pverts, a) if x != y]
         if moved:
             x, y = moved[0]
             if pos_of[x] < pos_of[y]:
-                above[pos_of[y]].add(pos_of[x])
+                above[pos_of[y]].append(pos_of[x])
             else:
-                below[pos_of[x]].add(pos_of[y])
-    last = len(order) - 1
-    img = [0] * len(order)  # host bit index per placed position
-    at = img.__getitem__
+                below[pos_of[x]].append(pos_of[y])
+    labels = np.asarray(hverts, dtype=np.intp)
+    cols = np.arange(len(labels))
     slots = [pos_of[u] for u in pverts]  # position of each sorted vertex
     emitted = 0
 
-    def place(pos: int, used: int) -> Iterator[tuple[int, ...]]:
+    def extend(part: np.ndarray) -> Iterator[np.ndarray]:
+        """The embeddings that extend part, whose rows are the host indices
+        of the first part.shape[1] positions."""
         nonlocal emitted
-        cands = fit[pos] & ~used
-        for a in anchors[pos]:
-            cands &= nbr[img[a]]
-        if above[pos]:
-            cands &= -(1 << (max(map(at, above[pos])) + 1))
-        if below[pos]:
-            cands &= (1 << min(map(at, below[pos]))) - 1
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            img[pos] = low.bit_length() - 1
-            if pos < last:
-                yield from place(pos + 1, used | low)
-                continue
-            emitted += 1
-            if emitted > cap:
+        pos = part.shape[1]
+        if pos == len(order):
+            block = labels[part[:, slots]]
+            if emitted + len(block) > cap:
+                yield block[:cap - emitted]
                 raise ResourceLimitError(
                     f"embedding enumeration exceeded cap {cap}")
-            yield tuple([hverts[img[k]] for k in slots])
+            emitted += len(block)
+            yield block
+            return
+        cands = np.repeat(fit[pos][None, :], len(part), axis=0)
+        for a in anchors[pos]:
+            cands &= adj[part[:, a]]
+        if others[pos]:
+            cands[np.arange(len(part))[:, None], part[:, others[pos]]] = False
+        if above[pos]:
+            cands &= cols > part[:, above[pos]].max(axis=1, keepdims=True)
+        if below[pos]:
+            cands &= cols < part[:, below[pos]].min(axis=1, keepdims=True)
+        # row-major, as np.nonzero reads a 2-d array but several times faster
+        rows, new = np.divmod(np.flatnonzero(cands), len(labels))
+        grown = np.column_stack([part[rows], new])
+        for start in range(0, len(grown), _JOIN_BLOCK):
+            yield from extend(grown[start:start + _JOIN_BLOCK])
 
-    yield from place(0, 0)
+    yield from extend(np.zeros((1, 0), dtype=np.intp))
 
 
 # -- edge-list text format ---------------------------------------------------

@@ -59,14 +59,14 @@ def graph_from_uniforms(n: int, us: np.ndarray, p: float) -> Graph:
                             vertices=range(n))
 
 
-def neighbour_masks_at(n: int, us: np.ndarray, p: float) -> list[int]:
-    """graph_from_uniforms(n, us, p) as per-vertex int bit masks of the
-    neighbours, the host form of the embedding search; no Graph is built."""
+def neighbour_masks_at(n: int, us: np.ndarray, p: float) -> np.ndarray:
+    """graph_from_uniforms(n, us, p) as its boolean adjacency matrix, one
+    neighbour mask per row, the host form of the embedding search; no
+    Graph is built."""
     adj = np.zeros((n, n), dtype=bool)
     adj[np.triu_indices(n, 1)] = us < p  # row-major: edge_order(n)
     adj |= adj.T
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(adj, axis=1, bitorder="little")]
+    return adj
 
 
 class GraphAt:

@@ -3,8 +3,8 @@ bit-mask candidate sets.
 
 set_embeddings walks Python sets of host vertices, sorted per position,
 and yields each embedding as a dict; fthresh.graphs._embedding_images must
-yield the same maps, as the images of the sorted pattern vertices, in the
-same order, and raise at the same count when capped.
+list the same maps, as rows of the images of the sorted pattern vertices,
+in the same order, and raise at the same count when capped.
 """
 
 import math

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import networkx as nx
 import pytest
@@ -13,10 +14,11 @@ from hypothesis import given, settings
 from graph_helpers import empty, path, relabel
 from hypothesis import strategies as st
 
+from fthresh import graphs
 from fthresh.errors import ResourceLimitError, UndefinedDensityError
-from fthresh.graphs import (Graph, _embedding_images,
-                            _induced_edge_counts, _neighbour_masks,
-                            automorphisms, canonical_form, components,
+from fthresh.graphs import (Graph, _adjacency_matrix, _embedding_images,
+                            _induced_edge_counts, automorphisms,
+                            canonical_form, components,
                             format_edge_list, one_density, parse_edge_list,
                             strictly_1_balanced_violation)
 from fthresh.patterns import analyze_pattern, pattern_preset
@@ -49,10 +51,16 @@ def automorphism_count(g: Graph) -> int:
     return len(automorphisms(g))
 
 
+def rows(pattern: Graph, host: Graph, **kw) -> Iterator[tuple[int, ...]]:
+    """The rows of the blocks _embedding_images yields for pattern and
+    host, as tuples, one at a time, so a cap stops the listing mid-block."""
+    for block in _embedding_images(pattern, *_adjacency_matrix(host), **kw):
+        yield from map(tuple, block.tolist())
+
+
 def images(pattern: Graph, host: Graph, **kw) -> list[tuple[int, ...]]:
-    """The embeddings of pattern into host, as _embedding_images yields
-    them."""
-    return list(_embedding_images(pattern, *_neighbour_masks(host), **kw))
+    """The embeddings of pattern into host, in _embedding_images order."""
+    return list(rows(pattern, host, **kw))
 
 
 def as_images(pattern: Graph, maps) -> list[tuple[int, ...]]:
@@ -289,6 +297,21 @@ ORACLE_IDS = ["k2", "k3", "k4", "c4", "c5", "k4me", "c4-relabelled",
               "disconnected"]
 
 
+def _random_hosts() -> list[Graph]:
+    """25 hosts on up to 13 non-contiguous labels, many above 64, some
+    left isolated."""
+    rng = random.Random(17)
+    hosts = []
+    for _ in range(25):
+        n = rng.randint(0, 13)
+        labels = rng.sample(range(300), n)
+        p = rng.uniform(0.15, 0.9)
+        hosts.append(Graph.from_edges(
+            [e for e in itertools.combinations(labels, 2)
+             if rng.random() < p], vertices=labels))
+    return hosts
+
+
 def _drain(it) -> tuple[list, bool]:
     """Everything an enumeration yields, and whether it then hit its cap."""
     out = []
@@ -308,16 +331,8 @@ class TestEmbeddingOracle:
     @pytest.mark.parametrize("pattern,auts", _oracle_templates(),
                              ids=ORACLE_IDS)
     def test_same_embeddings_in_the_same_order(self, pattern, auts):
-        rng = random.Random(17)
         total = isolated = 0
-        for _ in range(25):
-            n = rng.randint(0, 13)
-            # non-contiguous labels, many above 64, some left isolated
-            labels = rng.sample(range(300), n)
-            p = rng.uniform(0.15, 0.9)
-            host = Graph.from_edges(
-                [e for e in itertools.combinations(labels, 2)
-                 if rng.random() < p], vertices=labels)
+        for host in _random_hosts():
             isolated += sum(not a for a in host.adjacency().values())
             for a in ((), auts):
                 got = images(pattern, host, automorphisms=a)
@@ -337,9 +352,8 @@ class TestEmbeddingOracle:
                                            automorphisms=auts)))
             assert full > 0
             for cap in (0, 1, full // 2, full - 1, full):
-                got = _drain(_embedding_images(
-                    pattern, *_neighbour_masks(host), cap=cap,
-                    automorphisms=auts))
+                got = _drain(rows(pattern, host, cap=cap,
+                                  automorphisms=auts))
                 maps, hit = _drain(set_embeddings(pattern, host, cap=cap,
                                                   automorphisms=auts))
                 assert got == (as_images(pattern, maps), hit)
@@ -375,10 +389,34 @@ class TestImageCore:
             full = math.perm(7, len(pattern.vertices)) // max(len(a), 1)
             assert len(listing) == full
             for cap in (0, 1, full // 2, full - 1, full):
-                got, hit = _drain(_embedding_images(
-                    pattern, *_neighbour_masks(host), cap=cap,
-                    automorphisms=a))
+                got, hit = _drain(rows(pattern, host, cap=cap,
+                                       automorphisms=a))
                 assert hit == (cap < full)
+                assert got == listing[:cap]
+
+
+class TestJoinBlocks:
+    """Block boundaries keep the join's order: with blocks of 1, 2, 3 and
+    7 partial embeddings, the rows and their order are the default's on
+    the random hosts and on K7, and a cap one below, at and one above the
+    block size yields the uncapped listing's prefix, then raises."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("pattern,auts", _oracle_templates(),
+                             ids=ORACLE_IDS)
+    def test_rows_and_cap_follow_the_default(self, monkeypatch, block,
+                                             pattern, auts):
+        hosts = _random_hosts() + [Graph.complete(7)]
+        cases = [(host, a) for host in hosts for a in ((), auts)]
+        want = [images(pattern, host, automorphisms=a) for host, a in cases]
+        monkeypatch.setattr(graphs, "_JOIN_BLOCK", block)
+        assert [images(pattern, host, automorphisms=a)
+                for host, a in cases] == want
+        for (host, a), listing in zip(cases, want):
+            for cap in (block - 1, block, block + 1):
+                got, hit = _drain(rows(pattern, host, cap=cap,
+                                       automorphisms=a))
+                assert hit == (cap < len(listing))
                 assert got == listing[:cap]
 
 

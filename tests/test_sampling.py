@@ -11,7 +11,7 @@ from placement_oracles import by_pair_sparse_placements
 from fthresh import exactengine, sampling
 from fthresh.dgraphs import sparse_cycle_placements
 from fthresh.fgraphs import FGraph, classify
-from fthresh.graphs import _neighbour_masks
+from fthresh.graphs import _adjacency_matrix
 from fthresh.patterns import pattern_preset, pi_prime
 from fthresh.sampling import (STREAM_COPIES, STREAM_DUMMIES, STREAM_EDGES,
                               GraphAt, dummy_slots, edge_order,
@@ -59,9 +59,9 @@ class TestGnp:
     @pytest.mark.parametrize("n", [1, 2, 9, 64, 70])
     def test_neighbour_masks_at_read_as_the_built_graph(self, n):
         us = edge_uniforms(n, 5)
-        hverts, nbr = _neighbour_masks(graph_from_uniforms(n, us, 0.4))
+        hverts, adj = _adjacency_matrix(graph_from_uniforms(n, us, 0.4))
         assert hverts == list(range(n))
-        assert neighbour_masks_at(n, us, 0.4) == nbr
+        assert np.array_equal(neighbour_masks_at(n, us, 0.4), adj)
 
     def test_edge_count_statistics(self):
         n, p, reps = 12, 0.3, 300

@@ -1,20 +1,22 @@
 """Threshold scan: golden row hashes and a per-p reference loop."""
 
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
+from embedding_oracles import set_embeddings
 from factor_oracles import (copies_by_embedding, enumerate_copies,
                             recount_factor_search)
 from graph_helpers import relabel
 
 from fthresh.cli import auto_grid, run_scan, trial_searches
-from fthresh.factors import f_isolated, find_f_factor
+from fthresh.factors import _host_copies, f_isolated, find_f_factor
 from fthresh.patterns import pattern_preset
-from fthresh.sampling import (STREAM_EDGES, graph_from_uniforms, rng_for,
-                              slots_of)
+from fthresh.sampling import (STREAM_EDGES, graph_from_uniforms,
+                              neighbour_masks_at, rng_for, slots_of)
 
 BUDGET = 100_000
 
@@ -275,6 +277,42 @@ class TestIndependentSearch:
                             (cert and [fe.embedding for fe in cert])
                         statuses.add(status)
         assert statuses == {"found", "none", "budget"}
+
+
+class TestHostCopies:
+    """_host_copies at scan scale against the set-based reference
+    enumerator, which shares no code with the array join: on the scan's
+    top-of-grid hosts, five trials per template, the least embedding of
+    each copy under Aut(F), in copy order, with its sorted vertices and
+    its sorted edge slots."""
+
+    @pytest.mark.parametrize("name,n", [("k3", 60), ("c4", 20),
+                                        ("k4me", 16)])
+    def test_rows_follow_the_reference(self, name, n):
+        f = pattern_preset(name)
+        p = max(auto_grid(f, n))
+        pverts = sorted(f.graph.vertices)
+        slot = {e: i for i, e in
+                enumerate(itertools.combinations(range(n), 2))}
+        batch = rng_for(1, STREAM_EDGES).random((5, n * (n - 1) // 2))
+        for us in batch:
+            host = graph_from_uniforms(n, us, p)
+            want = []
+            # copy order: sorted vertices, then sorted edges, whose order
+            # slot order follows
+            for m in set_embeddings(f.graph, host,
+                                    automorphisms=f.automorphisms):
+                edges = sorted(slot[tuple(sorted((m[u], m[v])))]
+                               for u, v in f.graph.edges)
+                want.append((tuple(sorted(m.values())), tuple(edges),
+                             tuple(m[u] for u in pverts)))
+            want.sort()
+            embs, slots, verts = _host_copies(
+                f, neighbour_masks_at(n, us, p))
+            assert len(want) > 0
+            assert [tuple(r) for r in embs.tolist()] == [w[2] for w in want]
+            assert [tuple(r) for r in slots.tolist()] == [w[1] for w in want]
+            assert [tuple(r) for r in verts.tolist()] == [w[0] for w in want]
 
 
 def _tied_pivots(g, f, cert) -> int:
