@@ -190,8 +190,6 @@ def crossing_estimate(rows: list[dict],
     for a, b in zip(rows, rows[1:]):
         fa, fb = a[key], b[key]
         if fa < 0.5 <= fb:
-            if fb == fa:
-                return a["p"]
             t = (0.5 - fa) / (fb - fa)
             return a["p"] + t * (b["p"] - a["p"])
     return None

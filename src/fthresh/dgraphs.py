@@ -166,21 +166,18 @@ def clean_cycle_types(f: Pattern, k: int) -> tuple[tuple[FGraph, str], ...]:
         in_label, out_label = pos[a], pos[b]
         copies = [first]
         fresh = r
-        ok = True
         for i in range(1, k - 1):
             x, y = choice[i]
             fe, images = _place_copy(f, {x: out_label}, fresh)
             out_label = images[y]
             copies.append(fe)
             fresh += r - 1
+        # x != y: the ordered representatives are pairs of distinct vertices
         x, y = choice[k - 1]
-        if x == y:
-            ok = False
-        if ok:
-            last, _ = _place_copy(f, {x: out_label, y: in_label}, fresh)
-            copies.append(last)
-            record(FGraph.from_fedges(copies),
-                   "-".join(f"({p},{q})" for p, q in choice))
+        last, _ = _place_copy(f, {x: out_label, y: in_label}, fresh)
+        copies.append(last)
+        record(FGraph.from_fedges(copies),
+               "-".join(f"({p},{q})" for p, q in choice))
     return tuple(sorted(found.values(), key=lambda t: t[1]))
 
 

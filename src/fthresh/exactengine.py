@@ -15,6 +15,7 @@ these arrays.
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
@@ -52,10 +53,6 @@ class Placements:
         self.n = n
         self.pairs = edge_order(n)
         self.copies = all_potential_copies(f, n)
-        # keyed by copy identity as a plain tuple, which hashes faster than
-        # the FEdge itself
-        self.copy_index = {(fe.vertices, fe.edge_set): i
-                           for i, fe in enumerate(self.copies)}
         self.copy_bits = tuple(self.edge_mask(fe.edge_set)
                                for fe in self.copies)
         # the rows index potential_copies_on(f, range(n)), i.e. self.copies
@@ -99,9 +96,6 @@ class Placements:
         dummy_slots(f, n)."""
         slots = dummy_slots(self.f, self.n)
         return [slots[s] for s in self.dummy_slot[rows].tolist()]
-
-    def copy_id(self, fe: FEdge) -> int:
-        return self.copy_index[(fe.vertices, fe.edge_set)]
 
     def edge_mask(self, edges) -> int:
         return sum(1 << slots_of(u, v, self.n) for u, v in edges)
@@ -169,16 +163,30 @@ def weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
     return i
 
 
-def _remember(cache: dict, key, value, limit: int = 512):
-    """Store value, an array or a tuple of arrays made read-only since
-    every caller shares it, in a cache emptied once it holds limit
-    entries."""
-    for a in value if isinstance(value, tuple) else (value,):
-        a.flags.writeable = False
-    if len(cache) >= limit:
-        cache.clear()
-    cache[key] = value
-    return value
+def _memoise(limit: int = 512):
+    """Memoise an engine method on its arguments, in a dict per method on
+    the engine itself, so that an evicted engine takes its entries with
+    it; the dict is emptied once it holds limit entries. Array results,
+    alone or in a tuple, are made read-only, since every caller shares
+    them."""
+    def wrap(method):
+        name = method.__name__
+
+        @functools.wraps(method)
+        def cached(self, *key):
+            memo = self._memo[name]
+            value = memo.get(key)
+            if value is None:
+                value = method(self, *key)
+                for a in value if isinstance(value, tuple) else (value,):
+                    if isinstance(a, np.ndarray):
+                        a.flags.writeable = False
+                if len(memo) >= limit:
+                    memo.clear()
+                memo[key] = value
+            return value
+        return cached
+    return wrap
 
 
 def _check_outcomes(axes: int) -> None:
@@ -199,12 +207,10 @@ class ExactEngine:
         self.table = tab
         self.M = len(tab.copies)
         _check_outcomes(self.M)
-        self.pairs = tab.pairs
         # per cycle, its copy set and its shadow as masks over the copy and
         # edge axes; E, M <= 24, so one 32-bit word holds each
-        self._copy_sets = np.array([sum(1 << c for c in tab.ids(i))
-                                    for i in range(tab.n_cycles)],
-                                   dtype=np.uint32)
+        self._copy_sets = row_words([1 << c for c in range(self.M)],
+                                    tab.copy_ids, 1)[:, 0].astype(np.uint32)
         self._shadows = tab.shadow_words[:, 0].astype(np.uint32)
 
         # per mask, how many cycles it contains: on the copy axis the
@@ -219,17 +225,15 @@ class ExactEngine:
         self.g_pc = np.bitwise_count(
             np.arange(2 ** self.E, dtype=np.uint32)).astype(np.uint8)
 
-        self._valid_h_cache: dict[frozenset[int], tuple] = {}
-        self._valid_g_cache: dict[frozenset[int], np.ndarray] = {}
-        self._mu_cache: dict[tuple, float] = {}
-        self._nu_cache: dict[tuple, float] = {}
-        self._g_weights: dict[float, np.ndarray] = {}
+        # method name -> arguments -> result, filled by _memoise
+        self._memo: dict[str, dict] = collections.defaultdict(dict)
 
     # -- translation ---------------------------------------------------------
 
     def h_cycle_ids(self, h: FGraph) -> frozenset[int]:
         tab = self.table
-        present = tab.copy_flags(tab.copy_id(fe) for fe in h.fedges)
+        # M <= 24, so a scan of the copy list is as quick as an index
+        present = tab.copy_flags(tab.copies.index(fe) for fe in h.fedges)
         return frozenset(np.flatnonzero(
             present[tab.copy_ids].all(axis=1)).tolist())
 
@@ -244,91 +248,75 @@ class ExactEngine:
 
     # -- copy-process side ---------------------------------------------------
 
+    @_memoise()
     def valid_h(self, c1: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
         """(masks, popcounts) of copy subsets whose cycle set is exactly c1,
         masks ascending: among the subsets holding every copy of c1, which
         contain all of c1's cycles, those that contain no other cycle."""
-        if c1 in self._valid_h_cache:
-            return self._valid_h_cache[c1]
         rows = list(c1)
         cand = _supersets(int(np.bitwise_or.reduce(self._copy_sets[rows])),
                           self.M)
         masks = cand[self.h_count[cand] == len(rows)]
-        return _remember(self._valid_h_cache, c1,
-                         (masks, np.bitwise_count(masks)))
+        return masks, np.bitwise_count(masks)
 
+    @_memoise()
     def mu(self, c1: frozenset[int], pi: float) -> float:
         """Probability that the copy process has cycle set exactly c1."""
-        key = (c1, pi)
-        if key not in self._mu_cache:
-            if pi >= 1.0 or pi <= 0.0:
-                full = frozenset(range(self.table.n_cycles))
-                self._mu_cache[key] = float(
-                    (c1 == full) if pi >= 1.0 else (not c1))
-            else:
-                _masks, pc = self.valid_h(c1)
-                x = pi / (1.0 - pi)
-                w = float(np.sum(x ** pc.astype(np.float64)))
-                self._mu_cache[key] = w * (1.0 - pi) ** self.M
-        return self._mu_cache[key]
+        if pi >= 1.0 or pi <= 0.0:
+            full = frozenset(range(self.table.n_cycles))
+            return float((c1 == full) if pi >= 1.0 else (not c1))
+        _masks, pc = self.valid_h(c1)
+        x = pi / (1.0 - pi)
+        w = float(np.sum(x ** pc.astype(np.float64)))
+        return w * (1.0 - pi) ** self.M
 
     # -- auxiliary-graph side ------------------------------------------------
 
+    @_memoise(limit=8)
     def g_weights(self, p: float) -> np.ndarray:
-        """Per-edge-mask weight including the free-dummy marginal factor,
-        computed once per p and shared read-only."""
-        w = self._g_weights.get(p)
-        if w is not None:
-            return w
+        """Per-edge-mask weight including the free-dummy marginal factor;
+        2^E floats a p, so only the last few p are kept."""
         if p <= 0.0 or p >= 1.0:
             w = np.zeros(2 ** self.E)
             w[-1 if p >= 1.0 else 0] = 1.0
-        else:
-            lp, lq = np.log(p), np.log1p(-p)
-            pc = self.g_pc.astype(np.float64)
-            w = np.exp(pc * lp + (self.E - pc) * lq
-                       + self.g_s_all.astype(np.float64) * lq)
-        return _remember(self._g_weights, p, w, limit=8)
+            return w
+        lp, lq = np.log(p), np.log1p(-p)
+        pc = self.g_pc.astype(np.float64)
+        return np.exp(pc * lp + (self.E - pc) * lq
+                      + self.g_s_all.astype(np.float64) * lq)
 
+    @_memoise()
     def valid_g_dense(self, c1: frozenset[int]) -> np.ndarray:
         """Edge masks, ascending, whose complete dense cycles are exactly
         c1's dense part and whose complete sparse shadows cover c1's sparse
         part: among the masks holding every shadow of c1, those that
         complete no other dense cycle."""
-        if c1 in self._valid_g_cache:
-            return self._valid_g_cache[c1]
         rows = list(c1)
         cand = _supersets(int(np.bitwise_or.reduce(self._shadows[rows])),
                           self.E)
         n_dense = len(rows) - int(self.table.sparse[rows].sum())
-        return _remember(self._valid_g_cache, c1,
-                         cand[self.g_dense_count[cand] == n_dense])
+        return cand[self.g_dense_count[cand] == n_dense]
 
+    @_memoise()
     def nu(self, c1: frozenset[int], p: float) -> float:
         """Probability that the auxiliary graph has d-cycle set exactly c1."""
-        key = (c1, p)
-        if key in self._nu_cache:
-            return self._nu_cache[key]
         if p <= 0.0 or p >= 1.0:
             full = frozenset(range(self.table.n_cycles))
-            val = float((c1 == full) if p >= 1.0 else (not c1))
-        else:
-            n_sparse = sum(1 for i in c1 if self.table.sparse[i])
-            # sparse cycles off c1 with complete shadow: dummy forced absent;
-            # the g_weights factor (1-p)^{s_all} overcounts the c1 ones
-            w = self.g_weights(p)[self.valid_g_dense(c1)]
-            val = float(np.sum(w)) * (p / (1.0 - p)) ** n_sparse
-        self._nu_cache[key] = val
-        return val
+            return float((c1 == full) if p >= 1.0 else (not c1))
+        n_sparse = sum(1 for i in c1 if self.table.sparse[i])
+        # sparse cycles off c1 with complete shadow: dummy forced absent;
+        # the g_weights factor (1-p)^{s_all} overcounts the c1 ones
+        w = self.g_weights(p)[self.valid_g_dense(c1)]
+        return float(np.sum(w)) * (p / (1.0 - p)) ** n_sparse
 
     def sample_g(self, masks: np.ndarray, p: float, c1: frozenset[int],
                  rng: np.random.Generator) -> DGraph:
         """Draw the auxiliary graph from its conditional law: an edge mask
         among the valid masks, proportional to weight, then dummies."""
         mask = int(masks[weighted_index(self.g_weights(p)[masks], rng)])
-        edges = [self.pairs[i] for i in range(self.E) if mask >> i & 1]
-        base = Graph.from_edges(edges, vertices=range(self.n))
         tab = self.table
+        edges = [tab.pairs[i] for i in range(self.E) if mask >> i & 1]
+        base = Graph.from_edges(edges, vertices=range(self.n))
         rows = np.flatnonzero(tab.sparse).tolist()
         dummies = set()
         for i, key in zip(rows, tab.dummy_keys(rows)):

@@ -137,9 +137,15 @@ def max_g1_of_dcycle(
     without raising the rank), while an edge merging two components shifts
     f1 by 1/d1(F) - 1 < 0, so cross edges are best left out. The maximum of
     f1 is therefore attained by a family of vertex-disjoint connected
-    induced subgraphs, searched exhaustively below, and g1 = f1 - 1. A
-    sub-d-graph containing the dummy edge spans every vertex and is handled
-    in closed form.
+    induced subgraphs, searched exhaustively below, and g1 = f1 - 1.
+
+    A dense cycle's whole graph is not proper, so its best proper edge
+    subsets, the whole graph less one edge, are a closed form of their
+    own. A sparse cycle needs no such form for its sub-d-graphs that hold
+    the dummy edge: those have at most e(D) - 1 edges on all v vertices,
+    so their best g1 is that of the full shadow, a connected piece, which
+    the family search takes when its weight is positive and the empty
+    family beats when it is not.
 
     The search runs on one integer scale: with d1 = d1n/d1d, a piece W
     weighs d1n * h(W) = e(W) * d1d - (|W| - 1) * d1n, where h(W) is its f1.
@@ -196,12 +202,6 @@ def max_g1_of_dcycle(
             if cand > best_g1:
                 best_g1 = cand
                 how = "full_minus_edge"
-    else:
-        # dummy included: all vertices joined, rank pinned at v(G)-1
-        cand = Fraction(d.dgraph.e() - 1) / f.d1 - d.dgraph.v()
-        if cand > best_g1:
-            best_g1 = cand
-            how = "dummy"
     return best_g1, how
 
 

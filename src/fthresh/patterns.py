@@ -62,10 +62,8 @@ class ThresholdParams:
 
 
 def _is_two_vertex_connected(g: Graph) -> bool:
-    if g.v() < 3:
-        return False
-    if not g.is_connected():
-        return False
+    """Whether no single vertex disconnects g; g must be connected and have
+    at least three vertices, as analyze_pattern checks first."""
     for u in g.vertices:
         rest = g.induced(g.vertices - {u})
         if components(rest)[0] > 1:

@@ -15,7 +15,7 @@ from fthresh.coupling import (OUTCOMES, _cycle_half, _law, _q_report,
                               precouple_cycles, run_coupling)
 from fthresh.exactengine import placements
 from fthresh.exponents import select_constants
-from fthresh.fgraphs import shadow
+from fthresh.fgraphs import FGraph, classify, shadow
 from fthresh.graphs import Graph
 from fthresh.patterns import analyze_pattern, derive_params, pattern_preset
 from fthresh.sampling import dummy_slots
@@ -152,6 +152,27 @@ class TestBoundMode:
         a = run_coupling(K3, 10, params, 7, mode="bound")
         b = run_coupling(K3, 10, params, 7, mode="bound")
         assert a.to_jsonl() == b.to_jsonl()
+
+    def test_step_b2_on_an_avoidable_witness(self):
+        """A step whose error term has an avoidable contributor ends the
+        run in B2 with that witness; on the way, two copies already in H0
+        are certain on both sides. The seed was found by a search."""
+        t = run_coupling(K3, 8, small_params(8, 0.01), 34, mode="bound")
+        fedges = [[0, 1, 4], [0, 2, 4], [1, 2, 3]]
+        assert t.outcome == "B2"
+        assert len(t.steps) == 22
+        assert t.witness == {"kind": "avoidable", "fedges": fedges}
+        bad = t.steps[-1]["q"]["bad"]
+        assert [w["kind"] for w in bad].count("avoidable") == 1
+        copies = placements(K3, 8).copies
+        w = FGraph.from_fedges(fe for fe in copies
+                               if list(fe.embedding) in fedges)
+        assert w.e() == 3
+        assert classify(w).kind == "avoidable"
+        certain = [s for s in t.steps if s["pi_j"] == 1.0]
+        assert [s["j"] for s in certain] == [3, 8]
+        assert all(s["pi_prime_j"] == 1.0 and s["decision_H"] is True
+                   for s in certain)
 
     @pytest.mark.parametrize("name,n", [("k3", 6), ("k3", 10), ("c4", 7)])
     def test_dummies_are_the_slots(self, name, n):

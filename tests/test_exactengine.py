@@ -1,5 +1,7 @@
 """Exact enumeration backend against full product-space brute force."""
 
+import itertools
+
 import numpy as np
 import pytest
 from engine_oracles import (brute_valid_g_dense, brute_valid_h, cycle_masks,
@@ -98,6 +100,7 @@ class TestBuild:
         got = (eng.h_count, eng.g_dense_count, eng.g_s_all)
         for a, b in zip(got, loop_arrays(eng)):
             assert np.array_equal(a, b)
+        assert eng._copy_sets.tolist() == cycle_masks(eng)[0]
 
     def test_subset_sums(self):
         rng = np.random.default_rng(5)
@@ -191,6 +194,68 @@ class TestNu:
         law = brute_g_law(eng, p)
         total = sum(eng.nu(c1, p) for c1 in law)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_extremes(self, eng):
+        full = frozenset(range(eng.table.n_cycles))
+        assert eng.nu(full, 1.0) == 1.0
+        assert eng.nu(frozenset(), 0.0) == 1.0
+        assert eng.nu(frozenset(), 1.0) == 0.0
+
+    def test_weights_at_the_extremes(self, eng):
+        """At p = 0 every edge is absent and at p = 1 every edge present."""
+        for p, mask in ((0.0, 0), (1.0, 2 ** eng.E - 1)):
+            w = eng.g_weights(p)
+            assert w.shape == (2 ** eng.E,)
+            assert w[mask] == 1.0
+            assert np.count_nonzero(w) == 1
+
+
+class TestMemo:
+    """Each memoised method keeps at most its limit of entries on its
+    engine, what it hands out equals what a fresh engine computes, and its
+    arrays are read-only."""
+
+    def test_bounded_past_the_limit(self):
+        eng = ExactEngine(K3, 4)
+        c1 = frozenset({0})
+        pis = np.linspace(0.001, 0.999, 600).tolist()
+        got = [eng.mu(c1, pi) for pi in pis]
+        assert len(eng._memo["mu"]) <= 512
+        fresh = ExactEngine(K3, 4)
+        assert got == [fresh.mu(c1, pi) for pi in pis]
+        # the entries kept and the ones evicted and computed again
+        assert [eng.mu(c1, pi) for pi in pis] == got
+        assert len(eng._memo["mu"]) <= 512
+
+    def test_arrays_read_only_across_an_eviction(self):
+        eng = ExactEngine(K3, 5)
+        c1s = [frozenset(c) for c in itertools.islice(
+            itertools.combinations(range(eng.table.n_cycles), 3), 520)]
+        ps = np.linspace(0.05, 0.95, 10).tolist()
+        held = {"valid_h": [eng.valid_h(c1) for c1 in c1s],
+                "valid_g_dense": [eng.valid_g_dense(c1) for c1 in c1s],
+                "g_weights": [eng.g_weights(p) for p in ps]}
+        first = {"valid_h": (c1s[0],), "valid_g_dense": (c1s[0],),
+                 "g_weights": (ps[0],)}
+        for name, limit in (("valid_h", 512), ("valid_g_dense", 512),
+                            ("g_weights", 8)):
+            memo = eng._memo[name]
+            assert first[name] not in memo
+            assert len(memo) <= limit
+        arrays = [*(a for pair in held["valid_h"] for a in pair),
+                  *held["valid_g_dense"], *held["g_weights"],
+                  *eng.valid_h(c1s[0]), eng.valid_g_dense(c1s[0]),
+                  eng.g_weights(ps[0])]
+        assert not any(a.flags.writeable for a in arrays)
+        fresh = ExactEngine(K3, 5)
+        for c1, (masks, pc) in zip(c1s, held["valid_h"]):
+            want = fresh.valid_h(c1)
+            assert np.array_equal(masks, want[0])
+            assert np.array_equal(pc, want[1])
+        for c1, masks in zip(c1s, held["valid_g_dense"]):
+            assert np.array_equal(masks, fresh.valid_g_dense(c1))
+        for p, w in zip(ps, held["g_weights"]):
+            assert np.array_equal(w, fresh.g_weights(p))
 
 
 class TestSampleG:
