@@ -241,12 +241,42 @@ def _precouple_shared(f: Pattern, params: ThresholdParams,
 
 # -- the two laws ------------------------------------------------------------
 
+class _Live:
+    """A live vector over the engine's read-only masks and weights. A step
+    sums the live masks with copy j in ascending order, as a compacted
+    state would; the live total becomes that sum after True, is summed
+    again after a False that drops masks, and is otherwise kept."""
+
+    def __init__(self, masks: np.ndarray, weights: np.ndarray):
+        self.masks, self.weights = masks, weights
+        self.live = np.ones(len(masks), dtype=bool)
+        self.total = float(weights.sum())
+
+    def prob(self, holding: np.ndarray) -> float:
+        if not self.total > 0:
+            raise InternalInconsistencyError("exact state has no support")
+        self.hit = holding[self.live[holding]]
+        self.num = float(self.weights[self.hit].sum())
+        return self.num / self.total
+
+    def commit(self, dec: Optional[bool]) -> None:
+        if dec:
+            self.live[:] = False
+            self.live[self.hit] = True
+            self.total = self.num
+        elif dec is False and len(self.hit):
+            self.live[self.hit] = False
+            self.total = float(self.weights[self.live].sum())
+
+    def state(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.masks[self.live], self.weights[self.live]
+
+
 class _ExactLaw:
     """Every conditional probability by enumeration over the engine's
     product spaces; the final structures follow the exact conditional laws.
-    The state the steps narrow down is, on each side, the ascending masks
-    still consistent with the decisions so far (copy subsets, edge masks)
-    and their weights, so a step reads only what is still live."""
+    Each side's state is a _Live vector over the masks valid for C1 (copy
+    subsets, edge masks), read at the positions memoised per (C1, j)."""
 
     g_law = "exact"
 
@@ -254,57 +284,40 @@ class _ExactLaw:
                  seed: int, rng: np.random.Generator):
         self.eng = eng = get_engine(f, n)
         self.tab = eng.table
-        self.params = params
-        self.rng = rng
+        self.params, self.rng = params, rng
         self.pre = pre = _precouple_exact(f, n, params, seed, rng, eng)
         if pre.b3:
             return
-        self.masks_h, pc_h = eng.valid_h(pre.c1)
-        x = params.pi / (1.0 - params.pi)
-        self.w_h = x ** pc_h.astype(np.float64)
-        self.masks_g = eng.valid_g_dense(pre.c1)
-        self.w_g = eng.g_weights(params.p)[self.masks_g]
+        c1, pi, p = pre.c1, params.pi, params.p
+        self.h = _Live(eng.valid_h(c1)[0], eng.h_weights(c1, pi))
+        self.g = _Live(eng.valid_g_dense(c1), eng.g_dense_weights(c1, p))
 
     def b3_structures(self) -> tuple[FGraph, DGraph]:
         return self.pre.h_pre, self.pre.g_pre
 
     def probs(self, j: int, q: dict, h0: set[int],
               r_bits: int) -> tuple[float, float]:
-        self._has = (self.masks_h & np.uint32(1 << j)) != 0
-        tot_h = float(self.w_h.sum())
-        if not tot_h > 0:
-            raise InternalInconsistencyError("copy state has no support")
-        pi_prime_j = float(self.w_h[self._has].sum()) / tot_h
-        mj = np.uint32(self.tab.copy_bits[j])
-        self._sup = (self.masks_g & mj) == mj
-        tot_g = float(self.w_g.sum())
-        if not tot_g > 0:
-            raise InternalInconsistencyError("graph state has no support")
-        pi_j = float(self.w_g[self._sup].sum()) / tot_g
-        return pi_j, pi_prime_j
+        holding_h, holding_g = self.eng.holding(self.pre.c1, j)
+        return self.g.prob(holding_g), self.h.prob(holding_h)
 
     def commit(self, j: int, dec_h: bool, dec_g: Optional[bool]) -> None:
-        keep = self._has if dec_h else ~self._has
-        self.masks_h, self.w_h = self.masks_h[keep], self.w_h[keep]
-        if dec_g is not None:
-            keep = self._sup if dec_g else ~self._sup
-            self.masks_g, self.w_g = self.masks_g[keep], self.w_g[keep]
+        self.h.commit(dec_h)
+        self.g.commit(dec_g)
 
     def finish(self, outcome: str, decided: list, h0: set[int],
                r_bits: int) -> tuple[FGraph, DGraph]:
+        masks_h, w_h = self.h.state()
         if outcome == "success":
-            if len(self.masks_h) != 1:
+            if len(masks_h) != 1:
                 raise InternalInconsistencyError(
-                    f"{len(self.masks_h)} copy states after full decision "
-                    "sequence")
-            final_mask = int(self.masks_h[0])
+                    f"{len(masks_h)} copy states after full decision sequence")
+            final_mask = int(masks_h[0])
         else:
-            final_mask = int(self.masks_h[weighted_index(self.w_h,
-                                                         self.rng)])
+            final_mask = int(masks_h[weighted_index(w_h, self.rng)])
         h = FGraph.from_fedges((fe for i, fe in enumerate(self.tab.copies)
                                 if final_mask >> i & 1),
                                vertices=range(self.tab.n))
-        g = self.eng.sample_g(self.masks_g, self.params.p, self.pre.c1,
+        g = self.eng.sample_g(*self.g.state(), self.params.p, self.pre.c1,
                               self.rng)
         return h, g
 

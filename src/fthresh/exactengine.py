@@ -200,11 +200,9 @@ class ExactEngine:
     """Shared per-(pattern, n) arrays; probabilities enter per call."""
 
     def __init__(self, f: Pattern, n: int):
-        self.n = n
         self.E = n * (n - 1) // 2
         _check_outcomes(self.E)  # before building the table for a large n
-        tab = placements(f, n)
-        self.table = tab
+        self.table = tab = placements(f, n)
         self.M = len(tab.copies)
         _check_outcomes(self.M)
         # per cycle, its copy set and its shadow as masks over the copy and
@@ -222,8 +220,6 @@ class ExactEngine:
                                           self.E)
         self.g_s_all = _subset_sums(self._shadows[sparse], ones[sparse],
                                     self.E)
-        self.g_pc = np.bitwise_count(
-            np.arange(2 ** self.E, dtype=np.uint32)).astype(np.uint8)
 
         # method name -> arguments -> result, filled by _memoise
         self._memo: dict[str, dict] = collections.defaultdict(dict)
@@ -265,10 +261,12 @@ class ExactEngine:
         if pi >= 1.0 or pi <= 0.0:
             full = frozenset(range(self.table.n_cycles))
             return float((c1 == full) if pi >= 1.0 else (not c1))
-        _masks, pc = self.valid_h(c1)
-        x = pi / (1.0 - pi)
-        w = float(np.sum(x ** pc.astype(np.float64)))
-        return w * (1.0 - pi) ** self.M
+        return float(np.sum(self.h_weights(c1, pi))) * (1.0 - pi) ** self.M
+
+    @_memoise()
+    def h_weights(self, c1: frozenset[int], pi: float) -> np.ndarray:
+        """Per valid_h(c1) mask, its probability over (1 - pi) ** M."""
+        return (pi / (1.0 - pi)) ** self.valid_h(c1)[1].astype(np.float64)
 
     # -- auxiliary-graph side ------------------------------------------------
 
@@ -281,7 +279,8 @@ class ExactEngine:
             w[-1 if p >= 1.0 else 0] = 1.0
             return w
         lp, lq = np.log(p), np.log1p(-p)
-        pc = self.g_pc.astype(np.float64)
+        pc = np.bitwise_count(
+            np.arange(2 ** self.E, dtype=np.uint32)).astype(np.float64)
         return np.exp(pc * lp + (self.E - pc) * lq
                       + self.g_s_all.astype(np.float64) * lq)
 
@@ -306,26 +305,36 @@ class ExactEngine:
         n_sparse = sum(1 for i in c1 if self.table.sparse[i])
         # sparse cycles off c1 with complete shadow: dummy forced absent;
         # the g_weights factor (1-p)^{s_all} overcounts the c1 ones
-        w = self.g_weights(p)[self.valid_g_dense(c1)]
+        w = self.g_dense_weights(c1, p)
         return float(np.sum(w)) * (p / (1.0 - p)) ** n_sparse
 
-    def sample_g(self, masks: np.ndarray, p: float, c1: frozenset[int],
-                 rng: np.random.Generator) -> DGraph:
+    @_memoise()
+    def g_dense_weights(self, c1: frozenset[int], p: float) -> np.ndarray:
+        """The g_weights(p) of the valid_g_dense(c1) masks, in their order."""
+        return self.g_weights(p)[self.valid_g_dense(c1)]
+
+    @_memoise()
+    def holding(self, c1: frozenset[int], j: int) -> tuple[np.ndarray, ...]:
+        """The ascending positions of the valid_h(c1) masks with copy j's
+        bit and of the valid_g_dense(c1) masks with all its edges."""
+        mj = np.uint32(self.table.copy_bits[j])
+        return (np.flatnonzero(self.valid_h(c1)[0] & np.uint32(1 << j)),
+                np.flatnonzero((self.valid_g_dense(c1) & mj) == mj))
+
+    def sample_g(self, masks: np.ndarray, weights: np.ndarray, p: float,
+                 c1: frozenset[int], rng: np.random.Generator) -> DGraph:
         """Draw the auxiliary graph from its conditional law: an edge mask
-        among the valid masks, proportional to weight, then dummies."""
-        mask = int(masks[weighted_index(self.g_weights(p)[masks], rng)])
+        among the valid masks, proportional to its weight, then dummies."""
+        mask = int(masks[weighted_index(weights, rng)])
         tab = self.table
         edges = [tab.pairs[i] for i in range(self.E) if mask >> i & 1]
-        base = Graph.from_edges(edges, vertices=range(self.n))
+        base = Graph.from_edges(edges, vertices=range(tab.n))
         rows = np.flatnonzero(tab.sparse).tolist()
         dummies = set()
         for i, key in zip(rows, tab.dummy_keys(rows)):
             sm = int(self._shadows[i])
-            if i in c1:
-                dummies.add(key)
-            elif mask & sm == sm:
-                pass  # complete shadow off c1: dummy must be absent
-            elif rng.random() < p:
+            # off c1, a complete shadow forces the dummy absent
+            if i in c1 or (mask & sm != sm and rng.random() < p):
                 dummies.add(key)
         return DGraph(base=base, dummies=frozenset(dummies))
 

@@ -37,6 +37,14 @@ class Pattern:
                                                         repr=False)
     """The distinct copies on the labels 0..r-1, in edge-tuple order."""
 
+    def __post_init__(self):
+        # computed once: lru_cache lookups would hash the Fraction d1 each time
+        object.__setattr__(self, "_hash", hash((
+            self.graph, self.r, self.s, self.d1, self.strictly_1_balanced)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def aut(self) -> int:
         return len(self.automorphisms)

@@ -1,6 +1,8 @@
 """The exact engine's arrays and valid sets the slow way: one pass over
 every mask per cycle, against which the subset-sum build and the
-hash-first conditionals are checked."""
+hash-first conditionals are checked; and the exact law's steps over a
+state compacted at every decision, against which the live vectors are
+checked."""
 
 import numpy as np
 
@@ -56,3 +58,34 @@ def brute_valid_g_dense(eng, c1):
         elif not sparse:
             ok &= ~complete
     return gm[ok]
+
+
+class CompactingState:
+    """The exact law's step state as a compacted copy: on each side the
+    masks still consistent with the decisions and their weights, summed in
+    full at every step and cut down by boolean indexing at every decision
+    that is not None."""
+
+    def __init__(self, eng, c1, pi, p):
+        self.tab = eng.table
+        self.masks_h, pc_h = eng.valid_h(c1)
+        x = pi / (1.0 - pi)
+        self.w_h = x ** pc_h.astype(np.float64)
+        self.masks_g = eng.valid_g_dense(c1)
+        self.w_g = eng.g_weights(p)[self.masks_g]
+
+    def probs(self, j):
+        """(pi_j, pi'_j) at step j."""
+        self._has = (self.masks_h & np.uint32(1 << j)) != 0
+        pi_prime_j = float(self.w_h[self._has].sum()) / float(self.w_h.sum())
+        mj = np.uint32(self.tab.copy_bits[j])
+        self._sup = (self.masks_g & mj) == mj
+        pi_j = float(self.w_g[self._sup].sum()) / float(self.w_g.sum())
+        return pi_j, pi_prime_j
+
+    def commit(self, dec_h, dec_g):
+        keep = self._has if dec_h else ~self._has
+        self.masks_h, self.w_h = self.masks_h[keep], self.w_h[keep]
+        if dec_g is not None:
+            keep = self._sup if dec_g else ~self._sup
+            self.masks_g, self.w_g = self.masks_g[keep], self.w_g[keep]

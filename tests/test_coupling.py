@@ -9,11 +9,12 @@ import weakref
 
 import numpy as np
 import pytest
+from engine_oracles import CompactingState
 
 from fthresh import coupling
 from fthresh.coupling import (OUTCOMES, _cycle_half, _law, _q_report,
                               precouple_cycles, run_coupling)
-from fthresh.exactengine import placements
+from fthresh.exactengine import get_engine, placements
 from fthresh.exponents import select_constants
 from fthresh.fgraphs import FGraph, classify, shadow
 from fthresh.graphs import Graph
@@ -511,3 +512,94 @@ class TestRelabel:
                 assert {tuple(sorted((m[u], m[v])))
                         for u, v in f.graph.edges} == set(fe.edge_set)
         assert got == [want_a, want_b, want_a, want_b]
+
+
+def exact_finals(monkeypatch):
+    """Spy on the exact law's finish: each run that reaches it appends its
+    C1 and its final live masks, copy side and graph side."""
+    finals = []
+    finish = coupling._ExactLaw.finish
+
+    def spy(law, *args):
+        finals.append((law.pre.c1, law.h.state()[0], law.g.state()[0]))
+        return finish(law, *args)
+
+    monkeypatch.setattr(coupling._ExactLaw, "finish", spy)
+    return finals
+
+
+def hexes(*xs):
+    return [float(x).hex() for x in xs]
+
+
+def exact_case(name):
+    """(template, n, params, seeds) of the exact runs checked step by step."""
+    if name == "c4":
+        sc = select_constants(C4_A)
+        return (C4_A, 5, derive_params(C4_A, 5, float(sc.delta),
+                                       float(sc.eps), pi=0.05), range(30))
+    if name == "k3-c1":
+        return K3, 6, small_params(6, 0.02), C1_STEP_SEEDS
+    return K3, 6, small_params(6, 0.01), range(200)
+
+
+class TestExactSteps:
+    """The exact law's live vectors over memoised arrays give, at every
+    step, the floats of a state compacted at every decision
+    (engine_oracles.CompactingState), and the same final masks."""
+
+    @pytest.mark.parametrize("case", ["k3", "k3-c1", "c4"])
+    def test_steps_match_a_compacting_state(self, monkeypatch, case):
+        f, n, params, seeds = exact_case(case)
+        finals = exact_finals(monkeypatch)
+        eng = get_engine(f, n)
+        g_true, g_false = set(), set()
+        for seed in seeds:
+            t = run_coupling(f, n, params, seed)
+            if t.outcome == "B3":
+                continue
+            c1, masks_h, masks_g = finals.pop()
+            ref = CompactingState(eng, c1, params.pi, params.p)
+            for s in t.steps:
+                assert hexes(*ref.probs(s["j"] - 1)) == \
+                    hexes(s["pi_j"], s["pi_prime_j"])
+                # a step that ends the run in B2 decides nothing
+                if s["decision_H"] is not None:
+                    ref.commit(s["decision_H"], s["decision_G"])
+                if s["decision_G"] is not None:
+                    (g_true if s["decision_G"] else g_false).add(seed)
+            assert np.array_equal(masks_h, ref.masks_h)
+            assert np.array_equal(masks_g, ref.masks_g)
+        assert not finals
+        if case == "k3":
+            # both ways a G decision moves the carried total: 27 runs take
+            # a True one (seeds 1, 8, 23, ...) and 165 a False one
+            assert len(g_true) == 27 and {1, 8, 23} <= g_true
+            assert len(g_false) == 165
+
+    def test_interleaved_runs_give_solo_floats(self, monkeypatch):
+        """Two exact runs on one engine and one C1, stepped in turn, read
+        the same memoised arrays; each still gives the floats and final
+        masks of its solo run, so no live vector aliases a shared array."""
+        f, n, params, _ = exact_case("k3")
+        finals = exact_finals(monkeypatch)
+        seeds = (1, 8)
+        solo = {s: run_coupling(f, n, params, s).steps for s in seeds}
+        assert len(finals) == len(seeds)
+        solo_finals = dict(zip(seeds, finals))
+        laws = {s: _law(f, n, params, s, "exact") for s in seeds}
+        assert laws[1].pre.c1 == laws[8].pre.c1
+        for i in range(max(map(len, solo.values()))):
+            turn = [s for s in seeds if i < len(solo[s])]
+            for s in turn:
+                step = solo[s][i]
+                assert hexes(*laws[s].probs(step["j"] - 1, {}, set(), 0)) \
+                    == hexes(step["pi_j"], step["pi_prime_j"])
+            for s in turn:
+                step = solo[s][i]
+                laws[s].commit(step["j"] - 1, step["decision_H"],
+                               step["decision_G"])
+        for s in seeds:
+            _c1, masks_h, masks_g = solo_finals[s]
+            assert np.array_equal(laws[s].h.state()[0], masks_h)
+            assert np.array_equal(laws[s].g.state()[0], masks_g)

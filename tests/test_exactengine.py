@@ -15,7 +15,7 @@ from fthresh.fgraphs import (FEdge, FGraph, classify, potential_copies_on,
                              shadow)
 from fthresh.graphs import Graph, _subset_sums
 from fthresh.patterns import pattern_preset
-from fthresh.sampling import dummy_slots, rng_for
+from fthresh.sampling import dummy_slots, rng_for, sample_gstar, sample_hf
 
 K3 = pattern_preset("k3")
 
@@ -228,34 +228,43 @@ class TestMemo:
         assert len(eng._memo["mu"]) <= 512
 
     def test_arrays_read_only_across_an_eviction(self):
+        """Every method that hands out arrays, called past its limit: the
+        first key is evicted, and what each call gave, the first key's
+        result computed again among them, is read-only and equal to a
+        fresh engine's."""
         eng = ExactEngine(K3, 5)
-        c1s = [frozenset(c) for c in itertools.islice(
+        # first some C1 as the two models draw them, so that not every
+        # valid set is empty, then 520 distinct sets of three cycles
+        c1s = [eng.h_cycle_ids(sample_hf(K3, 5, 0.5, s)) for s in range(6)]
+        c1s += [eng.gstar_cycle_ids(sample_gstar(K3, 5, 0.6, s))
+                for s in range(6)]
+        c1s += [frozenset(c) for c in itertools.islice(
             itertools.combinations(range(eng.table.n_cycles), 3), 520)]
         ps = np.linspace(0.05, 0.95, 10).tolist()
-        held = {"valid_h": [eng.valid_h(c1) for c1 in c1s],
-                "valid_g_dense": [eng.valid_g_dense(c1) for c1 in c1s],
-                "g_weights": [eng.g_weights(p) for p in ps]}
-        first = {"valid_h": (c1s[0],), "valid_g_dense": (c1s[0],),
-                 "g_weights": (ps[0],)}
-        for name, limit in (("valid_h", 512), ("valid_g_dense", 512),
-                            ("g_weights", 8)):
+        keys = {"valid_h": [(c1,) for c1 in c1s],
+                "valid_g_dense": [(c1,) for c1 in c1s],
+                "h_weights": [(c1, 0.3) for c1 in c1s],
+                "g_dense_weights": [(c1, 0.3) for c1 in c1s],
+                "holding": [(c1, i % eng.M) for i, c1 in enumerate(c1s)],
+                "g_weights": [(p,) for p in ps]}
+        held = {}
+        for name, ks in keys.items():
+            held[name] = [getattr(eng, name)(*k) for k in ks]
             memo = eng._memo[name]
-            assert first[name] not in memo
-            assert len(memo) <= limit
-        arrays = [*(a for pair in held["valid_h"] for a in pair),
-                  *held["valid_g_dense"], *held["g_weights"],
-                  *eng.valid_h(c1s[0]), eng.valid_g_dense(c1s[0]),
-                  eng.g_weights(ps[0])]
-        assert not any(a.flags.writeable for a in arrays)
+            assert ks[0] not in memo
+            assert len(memo) <= (8 if name == "g_weights" else 512)
         fresh = ExactEngine(K3, 5)
-        for c1, (masks, pc) in zip(c1s, held["valid_h"]):
-            want = fresh.valid_h(c1)
-            assert np.array_equal(masks, want[0])
-            assert np.array_equal(pc, want[1])
-        for c1, masks in zip(c1s, held["valid_g_dense"]):
-            assert np.array_equal(masks, fresh.valid_g_dense(c1))
-        for p, w in zip(ps, held["g_weights"]):
-            assert np.array_equal(w, fresh.g_weights(p))
+        for name, ks in keys.items():
+            again = getattr(eng, name)(*ks[0])
+            for k, got in zip(ks + ks[:1], held[name] + [again]):
+                want = getattr(fresh, name)(*k)
+                if not isinstance(got, tuple):
+                    got, want = (got,), (want,)
+                for a, b in zip(got, want, strict=True):
+                    assert not a.flags.writeable
+                    assert np.array_equal(a, b)
+        assert any(len(w) for w in held["h_weights"][:12])
+        assert any(len(pos[1]) for pos in held["holding"][:12])
 
 
 class TestSampleG:
@@ -268,7 +277,7 @@ class TestSampleG:
         counts: dict[frozenset, int] = {}
         reps = 4000
         for _ in range(reps):
-            g = eng.sample_g(valid, p, c1, rng)
+            g = eng.sample_g(valid, eng.g_dense_weights(c1, p), p, c1, rng)
             ids = eng.gstar_cycle_ids(g)
             counts[ids] = counts.get(ids, 0) + 1
         # every draw must realize exactly the conditioned cycle set
@@ -280,7 +289,7 @@ class TestSampleG:
         valid = eng.valid_g_dense(c1)
         rng = rng_for(12, 3)
         for _ in range(200):
-            g = eng.sample_g(valid, p, c1, rng)
+            g = eng.sample_g(valid, eng.g_dense_weights(c1, p), p, c1, rng)
             dummy_sets = {frozenset(k) for k in g.dummies}
             for i in c1:
                 assert eng.table.cycle(i).fedges in dummy_sets
@@ -308,7 +317,8 @@ class TestWeightedDraw:
         cycles for a cycle set that has none."""
         eng = get_engine(K3, 6)
         c1 = frozenset()
-        g = eng.sample_g(eng.valid_g_dense(c1), 0.05, c1, TopRng())
+        g = eng.sample_g(eng.valid_g_dense(c1), eng.g_dense_weights(c1, 0.05),
+                         0.05, c1, TopRng())
         assert eng.gstar_cycle_ids(g) == c1
 
 
@@ -447,6 +457,7 @@ class TestDummyKeys:
         drawn = []
         for c1 in (frozenset(), frozenset({0})):
             for _ in range(20):
-                g = eng.sample_g(eng.valid_g_dense(c1), 0.3, c1, rng)
+                g = eng.sample_g(eng.valid_g_dense(c1),
+                                 eng.g_dense_weights(c1, 0.3), 0.3, c1, rng)
                 drawn.extend(g.dummies)
         assert drawn and all(id(key) in ids for key in drawn)

@@ -35,6 +35,17 @@ class TestAnalyze:
         # the witness has the fewest vertices, then the least labels
         assert str(exc.value) == "subgraph on [0, 1] has 1-density 1 >= 1"
 
+    @pytest.mark.parametrize("name", ["k3", "c4", "k4me"])
+    def test_hash_is_the_generated_one(self, name):
+        """The cached hash is the one the dataclass would generate, over
+        the compared fields, and a preset analysed again hashes equal."""
+        f = pattern_preset(name)
+        assert hash(f) == hash((f.graph, f.r, f.s, f.d1,
+                                f.strictly_1_balanced))
+        again = analyze_pattern(f.graph)
+        assert again is not f
+        assert again == f and hash(again) == hash(f)
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedInputError):
             analyze_pattern(Graph.from_edges([(0, 1), (2, 3)]))
