@@ -45,11 +45,10 @@ def _worker_count() -> int:
 
 
 def _resolve_pattern(args) -> Pattern:
-    if args.pattern_file:
+    """The template of --pattern or --pattern-file; argparse admits one."""
+    if args.pattern_file is not None:
         return pattern_from_file(args.pattern_file)
-    if args.pattern:
-        return pattern_preset(args.pattern)
-    raise SystemExit("one of --pattern or --pattern-file is required")
+    return pattern_preset(args.pattern)
 
 
 def _constants(f: Pattern, args):
@@ -95,8 +94,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_params(args) -> int:
     f = _resolve_pattern(args)
-    if args.n is None:
-        raise SystemExit("params requires --n")
     delta, eps = _constants(f, args)
     params = derive_params(f, args.n, delta, eps, pi=args.pi)
     print(json.dumps(params_as_jsonable(params), indent=2))
@@ -197,8 +194,6 @@ def crossing_estimate(rows: list[dict],
 
 def cmd_scan(args) -> int:
     f = _resolve_pattern(args)
-    if args.n is None:
-        raise SystemExit("scan requires --n")
     if args.p is not None and not 0.0 <= args.p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
     # p_star refuses n <= r before any trial runs
@@ -225,8 +220,6 @@ def cmd_scan(args) -> int:
 
 def cmd_couple(args) -> int:
     f = _resolve_pattern(args)
-    if args.n is None:
-        raise SystemExit("couple requires --n")
     if args.trials < 1:
         raise DomainError("trials must be positive")
     delta, eps = _constants(f, args)
@@ -253,8 +246,6 @@ def cmd_couple(args) -> int:
 
 def cmd_chen_stein(args) -> int:
     f = _resolve_pattern(args)
-    if args.n is None:
-        raise SystemExit("chen-stein requires --n")
     delta, eps = _constants(f, args)
     config = {"command": "chen-stein", "pattern": args.pattern or "file",
               "delta": delta, "eps": eps}
@@ -289,7 +280,7 @@ def cmd_chen_stein(args) -> int:
 
 # the flags a subcommand may take, each with its argparse settings
 _FLAGS = {
-    "n": {"type": int, "help": "instance size"},
+    "n": {"type": int, "required": True, "help": "instance size"},
     "p": {"type": float, "help": "edge probability"},
     "pi": {"type": float, "help": "copy probability"},
     "delta": {"type": float, "help": "coupling slack exponent"},
@@ -317,15 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand taking the template flags and the listed ones:
         those its command reads, so any other flag is a usage error."""
         sp = sub.add_parser(name, help=summary)
-        sp.add_argument("--pattern", help="preset template name")
-        sp.add_argument("--pattern-file", help="edge-list file of a template")
+        template = sp.add_mutually_exclusive_group(required=True)
+        template.add_argument("--pattern", help="preset template name")
+        template.add_argument("--pattern-file", help="template edge list")
         for flag in flags:
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.set_defaults(func=func)
         return sp
 
-    add("analyze", cmd_analyze, "template invariants and parameters",
-        ("n", "pi", "delta", "eps"))
+    sp = add("analyze", cmd_analyze, "template invariants and parameters",
+             ("pi", "delta", "eps"))
+    sp.add_argument("--n", type=int,
+                    help="instance size of the derived parameters")
     add("verify", cmd_verify, "certify d-cycle balance and exponent signs",
         ("max-len", "out"))
     add("scan", cmd_scan, "factor probability across a p-grid",
@@ -334,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("n", "pi", "delta", "eps", "trials", "seed", "mode", "out"))
     sp = add("chen-stein", cmd_chen_stein, "Poisson approximation error "
              "bounds", ("pi", "p", "delta", "eps", "out"))
-    sp.add_argument("--n", type=int, nargs="+", help="instance sizes")
+    sp.add_argument("--n", type=int, nargs="+", required=True,
+                    help="instance sizes")
     add("params", cmd_params, "derived instance parameters",
         ("n", "pi", "delta", "eps"))
 

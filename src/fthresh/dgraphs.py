@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import (InternalInconsistencyError, NotACleanCycleError,
                      ResourceLimitError)
-from .graphs import DEFAULT_ENUMERATION_CAP, Graph, canonical_form
+from .graphs import (DEFAULT_ENUMERATION_CAP, Graph, _norm_edge,
+                     canonical_form, relabellings)
 from .fgraphs import (FEdge, FGraph, _clean_cycle_order,
-                      all_potential_copies, classify, copies_on_vertex_set,
-                      count_copies, fgraph_automorphisms, shadow)
+                      all_potential_copies, classify, count_copies,
+                      edge_positions, fgraph_automorphisms, shadow)
 from .patterns import Pattern
 
 
@@ -88,23 +89,19 @@ def dcycle_of(cycle: FGraph, f: Pattern) -> CleanDCycle:
 
 def _pattern_pair_orbits(f: Pattern, ordered: bool) -> list[tuple[int, int]]:
     """Orbit representatives of (ordered or unordered) distinct vertex pairs
-    under the template's automorphism group."""
+    under the template's automorphism group: the least pair of each orbit,
+    in ascending order."""
     pverts = sorted(f.graph.vertices)
     pos = {u: i for i, u in enumerate(pverts)}
-    if ordered:
-        pairs = set(itertools.permutations(pverts, 2))
-    else:
-        pairs = set(itertools.combinations(pverts, 2))
-    reps = []
-    while pairs:
-        rep = min(pairs)
-        reps.append(rep)
-        for a in f.automorphisms:
-            img = (a[pos[rep[0]]], a[pos[rep[1]]])
-            if not ordered and img[0] > img[1]:
-                img = (img[1], img[0])
-            pairs.discard(img)
-    return reps
+
+    def image(a: tuple[int, ...], x: int, y: int) -> tuple[int, int]:
+        u, v = a[pos[x]], a[pos[y]]
+        return (u, v) if ordered or u < v else (v, u)
+
+    pairs = (itertools.permutations if ordered
+             else itertools.combinations)(pverts, 2)
+    return sorted({min(image(a, x, y) for a in f.automorphisms)
+                   for x, y in pairs})
 
 
 def _place_copy(f: Pattern, pinned: dict[int, int],
@@ -192,31 +189,6 @@ class CycleRows(NamedTuple):
     sparse: np.ndarray
 
 
-def _relabellings(cycle: FGraph) -> np.ndarray:
-    """Per distinct relabelling of a cycle on 0..v-1, the least permutation
-    of its coset of Aut, whose elements, as the images of 0..v-1, map b to
-    a[b]: each vertex b is labelled before the rest of its orbit under the
-    automorphisms fixing 0..b-1. Labels go out in turn to
-    vertices whose predecessors are labelled, so no v! pass is made."""
-    v = cycle.v()
-    group = fgraph_automorphisms(cycle)
-    before = [0] * v  # per vertex, the vertices labelled before it, as a mask
-    for b in range(v):
-        for a in group:
-            if a[b] != b:
-                before[a[b]] |= 1 << b
-        group = [a for a in group if a[b] == b]
-    order = np.zeros((1, 0), dtype=np.int64)  # order[:, t]: vertex labelled t
-    for _ in range(v):
-        done = (1 << order).sum(axis=1)  # the labelled vertices, as a mask
-        free = [((done >> x) & 1 == 0) & ((done & before[x]) == before[x])
-                for x in range(v)]
-        order = np.concatenate([
-            np.column_stack((order[ok], np.full(ok.sum(), x)))
-            for x, ok in enumerate(free)])
-    return np.argsort(order, axis=1)
-
-
 def _vertex_sets(n_labels: int, v: int,
                  fresh_from: int) -> list[tuple[int, ...]]:
     """The v-subsets of 0..n_labels-1 whose labels from fresh_from on are
@@ -248,10 +220,10 @@ def _type_rows(f: Pattern, cycle: FGraph, n_labels: int,
     r, v = f.r, cycle.v()
     fes = (list(cycle.fedges) if cycle.e() == 2
            else _clean_cycle_order(cycle)[0])
-    sigma = _relabellings(cycle)
-    shape_of = {fe: i for i, fe in
-                enumerate(copies_on_vertex_set(f, range(r)))}
-    pverts = sorted(f.graph.vertices)
+    sigma = relabellings(shadow(cycle), fgraph_automorphisms(cycle))
+    shape_of = {edges: i for i, (edges, _emb) in
+                enumerate(f.canonical_copies)}
+    edges = edge_positions(f)
     subsets = np.array(_vertex_sets(n_labels, v, fresh_from),
                        dtype=np.int32).reshape(-1, v)
     # the rank of a sorted r-set c of [N] is C(N, r) - 1 minus the sum of
@@ -267,7 +239,7 @@ def _type_rows(f: Pattern, cycle: FGraph, n_labels: int,
         _keys, first, which = np.unique(ranks @ r ** np.arange(r),
                                         return_index=True, return_inverse=True)
         shapes = np.array(
-            [shape_of[FEdge.from_embedding(f, dict(zip(pverts, p)))]
+            [shape_of[tuple(sorted(_norm_edge(p[a], p[b]) for a, b in edges))]
              for p in ranks[first].tolist()], dtype=np.int32)[which]
         local = np.sort(images, axis=1)
         rank = math.comb(n_labels, r) - 1 - sum(

@@ -72,7 +72,7 @@ def f_exponents(f: Pattern, s: Graph) -> ExponentReport:
 
     f1 is additive over disjoint components and zero on isolated vertices.
     """
-    vmc = s.v() - components(s)[0]
+    vmc = s.v() - components(s)
     return ExponentReport(f1=Fraction(s.e()) / f.d1 - vmc,
                           f2=vmc + 1 - Fraction(s.e(), f.s))
 
@@ -197,7 +197,7 @@ def max_g1_of_dcycle(
         # the full graph is not proper; its best proper edge subset drops one
         for u, v in g.edges:
             rest = Graph(g.vertices, g.edges - {(u, v)})
-            vmc = rest.v() - components(rest)[0]
+            vmc = rest.v() - components(rest)
             cand = Fraction(rest.e()) / f.d1 - vmc - 1
             if cand > best_g1:
                 best_g1 = cand

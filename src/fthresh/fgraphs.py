@@ -104,7 +104,7 @@ def nullity(h: FGraph) -> int:
         r = len(next(iter(h.fedges)).vertices)
     else:
         r = 0  # the (r-1)e term vanishes anyway
-    c = components(shadow(h))[0]
+    c = components(shadow(h))
     return (r - 1) * h.e() + c - h.v()
 
 
@@ -171,7 +171,7 @@ def classify(h: FGraph) -> CycleClass:
                 frozenset().union(*(fe.vertices for fe in h.fedges))):
             return CycleClass(kind="clean_cycle", nullity=nul, length=k,
                               sparsity="dense")
-    connected = h.v() > 0 and components(shadow(h))[0] == 1
+    connected = h.v() > 0 and components(shadow(h)) == 1
     if connected and nul >= 2:
         return CycleClass(kind="avoidable", nullity=nul)
     return CycleClass(kind="other", nullity=nul)
@@ -245,7 +245,7 @@ def find_avoidable(h: FGraph, max_fedges: int) -> Optional[FGraph]:
                                      f"{DEFAULT_ENUMERATION_CAP}")
         sub = FGraph.from_fedges(fes[i] for i in current)
         if len(current) >= 2 and nullity(sub) >= 2:
-            if components(shadow(sub))[0] == 1:
+            if components(shadow(sub)) == 1:
                 return sub
         if len(current) >= max_fedges:
             return None

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError, UndefinedDensityError
+from .errors import DomainError, ResourceLimitError, UndefinedDensityError
 
 Edge = tuple[int, int]
 
@@ -86,28 +86,27 @@ class Graph:
                                      if u in keep and v in keep))
 
     def is_connected(self) -> bool:
-        return components(self)[0] <= 1
+        return components(self) <= 1
 
 
-def components(g: Graph) -> tuple[int, list[frozenset[int]]]:
-    """Connected components; the empty graph has zero of them."""
+def components(g: Graph) -> int:
+    """The number of connected components; the empty graph has zero."""
     adj = g.adjacency()
     seen: set[int] = set()
-    parts: list[frozenset[int]] = []
-    for start in sorted(g.vertices):
+    count = 0
+    for start in g.vertices:
         if start in seen:
             continue
-        comp = {start}
+        count += 1
+        seen.add(start)
         stack = [start]
         while stack:
             x = stack.pop()
             for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
+                if y not in seen:
+                    seen.add(y)
                     stack.append(y)
-        seen |= comp
-        parts.append(frozenset(comp))
-    return len(parts), parts
+    return count
 
 
 def one_density(g: Graph) -> Fraction:
@@ -175,6 +174,15 @@ def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for block in
                  _embedding_images(g, *_adjacency_matrix(g))
                  for row in block.tolist())
+
+
+def relabellings(g: Graph, group: Iterable[tuple[int, ...]]) -> np.ndarray:
+    """Per coset sigma o group of a group of g's automorphisms, the least
+    relabelling sigma of g onto 0..v-1, as the images of the sorted
+    vertices: the join of g into the complete graph on those labels."""
+    v = g.v()
+    return np.concatenate(list(_embedding_images(
+        g, range(v), ~np.eye(v, dtype=bool), automorphisms=group)))
 
 
 # -- canonical labeling ------------------------------------------------------
@@ -303,10 +311,11 @@ def _embedding_images(pattern: Graph, hverts: Sequence[int], adj: np.ndarray,
 
     Copies are not required to be induced; host edges outside the image
     are ignored. With no automorphisms every raw embedding is yielded.
-    Given pattern automorphisms, each as the images of the sorted pattern
-    vertices, only the embeddings whose image tuple is lexicographically
-    no larger than under any of them survive; given the whole of
-    Aut(pattern), that is one embedding per copy, the least of its class.
+    Given a group of pattern automorphisms, each as the images of the
+    sorted pattern vertices, an embedding m survives exactly when its
+    image tuple is lexicographically at most that of m o a for every a in
+    the group: the least of its class {m o a}. Under Aut(pattern) that is
+    one embedding per copy; under a subgroup, one per coset.
 
     The symmetry check reduces, per automorphism, to one pair of pattern
     vertices (the first vertex x it moves, and its image y) with
@@ -386,25 +395,31 @@ def _embedding_images(pattern: Graph, hverts: Sequence[int], adj: np.ndarray,
 # -- edge-list text format ---------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the "u v" per-line format; optional "n=<k>" header line."""
+    """Parse the "u v" per-line format; optional "n=<k>" header line. A
+    malformed line raises DomainError naming it."""
     n_declared: Optional[int] = None
-    edges: list[tuple[int, int]] = []
+    edges: dict[int, tuple[int, int]] = {}  # line number -> edge
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("n="):
-            n_declared = int(line[2:])
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    max_label = max((max(u, v) for u, v in edges), default=-1)
+        try:
+            if line.startswith("n="):
+                n_declared = int(line[2:])
+            elif line:
+                u, v = map(int, line.split())
+                if u == v or min(u, v) < 0:
+                    raise ValueError("not an edge")
+                edges[lineno] = (u, v)
+        except ValueError:
+            raise DomainError(f"line {lineno}: expected 'n=<k>' or 'u v' "
+                              "with distinct non-negative integer labels, "
+                              f"got {raw!r}") from None
+    max_label = max((max(e) for e in edges.values()), default=-1)
     n = n_declared if n_declared is not None else max_label + 1
-    if max_label >= n:
-        raise ValueError(f"edge label {max_label} exceeds declared n={n}")
-    return Graph.from_edges(edges, vertices=range(n))
+    for lineno, e in edges.items():
+        if max(e) >= n:
+            raise DomainError(f"line {lineno}: edge label {max(e)} exceeds "
+                              f"declared n={n}")
+    return Graph.from_edges(edges.values(), vertices=range(n))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -7,7 +7,6 @@ ThresholdParams.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,7 +15,7 @@ from typing import Optional
 from .errors import (DisconnectedInputError, DomainError,
                      InternalInconsistencyError, NotStrictlyOneBalancedError)
 from .graphs import (Edge, Graph, _norm_edge, automorphisms, components,
-                     one_density, parse_edge_list,
+                     one_density, parse_edge_list, relabellings,
                      strictly_1_balanced_violation)
 
 # one copy of the template on 0..r-1: (sorted edge tuple, minimal embedding)
@@ -74,7 +73,7 @@ def _is_two_vertex_connected(g: Graph) -> bool:
     at least three vertices, as analyze_pattern checks first."""
     for u in g.vertices:
         rest = g.induced(g.vertices - {u})
-        if components(rest)[0] > 1:
+        if components(rest) > 1:
             return False
     return True
 
@@ -82,15 +81,13 @@ def _is_two_vertex_connected(g: Graph) -> bool:
 def _canonical_copies(g: Graph, auts: tuple[tuple[int, ...], ...]
                       ) -> tuple[CanonicalCopy, ...]:
     """Every copy of g on the labels 0..r-1, keyed by its sorted edge tuple,
-    with the least embedding in its automorphism class."""
+    with the least embedding in its automorphism class: one per row of
+    relabellings under Aut(g)."""
     pos = {u: i for i, u in enumerate(sorted(g.vertices))}
-    best: dict[tuple[Edge, ...], tuple[int, ...]] = {}
-    for images in itertools.permutations(range(len(pos))):
-        edges = tuple(sorted(_norm_edge(images[pos[u]], images[pos[v]])
-                             for u, v in g.edges))
-        if edges not in best:
-            best[edges] = min(tuple(images[pos[x]] for x in a) for a in auts)
-    return tuple(sorted(best.items()))
+    return tuple(sorted(
+        (tuple(sorted(_norm_edge(row[pos[u]], row[pos[v]])
+                      for u, v in g.edges)), tuple(row))
+        for row in relabellings(g, auts).tolist()))
 
 
 def analyze_pattern(g: Graph) -> Pattern:

@@ -64,7 +64,7 @@ def connected_graphs_up_to(max_v):
             edges = [all_pairs[i] for i in range(len(all_pairs))
                      if bits >> i & 1]
             g = Graph.from_edges(edges, vertices=range(n))
-            if g.v() == n and components(g)[0] == 1:
+            if g.v() == n and components(g) == 1:
                 yield g
 
 

@@ -314,6 +314,51 @@ class TestFlags:
         assert "error: " in capsys.readouterr().err
 
 
+class TestPatternFile:
+    @pytest.mark.parametrize("text, line", [
+        ("0 1\n1 x\n", "line 2: expected 'n=<k>' or 'u v' with distinct "
+         "non-negative integer labels, got '1 x'"),
+        ("0 1\n1 1\n", "line 2: expected 'n=<k>' or 'u v' with distinct "
+         "non-negative integer labels, got '1 1'"),
+        ("n=2\n0 1\n1 2\n", "line 3: edge label 2 exceeds declared n=2"),
+        ("0 1\n1 2 0\n", "line 2: expected 'n=<k>' or 'u v' with distinct "
+         "non-negative integer labels, got '1 2 0'"),
+        ("n=x\n0 1\n", "line 1: expected 'n=<k>' or 'u v' with distinct "
+         "non-negative integer labels, got 'n=x'"),
+    ], ids=["label", "self-loop", "above-n", "three-fields", "n"])
+    def test_malformed_file_is_an_error(self, tmp_path, capsys, text, line):
+        """A malformed edge list is an error line naming the line and exit
+        status 1, not a traceback."""
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        assert main(["analyze", "--pattern-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {line}\n"
+
+
+class TestTemplateAndSizeFlags:
+    """Exactly one of --pattern and --pattern-file, and --n wherever a
+    command needs a size, or argparse refuses the command line."""
+
+    @pytest.mark.parametrize("template", [
+        ["--pattern", "k3", "--pattern-file", "f.txt"], []],
+        ids=["both", "neither"])
+    def test_one_template_flag(self, capsys, template):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *template])
+        assert exc.value.code == 2
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command",
+                             ["params", "scan", "couple", "chen-stein"])
+    def test_missing_n(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--pattern", "k3"])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

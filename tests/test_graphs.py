@@ -8,6 +8,7 @@ from fractions import Fraction
 from typing import Iterator
 
 import networkx as nx
+import numpy as np
 import pytest
 from embedding_oracles import set_embeddings
 from hypothesis import given, settings
@@ -15,12 +16,14 @@ from graph_helpers import empty, path, relabel
 from hypothesis import strategies as st
 
 from fthresh import graphs
+from fthresh.dgraphs import clean_cycle_types
 from fthresh.errors import ResourceLimitError, UndefinedDensityError
 from fthresh.graphs import (Graph, _adjacency_matrix, _embedding_images,
                             _induced_edge_counts, automorphisms,
                             canonical_form, components,
                             format_edge_list, one_density, parse_edge_list,
-                            strictly_1_balanced_violation)
+                            relabellings, strictly_1_balanced_violation)
+from fthresh.fgraphs import fgraph_automorphisms, shadow
 from fthresh.patterns import analyze_pattern, pattern_preset
 
 
@@ -420,12 +423,48 @@ class TestJoinBlocks:
                 assert got == listing[:cap]
 
 
+def _least_of_cosets(v: int, group) -> np.ndarray:
+    """Oracle: the least element of each coset sigma o group, sigma over all
+    v! permutations of 0..v-1, sorted; sigma o a maps b to sigma[a[b]]."""
+    perms = np.array(list(itertools.permutations(range(v))))
+    composed = np.stack([perms[:, list(a)] for a in group])
+    keys = composed @ v ** np.arange(v - 1, -1, -1)  # lexicographic order
+    least = composed[keys.argmin(axis=0), np.arange(len(perms))]
+    return np.unique(least, axis=0)
+
+
+def _coset_cases():
+    """Every preset template under Aut(F), and every clean-cycle type on at
+    most 8 vertices of a preset under its F-graph automorphisms."""
+    for name in ("k2", "k3", "k4", "c4", "c5", "k4me"):
+        f = pattern_preset(name)
+        yield pytest.param(f.graph, f.automorphisms, id=name)
+    for name, k in (("k3", 2), ("k3", 3), ("c4", 2), ("k4", 2), ("k4me", 2),
+                    ("c5", 2)):
+        for i, (cycle, _sig) in enumerate(
+                clean_cycle_types(pattern_preset(name), k)):
+            yield pytest.param(shadow(cycle), fgraph_automorphisms(cycle),
+                               id=f"{name}-{k}-{i}")
+
+
+class TestRelabellings:
+    @pytest.mark.parametrize("g, group", list(_coset_cases()))
+    def test_least_of_each_coset(self, g, group):
+        """One row per coset of the group, the least relabelling in it."""
+        v = g.v()
+        assert g.vertices == frozenset(range(v))
+        got = relabellings(g, group)
+        assert got.shape == (math.factorial(v) // len(group), v)
+        assert np.array_equal(np.unique(got, axis=0),
+                              _least_of_cosets(v, group))
+
+
 class TestStructure:
     def test_components(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
-        count, parts = components(g)
-        assert count == 2
-        assert {frozenset({0, 1}), frozenset({2, 3})} == set(parts)
+        assert components(g) == 2
+        assert components(Graph.from_edges([(0, 1)], vertices=range(4))) == 3
+        assert components(Graph(frozenset(), frozenset())) == 0
 
     def test_edge_list_roundtrip(self):
         g = Graph.from_edges([(0, 2), (1, 2), (0, 1), (2, 3)])
